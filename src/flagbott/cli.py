@@ -6,10 +6,14 @@ Input towers are JSON documents:
 
 "dims" lists the stage dimensions; "A" maps "j,l" (stages, 1-indexed,
 l < j) to the integer twist matrix of shape (dims[j-1]+1) x (dims[l-1]+1).
+A key must be spelled exactly f"{j},{l}" (no spaces, signs or leading
+zeros); true and false are not integers; a key repeated in any object
+is an error.
 
 Exit codes: 0 success, 1 verification or runtime failure, 2 malformed
-input (JSON syntax, bad shapes, missing matrices).  The environment
-variable FLAGBOTT_CONE_CAP overrides the maximal-cone enumeration cap.
+input (JSON syntax, bad shapes, missing matrices, bad keys, a cone cap
+below 1).  The environment variable FLAGBOTT_CONE_CAP, an integer of at
+least 1, overrides the maximal-cone enumeration cap.
 """
 
 from __future__ import annotations
@@ -44,29 +48,44 @@ def load_tower(path: str) -> FlagBottTower:
         text = Path(path).read_text()
     except OSError as e:
         raise SpecError(f"{path}: {e.strerror or e}") from None
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise SpecError(f"{path}: duplicate key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: top level must be an object")
     dims = doc.get("dims")
-    if not isinstance(dims, list) or not all(isinstance(d, int) for d in dims):
+    # type(...) is int: JSON true/false load as bools, which are ints too
+    if not isinstance(dims, list) or not all(type(d) is int for d in dims):
         raise SpecError(f"{path}: \"dims\" must be a list of integers")
     raw = doc.get("A", {})
     if not isinstance(raw, dict):
         raise SpecError(f"{path}: \"A\" must be an object")
     twists = {}
     for key, rows in raw.items():
-        parts = key.split(",")
         try:
-            j, ell = (int(p) for p in parts)
+            j, ell = (int(p) for p in key.split(","))
         except ValueError:
-            raise SpecError(f"{path}: matrix key {key!r} is not of the form \"j,l\"") from None
+            j = ell = None
+        # only the canonical spelling, so that two keys never name one pair
+        if j is None or key != f"{j},{ell}":
+            raise SpecError(f"{path}: matrix key {key!r} is not of the form \"j,l\"")
         try:
-            twists[(j, ell)] = IntMatrix.from_rows(rows)
+            a = IntMatrix.from_rows(rows)
         except (TypeError, ValueError) as e:
             raise SpecError(f"{path}: matrix {key!r}: {e}") from None
+        if any(type(e) is bool for e in a.entries):
+            raise SpecError(f"{path}: matrix {key!r}: entries must be int, got bool")
+        twists[(j, ell)] = a
     tower = FlagBottTower(tuple(dims), twists)
     defects = validate(tower)
     if defects:
@@ -91,9 +110,12 @@ def _cone_cap() -> int:
     if raw is None:
         return DEFAULT_CONE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise SpecError(f"FLAGBOTT_CONE_CAP must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise SpecError(f"FLAGBOTT_CONE_CAP must be at least 1, got {raw!r}")
+    return cap
 
 
 def _write_text(path: str, text: str) -> None:

@@ -14,7 +14,7 @@ is exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -116,23 +116,6 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
                     acc[j] += aik * brow[j]
         out.extend(acc)
     return IntMatrix(a.rows, b.cols, tuple(out))
-
-
-def mat_add(a: IntMatrix, b: IntMatrix) -> IntMatrix:
-    if (a.rows, a.cols) != (b.rows, b.cols):
-        raise DimensionMismatch(f"{a.rows}x{a.cols} plus {b.rows}x{b.cols}")
-    return IntMatrix(a.rows, a.cols, tuple(x + y for x, y in zip(a.entries, b.entries)))
-
-
-def hstack(blocks: Iterable[IntMatrix]) -> IntMatrix:
-    blocks = list(blocks)
-    if not blocks:
-        raise DimensionMismatch("nothing to stack")
-    r = blocks[0].rows
-    if any(b.rows != r for b in blocks):
-        raise DimensionMismatch("row counts differ")
-    rows = [[e for b in blocks for e in b.row(i)] for i in range(r)]
-    return IntMatrix.from_rows(rows)
 
 
 def _det_rows(rows: list[list[int]]) -> int:

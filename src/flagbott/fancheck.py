@@ -25,7 +25,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .exactlin import IntMatrix, _det_rows, adjugate_det
+from .exactlin import IntMatrix, _det_rows, adjugate_det, det
 from .fans import Fan, Ray, RayLabel
 from .permfan import perm_fan, perm_ray_vector
 from .tower import FlagBottTower
@@ -271,7 +271,7 @@ def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
         cols = [
             fan.rays[fan.ray_index[lbl]].vector[:base_n] for lbl in sorted(lift)
         ]
-        _, d = adjugate_det(IntMatrix.from_cols(cols))
+        d = det(IntMatrix.from_cols(cols))
         if d not in (1, -1):
             report.defects.append(
                 JoinDefect(

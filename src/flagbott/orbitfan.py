@@ -40,7 +40,8 @@ isotropy weights come out of accumulated twist matrices: with B_p the
                   X_(j,p) A_(p,ell) B_ell,
 
 which equals the sum over all descending stage chains from j to ell of
-the alternating B/A products.  Row i of the block row
+the alternating B/A products.  No B_p is ever built: products with
+B_p are computed by reindexing rows and columns.  Row i of the block row
 [X_(j,1) ... X_(j,j-1)  B_j  0 ... 0] is an ambient character; consecutive
 differences projected to Z^n are the n isotropy weights at v.  Those
 weights form a unimodular matrix whose inverse columns must reproduce the
@@ -55,14 +56,7 @@ from dataclasses import dataclass
 from math import factorial
 from typing import Iterator
 
-from .exactlin import (
-    IntMatrix,
-    NotUnimodular,
-    hstack,
-    mat_add,
-    mat_mul,
-    unimodular_inverse,
-)
+from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
 from .fans import Chain, Fan, PermTuple, Ray, RayLabel, Subset
 from .permfan import (
     chain_of_permutation,
@@ -93,7 +87,6 @@ __all__ = [
     "weights_at",
     "witness_perm_tuple",
     "x_matrix",
-    "x_matrix_chain_sum",
 ]
 
 DEFAULT_CONE_CAP = 1_000_000
@@ -229,24 +222,24 @@ def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     return Fan(t.dims, rays, tuple(maxcones), tuple(perm_tuples))
 
 
-def _perm_row_matrix(v: tuple[int, ...]) -> IntMatrix:
-    # row i is the standard basis vector at v(i)
-    g = len(v)
-    rows = [[0] * g for _ in range(g)]
-    for i, vi in enumerate(v):
-        rows[i][vi - 1] = 1
-    return IntMatrix.from_rows(rows)
-
-
-def _x_row(t: FlagBottTower, v: PermTuple, j: int) -> dict[int, IntMatrix]:
-    # all accumulated twist matrices X_(j,ell) for ell < j, by the recurrence
-    bs = {p: _perm_row_matrix(v[p - 1]) for p in range(1, j + 1)}
-    xs: dict[int, IntMatrix] = {}
+def _x_row(t: FlagBottTower, v: PermTuple, j: int) -> dict[int, list[list[int]]]:
+    # all accumulated twist matrices X_(j,ell) for ell < j, as row lists, by
+    # X_(j,ell) = (B_j A_(j,ell) + sum_p X_(j,p) A_(p,ell)) B_ell; row i of
+    # B_j M is row v_j(i) of M, and M B_ell moves column b to v_ell(b)
+    vj = v[j - 1]
+    xs: dict[int, list[list[int]]] = {}
     for ell in range(j - 1, 0, -1):
-        acc = mat_mul(mat_mul(bs[j], t.twist(j, ell)), bs[ell])
+        a = t.twist(j, ell)
+        acc = [list(a.row(vi - 1)) for vi in vj]
         for p in range(ell + 1, j):
-            acc = mat_add(acc, mat_mul(mat_mul(xs[p], t.twist(p, ell)), bs[ell]))
-        xs[ell] = acc
+            a_rows = t.twist(p, ell).to_rows()
+            for row, x_row in zip(acc, xs[p]):
+                for x, a_row in zip(x_row, a_rows):
+                    if x:
+                        for c, e in enumerate(a_row):
+                            row[c] += x * e
+        cols = sorted(range(len(v[ell - 1])), key=v[ell - 1].__getitem__)
+        xs[ell] = [[row[b] for b in cols] for row in acc]
     return xs
 
 
@@ -255,39 +248,19 @@ def x_matrix(t: FlagBottTower, v: PermTuple, j: int, ell: int) -> IntMatrix:
     _check_perm_tuple(t, v)
     if not 1 <= ell < j <= t.m:
         raise InvalidStagePair(f"need 1 <= ell < j <= {t.m}, got ({j}, {ell})")
-    return _x_row(t, v, j)[ell]
-
-
-def x_matrix_chain_sum(t: FlagBottTower, v: PermTuple, j: int, ell: int) -> IntMatrix:
-    """X_(j,ell) summed chain by chain; exponential-time oracle for x_matrix."""
-    _check_perm_tuple(t, v)
-    if not 1 <= ell < j <= t.m:
-        raise InvalidStagePair(f"need 1 <= ell < j <= {t.m}, got ({j}, {ell})")
-    bs = {p: _perm_row_matrix(v[p - 1]) for p in range(1, j + 1)}
-    total = IntMatrix.zero(t.dims[j - 1] + 1, t.dims[ell - 1] + 1)
-    between = range(ell + 1, j)
-    for r in range(0, j - ell):
-        for mids in itertools.combinations(between, r):
-            seq = (j,) + tuple(reversed(mids)) + (ell,)
-            acc = bs[j]
-            for hi, lo in zip(seq, seq[1:]):
-                acc = mat_mul(mat_mul(acc, t.twist(hi, lo)), bs[lo])
-            total = mat_add(total, acc)
-    return total
+    return IntMatrix.from_rows(_x_row(t, v, j)[ell])
 
 
 @dataclass(frozen=True)
 class WeightSystem:
     """Isotropy weights at the fixed point of a permutation tuple.
 
-    ambient_rows[j-1][i-1] is the character row (length sum of n_p+1) for
-    stage j, row i; weights holds the n projected consecutive differences
-    in stage-major order.
+    weights holds the n projected consecutive differences in stage-major
+    order.
     """
 
     dims: tuple[int, ...]
     perms: PermTuple
-    ambient_rows: tuple[tuple[tuple[int, ...], ...], ...]
     weights: tuple[tuple[int, ...], ...]
 
     def weight(self, j: int, i: int) -> tuple[int, ...]:
@@ -309,34 +282,28 @@ class WeightSystem:
         return IntMatrix.from_rows(self.weights)
 
 
-def _project(dims: tuple[int, ...], vec: tuple[int, ...]) -> tuple[int, ...]:
-    # drop the last ambient coordinate of every block
-    out: list[int] = []
-    pos = 0
-    for n_p in dims:
-        out.extend(vec[pos : pos + n_p])
-        pos += n_p + 1
-    return tuple(out)
-
-
 def weights_at(t: FlagBottTower, v: PermTuple) -> WeightSystem:
     """All n isotropy weights at the fixed point indexed by v."""
     _check_perm_tuple(t, v)
-    widths = [n_p + 1 for n_p in t.dims]
-    ambient_rows = []
     weights = []
+    offset = 0
     for j, n_j in enumerate(t.dims, start=1):
         xs = _x_row(t, v, j)
-        blocks = [xs[p] for p in range(1, j)]
-        blocks.append(_perm_row_matrix(v[j - 1]))
-        blocks.extend(IntMatrix.zero(n_j + 1, w) for w in widths[j:])
-        row_block = hstack(blocks)
-        rows = tuple(row_block.row(i) for i in range(n_j + 1))
-        ambient_rows.append(rows)
+        # projected ambient rows: the first n_p entries of each X_(j,p),
+        # then row i of B_j, then zeros
+        rows = []
+        for i, vi in enumerate(v[j - 1]):
+            row = []
+            for p in range(1, j):
+                row.extend(xs[p][i][: t.dims[p - 1]])
+            row.extend([0] * (t.n - offset))
+            if vi <= n_j:
+                row[offset + vi - 1] = 1
+            rows.append(row)
         for i in range(n_j):
-            diff = tuple(a - b for a, b in zip(rows[i + 1], rows[i]))
-            weights.append(_project(t.dims, diff))
-    return WeightSystem(t.dims, v, tuple(ambient_rows), tuple(weights))
+            weights.append(tuple(b - a for a, b in zip(rows[i], rows[i + 1])))
+        offset += n_j
+    return WeightSystem(t.dims, v, tuple(weights))
 
 
 def derive_rays_from_weights(t: FlagBottTower, v: PermTuple) -> set[tuple[int, ...]]:

@@ -8,8 +8,9 @@ torus: its rows are exponent vectors.
 A point of the ambient product of linear groups is generic when every one
 of its flag minors is nonzero: for each k, every k x k minor on column
 block 1..k.  Genericity is what makes the orbit closure's fan independent
-of the point, so the test must be exact; all rational arithmetic here uses
-Fraction.
+of the point, so the test must be exact: rational entries are Fractions,
+and a minor clears each row's denominators and takes the integer Bareiss
+determinant.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Mapping, Sequence
 
-from .exactlin import IntMatrix
+from .exactlin import IntMatrix, _det_rows
 
 RatLike = int | Fraction
 
@@ -170,27 +172,6 @@ def validate(t: FlagBottTower) -> list[str]:
     return defects
 
 
-def _qdet(rows: list[list[Fraction]]) -> Fraction:
-    # Gaussian elimination over Fraction; mutates its argument.
-    n = len(rows)
-    out = Fraction(1)
-    for p in range(n):
-        piv = next((q for q in range(p, n) if rows[q][p]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != p:
-            rows[p], rows[piv] = rows[piv], rows[p]
-            out = -out
-        out *= rows[p][p]
-        inv = 1 / rows[p][p]
-        for q in range(p + 1, n):
-            f = rows[q][p] * inv
-            if f:
-                for c in range(p, n):
-                    rows[q][c] -= f * rows[p][c]
-    return out
-
-
 def plucker(g: RationalMatrix, indices: tuple[int, ...]) -> Fraction:
     """Minor of g on the given rows (1-indexed, increasing) and columns 1..k."""
     k = len(indices)
@@ -201,7 +182,10 @@ def plucker(g: RationalMatrix, indices: tuple[int, ...]) -> Fraction:
     ):
         raise InvalidIndices(f"row indices must be strictly increasing in 1..{g.size}: {indices}")
     rows = [[g.entry(i - 1, c) for c in range(k)] for i in indices]
-    return _qdet(rows)
+    # clear each row's denominators so the integer Bareiss routine applies
+    scales = [lcm(*(e.denominator for e in row)) for row in rows]
+    ints = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(rows, scales)]
+    return Fraction(_det_rows(ints), prod(scales))
 
 
 def is_generic_matrix(g: RationalMatrix) -> tuple[bool, tuple[int, ...] | None]:

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
 
+from flagbott import cli, orbitfan
 from flagbott.cli import format_fan, load_tower, main
-from flagbott.orbitfan import build_fan
+from flagbott.fans import Ray, RayLabel, Subset
+from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identity
 from flagbott.tower import FlagBottTower
 
 TWO_STAGE_DOC = {"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]]}}
@@ -60,6 +63,39 @@ def test_load_tower_missing_matrix(tmp_path, capsys):
     p.write_text(json.dumps({"dims": [1, 1]}))
     assert main(["build", str(p)]) == 2
     assert "missing matrix" in capsys.readouterr().err
+
+
+def rejected(tmp_path, capsys, text: str) -> str:
+    """Load text as a tower file; assert exit 2 naming the file; return stderr."""
+    p = tmp_path / "tower.json"
+    p.write_text(text)
+    assert main(["build", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"{p}:")
+    return err
+
+
+def test_load_tower_rejects_bools(tmp_path, capsys):
+    doc = {"dims": [True, 1], "A": {"2,1": [[0, 0], [0, 0]]}}
+    assert '"dims"' in rejected(tmp_path, capsys, json.dumps(doc))
+    doc = {"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, False, 0]]}}
+    assert "bool" in rejected(tmp_path, capsys, json.dumps(doc))
+
+
+def test_load_tower_rejects_noncanonical_keys(tmp_path, capsys):
+    # "2,1" and "2, 1" would otherwise both name stage pair (2, 1)
+    doc = {"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]], "2, 1": [[0, 0, 0], [0, 0, 0]]}}
+    assert "'2, 1'" in rejected(tmp_path, capsys, json.dumps(doc))
+    for key in (" 2,1", "02,1", "+2,1", "2,1,"):
+        doc = {"dims": [2, 1], "A": {key: [[1, 2, 0], [0, 0, 0]]}}
+        assert repr(key) in rejected(tmp_path, capsys, json.dumps(doc))
+
+
+def test_load_tower_rejects_duplicate_keys(tmp_path, capsys):
+    text = '{"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]], "2,1": [[0, 0, 0], [0, 0, 0]]}}'
+    assert "duplicate key '2,1'" in rejected(tmp_path, capsys, text)
+    text = '{"dims": [2, 1], "dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]]}}'
+    assert "duplicate key 'dims'" in rejected(tmp_path, capsys, text)
 
 
 def test_build_prints_counts(spec_path, capsys):
@@ -122,6 +158,44 @@ def test_cone_cap_env(spec_path, capsys, monkeypatch):
     assert main(["build", spec_path]) == 0
     monkeypatch.setenv("FLAGBOTT_CONE_CAP", "many")
     assert main(["build", spec_path]) == 2
+
+
+def test_cone_cap_below_one(spec_path, capsys, monkeypatch):
+    for raw in ("0", "-1"):
+        monkeypatch.setenv("FLAGBOTT_CONE_CAP", raw)
+        assert main(["build", spec_path]) == 2
+        assert "FLAGBOTT_CONE_CAP must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_pairing_fails_on_perturbed_ray(spec_path, capsys, monkeypatch):
+    t = load_tower(spec_path)
+    bad = (2, Subset.of(2, (1,)))
+    true_generator = orbitfan.ray_generator
+
+    def perturbed(t, ell, s):
+        u = true_generator(t, ell, s)
+        return (u[0] + 1,) + u[1:] if (ell, s) == bad else u
+
+    monkeypatch.setattr(orbitfan, "ray_generator", perturbed)
+    violations = verify_pairing_identity(t).violations
+    assert violations
+    assert all(isinstance(x, PairingViolation) for x in violations)
+    assert {(x.stage, x.subset) for x in violations} == {bad}
+    assert main(["verify", "--pairing", spec_path]) == 1
+    assert capsys.readouterr().out.startswith("pairing: FAIL (")
+
+
+def test_verify_oracle_fails_on_flipped_ray(spec_path, capsys, monkeypatch):
+    fan = build_fan(load_tower(spec_path))
+    r = fan.ray_index[RayLabel(1, Subset.of(3, (1,)))]
+    rays = list(fan.rays)
+    rays[r] = Ray(rays[r].label, tuple(-c for c in rays[r].vector))
+    flipped = dataclasses.replace(fan, rays=tuple(rays))
+    monkeypatch.setattr(cli, "build_fan", lambda t, cone_cap: flipped)
+    k = sum(r in cone for cone in fan.maxcones)
+    assert 0 < k < len(fan.maxcones)
+    assert main(["verify", "--oracle", spec_path]) == 1
+    assert capsys.readouterr().out == f"oracle: FAIL ({k} of {len(fan.maxcones)} cones disagree)\n"
 
 
 def test_sample_generic_deterministic(capsys):

@@ -12,9 +12,7 @@ from flagbott.exactlin import (
     NotUnimodular,
     adjugate_det,
     det,
-    hstack,
     identity,
-    mat_add,
     mat_mul,
     unimodular_inverse,
 )
@@ -71,11 +69,10 @@ def test_index_out_of_range():
         m[0, -1]
 
 
-def test_mat_mul_and_add():
+def test_mat_mul():
     a = IntMatrix.from_rows([[1, 2], [3, 4]])
     b = IntMatrix.from_rows([[5, 6], [7, 8]])
     assert mat_mul(a, b) == IntMatrix.from_rows([[19, 22], [43, 50]])
-    assert mat_add(a, b) == IntMatrix.from_rows([[6, 8], [10, 12]])
     assert mat_mul(a, identity(2)) == a
     assert mat_mul(identity(2), a) == a
 
@@ -84,18 +81,6 @@ def test_mat_mul_shape_mismatch():
     a = IntMatrix.from_rows([[1, 2]])
     with pytest.raises(DimensionMismatch):
         mat_mul(a, a)
-    with pytest.raises(DimensionMismatch):
-        mat_add(a, identity(2))
-
-
-def test_hstack():
-    a = IntMatrix.from_rows([[1], [2]])
-    b = IntMatrix.from_rows([[3, 4], [5, 6]])
-    assert hstack([a, b]) == IntMatrix.from_rows([[1, 3, 4], [2, 5, 6]])
-    with pytest.raises(DimensionMismatch):
-        hstack([a, identity(3)])
-    with pytest.raises(ValueError):
-        hstack([])
 
 
 def test_det_small_cases():

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import random
 
 import pytest
 
 from conftest import random_tower, three_stage_tower, two_stage_tower
+from flagbott import orbitfan
 from flagbott.exactlin import IntMatrix, identity, mat_mul
 from flagbott.fans import RayLabel, Subset
 from flagbott.orbitfan import (
     EnumerationTooLarge,
+    OracleFailure,
     all_rays,
     build_fan,
     chain_tuple_of_perm_tuple,
@@ -22,7 +26,6 @@ from flagbott.orbitfan import (
     weights_at,
     witness_perm_tuple,
     x_matrix,
-    x_matrix_chain_sum,
 )
 from flagbott.permfan import perm_fan, proper_subsets
 from flagbott.tower import FlagBottTower
@@ -221,13 +224,40 @@ def test_x_matrix_identity_perms_is_plain_twist():
     assert x_matrix(t, v, 3, 1) == expect
 
 
+def perm_row_matrix(v: tuple[int, ...]) -> IntMatrix:
+    """The 0/1 matrix B whose row i is the standard basis vector at v(i)."""
+    return IntMatrix.from_rows([[int(c == vi) for c in range(1, len(v) + 1)] for vi in v])
+
+
+def x_matrix_chain_sum(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:
+    """X_(j,ell) summed chain by chain with literal permutation-matrix
+    products; an exponential-time reference for x_matrix."""
+    bs = {p: perm_row_matrix(v[p - 1]) for p in range(1, j + 1)}
+    total = [0] * ((t.dims[j - 1] + 1) * (t.dims[ell - 1] + 1))
+    between = range(ell + 1, j)
+    for r in range(0, j - ell):
+        for mids in itertools.combinations(between, r):
+            seq = (j,) + tuple(reversed(mids)) + (ell,)
+            acc = bs[j]
+            for hi, lo in zip(seq, seq[1:]):
+                acc = mat_mul(mat_mul(acc, t.twist(hi, lo)), bs[lo])
+            total = [x + y for x, y in zip(total, acc.entries)]
+    return IntMatrix(t.dims[j - 1] + 1, t.dims[ell - 1] + 1, tuple(total))
+
+
 def test_x_matrix_matches_chain_sum():
+    # at the identity tuple every B_p is the identity; the random tuples
+    # exercise the row and column reindexing
     for seed in range(20):
         t = random_tower(seed, max_stages=4, max_dim=2)
-        v = tuple(tuple(range(1, n + 2)) for n in t.dims)
-        for j in range(2, t.m + 1):
-            for ell in range(1, j):
-                assert x_matrix(t, v, j, ell) == x_matrix_chain_sum(t, v, j, ell)
+        rng = random.Random(seed)
+        tuples = [tuple(tuple(range(1, n + 2)) for n in t.dims)]
+        for _ in range(25):
+            tuples.append(tuple(tuple(rng.sample(range(1, n + 2), n + 1)) for n in t.dims))
+        for v in tuples:
+            for j in range(2, t.m + 1):
+                for ell in range(1, j):
+                    assert x_matrix(t, v, j, ell) == x_matrix_chain_sum(t, v, j, ell)
 
 
 def test_x_matrix_permuted_rows():
@@ -305,6 +335,21 @@ def test_witness_cone_contains_its_ray():
             v = witness_perm_tuple(t, ell, s)
             chain = chain_tuple_of_perm_tuple(v)[ell - 1]
             assert s in set(chain)
+
+
+def test_oracle_rejects_doubled_weight(monkeypatch):
+    t = two_stage_tower()
+    true_weights_at = orbitfan.weights_at
+
+    def doubled(t, v):
+        ws = true_weights_at(t, v)
+        return dataclasses.replace(ws, weights=(tuple(2 * c for c in ws.weights[0]),) + ws.weights[1:])
+
+    v = ((1, 2, 3), (1, 2))
+    derive_rays_from_weights(t, v)
+    monkeypatch.setattr(orbitfan, "weights_at", doubled)
+    with pytest.raises(OracleFailure, match="determinant"):
+        derive_rays_from_weights(t, v)
 
 
 def test_pairing_identity_on_goldens():

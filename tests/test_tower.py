@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
 from conftest import random_tower, three_stage_tower, two_stage_tower
-from flagbott.exactlin import IntMatrix, det
+from flagbott.exactlin import IntMatrix
 from flagbott.tower import (
     FlagBottTower,
     InvalidStagePair,
@@ -97,15 +99,31 @@ def test_plucker_minors():
         plucker(g, (0,))
 
 
-def test_plucker_leading_minors_match_integer_determinants():
-    g = RationalMatrix.from_rows(
-        [[1, 1, 1, 1], [1, 2, 4, 8], [1, 3, 9, 27], [1, 4, 16, 64]]
-    )
-    for k in range(1, 5):
-        sub = IntMatrix.from_rows(
-            [[int(g.entry(i, j)) for j in range(k)] for i in range(k)]
-        )
-        assert plucker(g, tuple(range(1, k + 1))) == det(sub)
+def leibniz_det(rows: list[list[Fraction]]) -> Fraction:
+    """Sum over permutations of signed entry products; slow but obviously right."""
+    k = len(rows)
+    total = Fraction(0)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a, b in itertools.combinations(range(k), 2))
+        total += (-1) ** inversions * prod(rows[i][c] for i, c in enumerate(perm))
+    return total
+
+
+def test_plucker_flag_minors_match_leibniz():
+    rng = random.Random(11)
+    mats = [RationalMatrix.from_rows([[1, 1, 1, 1], [1, 2, 4, 8], [1, 3, 9, 27], [1, 4, 16, 64]])]
+    for size in range(1, 6):
+        for trial in range(8):
+            # small numerators hit vanishing minors; odd trials are rational
+            den = 6 if trial % 2 else 1
+            rows = [[Fraction(rng.randint(-2, 2), rng.randint(1, den)) for _ in range(size)]
+                    for _ in range(size)]
+            mats.append(RationalMatrix.from_rows(rows))
+    for g in mats:
+        for k in range(1, g.size + 1):
+            for indices in itertools.combinations(range(1, g.size + 1), k):
+                rows = [[g.entry(i - 1, c) for c in range(k)] for i in indices]
+                assert plucker(g, indices) == leibniz_det(rows)
 
 
 def test_is_generic_vandermonde_accepted():
@@ -116,8 +134,6 @@ def test_is_generic_vandermonde_accepted():
 
 
 def test_is_generic_rejects_permutation_matrices():
-    import itertools
-
     for size in (2, 3, 4):
         for perm in itertools.permutations(range(size)):
             rows = [[1 if j == perm[i] else 0 for j in range(size)] for i in range(size)]
