@@ -13,7 +13,9 @@ is an error.
 Exit codes: 0 success, 1 verification or runtime failure, 2 malformed
 input (JSON syntax, bad shapes, missing matrices, bad keys, a cone cap
 below 1).  The environment variable FLAGBOTT_CONE_CAP, an integer of at
-least 1, overrides the maximal-cone enumeration cap.
+least 1, overrides the enumeration cap: it bounds the maximal cones a
+command builds, the rays that rays and verify --pairing enumerate, and
+the flag minors sample-generic tests per candidate.
 """
 
 from __future__ import annotations
@@ -118,6 +120,15 @@ def _cone_cap() -> int:
     return cap
 
 
+def _check_cap(what: str, exponents: list[int], minus: int) -> None:
+    """Fail unless sum(2**e - minus) over the exponents is within the cap."""
+    cap = _cone_cap()
+    # a term clamped past the cap's bit length is still over the cap, and small
+    top = cap.bit_length() + 1
+    if sum((1 << min(e, top)) - minus for e in exponents) > cap:
+        raise ValueError(f"{what} over the cap of {cap}")
+
+
 def _write_text(path: str, text: str) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
@@ -134,6 +145,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 def _cmd_rays(args: argparse.Namespace) -> int:
     tower = load_tower(args.spec)
+    _check_cap("rays", [n + 1 for n in tower.dims], 2)
     for ray in all_rays(tower):
         coords = " ".join(str(c) for c in ray.vector)
         print(f"{ray.label.stage} {ray.label.subset} : {coords}")
@@ -157,6 +169,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     fan = None
     if set(chosen) - {"pairing"}:
         fan = build_fan(tower, cone_cap=_cone_cap())
+    if "pairing" in chosen:
+        _check_cap("rays", [n + 1 for n in tower.dims], 2)
     failed = False
     for name in chosen:
         if name == "smooth":
@@ -203,6 +217,8 @@ def _oracle_check(tower: FlagBottTower, fan: Fan) -> tuple[bool, str]:
 
 
 def _cmd_sample_generic(args: argparse.Namespace) -> int:
+    # an n below 1 has no minors to count; sample_generic rejects it
+    _check_cap("flag minors per candidate", [max(args.n, 0) + 1], 1)
     g = sample_generic(args.n, args.bound, args.seed)
     for i in range(g.size):
         print(" ".join(str(e) for e in g.row(i)))

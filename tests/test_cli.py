@@ -167,6 +167,25 @@ def test_cone_cap_below_one(spec_path, capsys, monkeypatch):
         assert "FLAGBOTT_CONE_CAP must be at least 1" in capsys.readouterr().err
 
 
+def test_cap_bounds_rays_and_minors(tmp_path, capsys, monkeypatch):
+    p = tmp_path / "one_stage.json"
+    p.write_text(json.dumps({"dims": [4]}))  # 2**5 - 2 = 30 rays
+    for cap, code in (("10", 1), ("29", 1), ("30", 0)):
+        monkeypatch.setenv("FLAGBOTT_CONE_CAP", cap)
+        for argv in (["rays", str(p)], ["verify", "--pairing", str(p)]):
+            assert main(argv) == code
+            out, err = capsys.readouterr()
+            if code:
+                assert out == ""
+                assert err == f"error: rays over the cap of {cap}\n"
+    sample = ["sample-generic", "--n", "4", "--bound", "5", "--seed", "1"]  # 2**5 - 1 = 31 minors
+    monkeypatch.setenv("FLAGBOTT_CONE_CAP", "30")
+    assert main(sample) == 1
+    assert capsys.readouterr() == ("", "error: flag minors per candidate over the cap of 30\n")
+    monkeypatch.setenv("FLAGBOTT_CONE_CAP", "31")
+    assert main(sample) == 0
+
+
 def test_verify_pairing_fails_on_perturbed_ray(spec_path, capsys, monkeypatch):
     t = load_tower(spec_path)
     bad = (2, Subset.of(2, (1,)))

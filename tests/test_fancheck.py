@@ -3,12 +3,19 @@
 from __future__ import annotations
 
 import dataclasses
+import random
+from collections import defaultdict
+from math import factorial, prod
 
 import pytest
 
-from conftest import random_tower, three_stage_tower, two_stage_tower
+from conftest import POPULATION_SEEDS, random_tower, three_stage_tower, two_stage_tower
+from flagbott.exactlin import IntMatrix, adjugate_det
 from flagbott.fancheck import (
+    CompletenessReport,
+    JoinDefect,
     NotSimplicial,
+    WallDefect,
     is_complete_simplicial,
     is_smooth,
     project_fan,
@@ -66,6 +73,12 @@ def test_is_complete_permutohedral():
         assert report.walls_checked == len(fan.maxcones) * n // 2
 
 
+def test_is_complete_rejects_nonsimplicial():
+    fan = tiny_fan([(1, 0), (0, 1), (1, 1)], [(0, 1, 2)])
+    with pytest.raises(NotSimplicial):
+        is_complete_simplicial(fan)
+
+
 def test_is_complete_goldens():
     for t in (two_stage_tower(), three_stage_tower()):
         report = is_complete_simplicial(build_fan(t))
@@ -86,8 +99,10 @@ def test_incomplete_fan_has_dangling_walls():
 def test_overlapping_cones_are_same_side():
     fan = tiny_fan([(1, 0), (0, 1), (1, 1)], [(0, 1), (1, 2)])
     report = is_complete_simplicial(fan)
-    kinds = {d.kind for d in report.defects}
-    assert "same_side" in kinds
+    same_side = [d for d in report.defects if d.kind == "same_side"]
+    assert same_side == [
+        WallDefect("same_side", (1,), (0, 1), "opposite rays do not straddle the wall hyperplane")
+    ]
 
 
 def test_degenerate_cone_reported():
@@ -105,6 +120,132 @@ def test_crowded_wall_reported():
     assert crowded
     assert crowded[0].wall == (0,)
     assert len(crowded[0].cones) == 3
+
+
+def _reference_cone_matrix(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
+    n = fan.n
+    if len(cone) != n:
+        raise NotSimplicial(f"cone has {len(cone)} rays in dimension {n}")
+    return IntMatrix.from_cols([fan.rays[r].vector for r in cone])
+
+
+def reference_is_complete_simplicial(fan: Fan) -> CompletenessReport:
+    """Wall-pairing test with explicit inner wall normals from the adjugate."""
+    n = fan.n
+    # wall (sorted ray indices) -> list of (cone index, opposite ray, inner normal)
+    census: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = defaultdict(list)
+    defects: list[WallDefect] = []
+    for ci, cone in enumerate(fan.maxcones):
+        adj, d = adjugate_det(_reference_cone_matrix(fan, cone))
+        if d == 0:
+            defects.append(
+                WallDefect("degenerate", cone, (ci,), "cone rays are linearly dependent")
+            )
+            continue
+        sign = 1 if d > 0 else -1
+        for k in range(n):
+            normal = tuple(sign * e for e in adj.row(k))
+            wall = cone[:k] + cone[k + 1 :]
+            census[wall].append((ci, cone[k], normal))
+    for wall, hits in sorted(census.items()):
+        if len(hits) == 1:
+            defects.append(
+                WallDefect("dangling", wall, (hits[0][0],), "wall lies in only one cone")
+            )
+        elif len(hits) > 2:
+            defects.append(
+                WallDefect(
+                    "crowded",
+                    wall,
+                    tuple(h[0] for h in hits),
+                    f"wall lies in {len(hits)} cones",
+                )
+            )
+        else:
+            (c1, opp1, nrm1), (c2, opp2, nrm2) = hits
+            v2 = fan.rays[opp2].vector
+            v1 = fan.rays[opp1].vector
+            s1 = sum(a * b for a, b in zip(nrm1, v2))
+            s2 = sum(a * b for a, b in zip(nrm2, v1))
+            if s1 >= 0 or s2 >= 0:
+                defects.append(
+                    WallDefect(
+                        "same_side",
+                        wall,
+                        (c1, c2),
+                        "opposite rays do not straddle the wall hyperplane",
+                    )
+                )
+    # connectivity of the wall-adjacency graph
+    neighbors: dict[int, set[int]] = defaultdict(set)
+    for hits in census.values():
+        if len(hits) == 2:
+            a, b = hits[0][0], hits[1][0]
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    connected = True
+    if fan.maxcones:
+        seen = {0}
+        stack = [0]
+        while stack:
+            c = stack.pop()
+            for nb in neighbors[c]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        connected = len(seen) == len(fan.maxcones)
+    return CompletenessReport(len(fan.maxcones), len(census), defects, connected)
+
+
+def perturbed(fan: Fan, rng: random.Random) -> Fan:
+    """Flip, randomise or copy one ray, drop or duplicate one cone, or
+    neither; then renumber the rays at random.
+
+    Tower fans order their rays so that the opposite rays of two adjacent
+    cones always sit at positions of equal parity; renumbering makes the
+    parity factor of the sign rule matter.
+    """
+    kind = rng.choice(("flip", "randomise", "copy", "drop", "duplicate", "none"))
+    rays = list(fan.rays)
+    i = rng.randrange(len(rays))
+    if kind == "flip":
+        rays[i] = Ray(rays[i].label, tuple(-c for c in rays[i].vector))
+    elif kind == "randomise":
+        rays[i] = Ray(rays[i].label, tuple(rng.randint(-3, 3) for _ in range(fan.n)))
+    elif kind == "copy":
+        rays[i] = Ray(rays[i].label, rays[rng.randrange(len(rays))].vector)
+    cones, perms = list(fan.maxcones), list(fan.perm_tuples)
+    c = rng.randrange(len(cones))
+    if kind == "drop":
+        del cones[c], perms[c]
+    elif kind == "duplicate":
+        cones.append(cones[c])
+        perms.append(perms[c])
+    order = list(range(len(rays)))
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    return dataclasses.replace(
+        fan,
+        rays=tuple(rays[old] for old in order),
+        maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in cones),
+        perm_tuples=tuple(perms),
+    )
+
+
+def test_sign_rule_matches_adjugate_normals():
+    fans = [perm_fan(n) for n in (1, 2, 3, 4)]
+    fans += [build_fan(t) for t in (two_stage_tower(), three_stage_tower())]
+    towers = [random_tower(seed) for seed in POPULATION_SEEDS]
+    fans += [build_fan(t) for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
+    assert len(fans) == 6 + 89
+    rng = random.Random(3)
+    fans += [perturbed(fan, rng) for fan in list(fans) for _ in range(4)]
+    kinds = set()
+    for fan in fans:
+        report = is_complete_simplicial(fan)
+        assert report == reference_is_complete_simplicial(fan)
+        kinds.update(d.kind for d in report.defects)
+    assert kinds == {"same_side", "dangling", "degenerate", "crowded"}
 
 
 def test_project_fan_equals_truncated_build():
@@ -180,6 +321,47 @@ def test_bundle_join_detects_wrong_fiber_vector():
     doctored = dataclasses.replace(fan, rays=tuple(bad_rays))
     report = verify_bundle_join(doctored, t)
     assert any(d.kind == "fiber_vector" for d in report.defects)
+
+
+def doctored_cones(fan: Fan, cones: dict[int, tuple[int, ...]]) -> Fan:
+    return dataclasses.replace(
+        fan, maxcones=tuple(cones.get(ci, cone) for ci, cone in enumerate(fan.maxcones))
+    )
+
+
+def test_bundle_join_reports_wrong_size_lift():
+    t = two_stage_tower()
+    fan = build_fan(t)
+    stage1 = [r for r in fan.maxcones[0] if fan.rays[r].label.stage == 1]
+    doctored = doctored_cones(fan, {0: tuple(r for r in fan.maxcones[0] if r != stage1[0])})
+    prefix = fan.perm_tuples[0][:1]
+    report = verify_bundle_join(doctored, t)
+    assert JoinDefect(2, "lift_degenerate", f"lift over {prefix} has 1 rays") in report.defects
+    assert JoinDefect(2, "pair_coverage", "cone 0 has 2 rays") in report.defects
+
+
+def test_bundle_join_reports_two_lifts():
+    t = two_stage_tower()
+    fan = build_fan(t)
+    prefix = fan.perm_tuples[0][:1]
+    # cone 1 shares cone 0's prefix; give it the lower-stage rays of another prefix
+    other = next(ci for ci, pt in enumerate(fan.perm_tuples) if pt[:1] != prefix)
+    assert fan.perm_tuples[1][:1] == prefix
+    lower = [r for r in fan.maxcones[other] if fan.rays[r].label.stage == 1]
+    top = [r for r in fan.maxcones[1] if fan.rays[r].label.stage == 2]
+    report = verify_bundle_join(doctored_cones(fan, {1: tuple(sorted(lower + top))}), t)
+    assert report.defects == [
+        JoinDefect(2, "lift_mismatch", f"prefix {prefix} has two different lifts")
+    ]
+
+
+def test_bundle_join_reports_missing_fiber_ray():
+    t = two_stage_tower()
+    fan = build_fan(t)
+    lower = tuple(r for r in fan.maxcones[0] if fan.rays[r].label.stage == 1)
+    report = verify_bundle_join(doctored_cones(fan, {0: lower}), t)
+    assert {d.kind for d in report.defects} == {"fiber_cones", "pair_coverage"}
+    assert JoinDefect(2, "pair_coverage", "cone 0 has 2 rays") in report.defects
 
 
 def test_full_pipeline_on_random_towers():
