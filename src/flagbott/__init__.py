@@ -17,7 +17,6 @@ from .orbitfan import (
     all_rays,
     build_fan,
     derive_rays_from_weights,
-    maximal_cone,
     ray_generator,
     verify_pairing_identity,
     weights_at,
@@ -28,8 +27,6 @@ from .tower import (
     FlagBottTower,
     RationalMatrix,
     is_generic_matrix,
-    lambda_of,
-    phi_apply,
     plucker,
     sample_generic,
     validate,

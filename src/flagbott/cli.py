@@ -11,11 +11,14 @@ zeros); true and false are not integers; a key repeated in any object
 is an error.
 
 Exit codes: 0 success, 1 verification or runtime failure, 2 malformed
-input (JSON syntax, bad shapes, missing matrices, bad keys, a cone cap
-below 1).  The environment variable FLAGBOTT_CONE_CAP, an integer of at
-least 1, overrides the enumeration cap: it bounds the maximal cones a
-command builds, the rays that rays and verify --pairing enumerate, and
-the flag minors sample-generic tests per candidate.
+input: a tower file that is not UTF-8 text, bad JSON syntax, nesting
+past the recursion limit, an integer literal past the digit limit, bad
+shapes, missing matrices or bad keys, or a cone cap below 1.
+
+The environment variable FLAGBOTT_CONE_CAP, an integer of at least 1,
+overrides the enumeration cap: it bounds the maximal cones a command
+builds, the rays that rays and verify --pairing enumerate, and the flag
+minors sample-generic tests per candidate.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from .orbitfan import (
     derive_rays_from_weights,
     verify_pairing_identity,
 )
-from .tower import FlagBottTower, sample_generic, validate
+from .tower import FlagBottTower, SamplingExhausted, sample_generic, validate
 
 
 class SpecError(Exception):
@@ -47,9 +50,11 @@ class SpecError(Exception):
 
 def load_tower(path: str) -> FlagBottTower:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as e:
         raise SpecError(f"{path}: {e.strerror or e}") from None
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{path}: byte {e.start} is not UTF-8 text") from None
 
     def unique_keys(pairs: list[tuple[str, object]]) -> dict:
         obj = {}
@@ -63,6 +68,10 @@ def load_tower(path: str) -> FlagBottTower:
         doc = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise SpecError(f"{path}:{e.lineno}:{e.colno}: {e.msg}") from None
+    except RecursionError:
+        raise SpecError(f"{path}: JSON nested too deeply") from None
+    except ValueError as e:  # an integer literal over the int-to-string digit limit
+        raise SpecError(f"{path}: {e}") from None
     if not isinstance(doc, dict):
         raise SpecError(f"{path}: top level must be an object")
     dims = doc.get("dims")
@@ -271,7 +280,7 @@ def main(argv: list[str] | None = None) -> int:
     except SpecError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (EnumerationTooLarge, OracleFailure, ValueError) as e:
+    except (EnumerationTooLarge, OracleFailure, SamplingExhausted, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -59,15 +59,6 @@ class IntMatrix:
         return cls(r, c, tuple(e for row in rows for e in row))
 
     @classmethod
-    def from_cols(cls, cols: Sequence[Sequence[int]]) -> IntMatrix:
-        cols = [list(c) for c in cols]
-        c = len(cols)
-        r = len(cols[0]) if cols else 0
-        if any(len(col) != r for col in cols):
-            raise DimensionMismatch("ragged columns")
-        return cls(r, c, tuple(cols[k][i] for i in range(r) for k in range(c)))
-
-    @classmethod
     def zero(cls, rows: int, cols: int) -> IntMatrix:
         return cls(rows, cols, (0,) * (rows * cols))
 
@@ -89,9 +80,6 @@ class IntMatrix:
 
     def to_rows(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
-
-    def transpose(self) -> IntMatrix:
-        return IntMatrix.from_cols(self.to_rows())
 
     def is_square(self) -> bool:
         return self.rows == self.cols

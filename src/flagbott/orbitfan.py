@@ -53,23 +53,20 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 from typing import Iterator
 
 from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
-from .fans import Chain, Fan, PermTuple, Ray, RayLabel, Subset
+from .fans import Fan, PermTuple, Ray, RayLabel, Subset
 from .permfan import (
     chain_of_permutation,
     check_permutation,
     perm_ray_vector,
-    permutation_of_chain,
     proper_subsets,
 )
 from .tower import FlagBottTower, InvalidStagePair, validate
 
 __all__ = [
     "DEFAULT_CONE_CAP",
-    "ChainTuple",
     "EnumerationTooLarge",
     "InvalidStagePair",
     "OracleFailure",
@@ -78,10 +75,7 @@ __all__ = [
     "WeightSystem",
     "all_rays",
     "build_fan",
-    "chain_tuple_of_perm_tuple",
     "derive_rays_from_weights",
-    "maximal_cone",
-    "perm_tuple_of_chain_tuple",
     "ray_generator",
     "verify_pairing_identity",
     "weights_at",
@@ -91,14 +85,16 @@ __all__ = [
 
 DEFAULT_CONE_CAP = 1_000_000
 
-ChainTuple = tuple[Chain, ...]
-
 
 class EnumerationTooLarge(RuntimeError):
-    """The tower has more maximal cones than the enumeration cap allows."""
+    """The tower has more maximal cones than the enumeration cap allows.
+
+    count is a lower bound on the number of maximal cones, the first
+    partial product of the count that passed the cap.
+    """
 
     def __init__(self, count: int, cap: int):
-        super().__init__(f"fan has {count} maximal cones, over the cap of {cap}")
+        super().__init__(f"fan has at least {count} maximal cones, over the cap of {cap}")
         self.count = count
         self.cap = cap
 
@@ -166,40 +162,20 @@ def all_rays(t: FlagBottTower) -> list[Ray]:
     ]
 
 
-def chain_tuple_of_perm_tuple(v: PermTuple) -> ChainTuple:
-    return tuple(chain_of_permutation(vp) for vp in v)
-
-
-def perm_tuple_of_chain_tuple(c: ChainTuple) -> PermTuple:
-    return tuple(permutation_of_chain(cp) for cp in c)
-
-
-def maximal_cone(t: FlagBottTower, chains: ChainTuple) -> frozenset[RayLabel]:
-    """Ray labels of the maximal cone indexed by one chain per stage."""
-    if len(chains) != t.m:
-        raise ValueError(f"need one chain per stage ({t.m}), got {len(chains)}")
-    labels = set()
-    for ell, (chain, n_ell) in enumerate(zip(chains, t.dims), start=1):
-        if chain.ground != n_ell + 1:
-            raise ValueError(
-                f"stage {ell} chain has ground {chain.ground}, expected {n_ell + 1}"
-            )
-        for s in chain:
-            labels.add(RayLabel(ell, s))
-    return frozenset(labels)
-
-
 def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     """The whole fan: all rays plus all tuples-of-permutations cones.
 
     Raises EnumerationTooLarge if the cone count would exceed cone_cap.
     """
     _require_valid(t)
+    # the count is the product of the (n_ell + 1)!, formed factor by factor
+    # so that a huge stage dimension stops at the cap, never in a factorial
     total = 1
     for n_ell in t.dims:
-        total *= factorial(n_ell + 1)
-    if total > cone_cap:
-        raise EnumerationTooLarge(total, cone_cap)
+        for k in range(2, n_ell + 2):
+            total *= k
+            if total > cone_cap:
+                raise EnumerationTooLarge(total, cone_cap)
     rays = tuple(all_rays(t))
     index = {ray.label: i for i, ray in enumerate(rays)}
     # per stage, map each permutation to the ray indices of its chain

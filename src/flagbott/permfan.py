@@ -28,13 +28,9 @@ __all__ = [
     "InvalidDimension",
     "InvalidRayLabel",
     "check_permutation",
-    "multiply",
-    "adjacent_transposition",
     "proper_subsets",
     "perm_ray_vector",
     "chain_of_permutation",
-    "permutation_of_chain",
-    "all_chains",
     "perm_fan",
 ]
 
@@ -51,22 +47,6 @@ def check_permutation(v: tuple[int, ...]) -> None:
     """Raise unless v is a permutation of {1, ..., len(v)} in one-line notation."""
     if sorted(v) != list(range(1, len(v) + 1)):
         raise ValueError(f"{v} is not a permutation of 1..{len(v)}")
-
-
-def multiply(v: tuple[int, ...], w: tuple[int, ...]) -> tuple[int, ...]:
-    """Composition (v * w)(k) = v(w(k))."""
-    if len(v) != len(w):
-        raise ValueError("permutations act on different sets")
-    return tuple(v[w[k] - 1] for k in range(len(w)))
-
-
-def adjacent_transposition(g: int, i: int) -> tuple[int, ...]:
-    """The transposition swapping i and i+1 inside {1, ..., g}."""
-    if not 1 <= i < g:
-        raise ValueError(f"no adjacent transposition at {i} in 1..{g}")
-    out = list(range(1, g + 1))
-    out[i - 1], out[i] = out[i], out[i - 1]
-    return tuple(out)
 
 
 def proper_subsets(ground: int) -> Iterator[Subset]:
@@ -105,26 +85,6 @@ def chain_of_permutation(v: tuple[int, ...]) -> Chain:
         mask |= 1 << (v[g - p] - 1)
         sets.append(Subset(g, mask))
     return Chain(g, tuple(sets))
-
-
-def permutation_of_chain(c: Chain) -> tuple[int, ...]:
-    """Inverse of chain_of_permutation."""
-    g = c.ground
-    out = [0] * g
-    prev = 0
-    for p, s in enumerate(c.sets, start=1):
-        added = s.mask & ~prev
-        out[g - p] = added.bit_length()  # single bit: index of the new element
-        prev = s.mask
-    out[0] = (((1 << g) - 1) ^ prev).bit_length()
-    return tuple(out)
-
-
-def all_chains(n: int) -> list[Chain]:
-    """Chains of all (n+1)! permutations, in lexicographic order of one-line tuples."""
-    if n < 1:
-        raise InvalidDimension(f"dimension must be positive, got {n}")
-    return [chain_of_permutation(v) for v in itertools.permutations(range(1, n + 2))]
 
 
 def perm_fan(n: int) -> Fan:

@@ -35,10 +35,6 @@ class InvalidStagePair(ValueError):
     """Stage indices do not satisfy 1 <= ell < j <= m."""
 
 
-class NotInvertible(ValueError):
-    """A group element required to be invertible is singular."""
-
-
 class SamplingExhausted(RuntimeError):
     """Random search for a generic point hit the retry cap."""
 
@@ -61,51 +57,11 @@ class RationalMatrix:
             raise ValueError("matrix must be square")
         return cls(n, tuple(Fraction(e) for row in rows for e in row))
 
-    @classmethod
-    def identity(cls, size: int) -> RationalMatrix:
-        return cls.diagonal([Fraction(1)] * size)
-
-    @classmethod
-    def diagonal(cls, values: Sequence[RatLike]) -> RationalMatrix:
-        n = len(values)
-        ent = [Fraction(0)] * (n * n)
-        for i, v in enumerate(values):
-            ent[i * n + i] = Fraction(v)
-        return cls(n, tuple(ent))
-
     def entry(self, i: int, j: int) -> Fraction:
         return self.entries[i * self.size + j]
 
     def row(self, i: int) -> tuple[Fraction, ...]:
         return self.entries[i * self.size : (i + 1) * self.size]
-
-    def diagonal_entries(self) -> tuple[Fraction, ...]:
-        return tuple(self.entry(i, i) for i in range(self.size))
-
-    def is_upper_triangular(self) -> bool:
-        return all(
-            self.entry(i, j) == 0 for i in range(self.size) for j in range(i)
-        )
-
-    def scale_rows(self, factors: Sequence[RatLike]) -> RationalMatrix:
-        if len(factors) != self.size:
-            raise ValueError("one factor per row required")
-        ent = []
-        for i in range(self.size):
-            f = Fraction(factors[i])
-            ent.extend(f * e for e in self.row(i))
-        return RationalMatrix(self.size, tuple(ent))
-
-    def mul(self, other: RationalMatrix) -> RationalMatrix:
-        if self.size != other.size:
-            raise ValueError("size mismatch")
-        n = self.size
-        ent = []
-        for i in range(n):
-            ri = self.row(i)
-            for j in range(n):
-                ent.append(sum(ri[k] * other.entry(k, j) for k in range(n)))
-        return RationalMatrix(n, tuple(ent))
 
 
 @dataclass(frozen=True)
@@ -134,15 +90,6 @@ class FlagBottTower:
             return self.twists[(j, ell)]
         except KeyError:
             raise ValueError(f"tower has no matrix for stage pair ({j}, {ell})") from None
-
-    def truncated(self, stages: int) -> FlagBottTower:
-        """The tower formed by the first `stages` stages."""
-        if not 1 <= stages <= self.m:
-            raise ValueError(f"stage count must be in 1..{self.m}, got {stages}")
-        return FlagBottTower(
-            self.dims[:stages],
-            {(j, ell): a for (j, ell), a in self.twists.items() if j <= stages},
-        )
 
 
 def validate(t: FlagBottTower) -> list[str]:
@@ -226,66 +173,3 @@ def sample_generic(
             return g
     raise SamplingExhausted(f"no generic matrix found in {max_attempts} attempts")
 
-
-def lambda_of(a: IntMatrix, b: RationalMatrix) -> RationalMatrix:
-    """Diagonal character matrix: entry k is the product of b's diagonal
-    entries raised to the exponents in row k of a.
-
-    b must be upper triangular; a zero diagonal entry of b hit by a
-    nonzero exponent makes the character undefined (NotInvertible).
-    """
-    if a.cols != b.size:
-        raise ValueError(f"matrix has {a.cols} columns but group element has size {b.size}")
-    if not b.is_upper_triangular():
-        raise ValueError("group element must be upper triangular")
-    diag = b.diagonal_entries()
-    values = []
-    for k in range(a.rows):
-        v = Fraction(1)
-        for i, d in enumerate(diag):
-            e = a[k, i]
-            if e == 0:
-                continue
-            if d == 0:
-                raise NotInvertible(
-                    f"diagonal entry {i + 1} is zero but has exponent {e}"
-                )
-            v *= d**e
-        values.append(v)
-    return RationalMatrix.diagonal(values)
-
-
-def phi_apply(
-    t: FlagBottTower,
-    j: int,
-    gs: Sequence[RationalMatrix],
-    bs: Sequence[RationalMatrix],
-) -> tuple[RationalMatrix, ...]:
-    """Right action of a tuple of upper-triangular matrices on stage points.
-
-    Stage i of the result is Lambda_i(bs)^{-1} * gs[i] * bs[i], where
-    Lambda_i multiplies together the character matrices of all lower
-    stages.  This is a right action: acting by bs then cs equals acting by
-    the stagewise products bs[i] * cs[i].
-    """
-    if not 1 <= j <= t.m:
-        raise ValueError(f"stage count must be in 1..{t.m}, got {j}")
-    if len(gs) != j or len(bs) != j:
-        raise ValueError(f"need {j} points and {j} group elements")
-    for i in range(j):
-        size = t.dims[i] + 1
-        if gs[i].size != size or bs[i].size != size:
-            raise ValueError(f"stage {i + 1} matrices must have size {size}")
-        if not bs[i].is_upper_triangular():
-            raise ValueError(f"group element at stage {i + 1} must be upper triangular")
-        if any(d == 0 for d in bs[i].diagonal_entries()):
-            raise NotInvertible(f"group element at stage {i + 1} is singular")
-    out = []
-    for i in range(1, j + 1):
-        factors = [Fraction(1)] * (t.dims[i - 1] + 1)
-        for ell in range(1, i):
-            lam = lambda_of(t.twist(i, ell), bs[ell - 1])
-            for k, d in enumerate(lam.diagonal_entries()):
-                factors[k] /= d
-        out.append(gs[i - 1].scale_rows(factors).mul(bs[i - 1]))
-    return tuple(out)

@@ -1,11 +1,21 @@
-"""Shared fixtures: the two golden towers and a seeded random-tower sampler."""
+"""Shared fixtures and test oracles.
+
+The two golden towers, a seeded random-tower sampler, and reference
+helpers that build expected values independently of the library's
+pipeline: the chain-to-permutation inverse, chain-tuple cone labels and
+tower truncation.
+"""
 
 from __future__ import annotations
 
 import random
 
 from flagbott.exactlin import IntMatrix
+from flagbott.fans import Chain, PermTuple, RayLabel
+from flagbott.permfan import chain_of_permutation
 from flagbott.tower import FlagBottTower
+
+ChainTuple = tuple[Chain, ...]
 
 
 def two_stage_tower() -> FlagBottTower:
@@ -51,3 +61,49 @@ def random_tower(
 
 POPULATION_SEEDS = tuple(1000 + k for k in range(100))
 ORACLE_SEEDS = tuple(2000 + k for k in range(25))
+
+
+def permutation_of_chain(c: Chain) -> tuple[int, ...]:
+    """Inverse of chain_of_permutation."""
+    g = c.ground
+    out = [0] * g
+    prev = 0
+    for p, s in enumerate(c.sets, start=1):
+        added = s.mask & ~prev
+        out[g - p] = added.bit_length()  # single bit: index of the new element
+        prev = s.mask
+    out[0] = (((1 << g) - 1) ^ prev).bit_length()
+    return tuple(out)
+
+
+def chain_tuple_of_perm_tuple(v: PermTuple) -> ChainTuple:
+    return tuple(chain_of_permutation(vp) for vp in v)
+
+
+def perm_tuple_of_chain_tuple(c: ChainTuple) -> PermTuple:
+    return tuple(permutation_of_chain(cp) for cp in c)
+
+
+def maximal_cone(t: FlagBottTower, chains: ChainTuple) -> frozenset[RayLabel]:
+    """Ray labels of the maximal cone indexed by one chain per stage."""
+    if len(chains) != t.m:
+        raise ValueError(f"need one chain per stage ({t.m}), got {len(chains)}")
+    labels = set()
+    for ell, (chain, n_ell) in enumerate(zip(chains, t.dims), start=1):
+        if chain.ground != n_ell + 1:
+            raise ValueError(
+                f"stage {ell} chain has ground {chain.ground}, expected {n_ell + 1}"
+            )
+        for s in chain:
+            labels.add(RayLabel(ell, s))
+    return frozenset(labels)
+
+
+def truncated(t: FlagBottTower, stages: int) -> FlagBottTower:
+    """The tower formed by the first `stages` stages."""
+    if not 1 <= stages <= t.m:
+        raise ValueError(f"stage count must be in 1..{t.m}, got {stages}")
+    return FlagBottTower(
+        t.dims[:stages],
+        {(j, ell): a for (j, ell), a in t.twists.items() if j <= stages},
+    )

@@ -17,6 +17,7 @@ from conftest import (
     POPULATION_SEEDS,
     random_tower,
     three_stage_tower,
+    truncated,
     two_stage_tower,
 )
 from flagbott.cli import main
@@ -155,7 +156,7 @@ def det_example(t: FlagBottTower) -> int:
         ray_generator(t, 2, Subset.of(3, [1, 2])),
         ray_generator(t, 3, Subset.of(2, [2])),
     ]
-    return det(IntMatrix.from_cols(cols))
+    return det(IntMatrix.from_rows(list(zip(*cols))))
 
 
 def test_criterion_02_three_stage_golden(capsys):
@@ -269,7 +270,7 @@ def test_criterion_07_bundle_join(capsys):
             assert report.splits_checked == list(range(t.m, 1, -1))
             splits += len(report.splits_checked)
             for stages in range(1, t.m + 1):
-                assert project_fan(fan, stages) == build_fan(t.truncated(stages))
+                assert project_fan(fan, stages) == build_fan(truncated(t, stages))
         c.note = f"{len(towers)} towers, {splits} stage splits and all projections"
 
 

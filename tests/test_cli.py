@@ -98,6 +98,24 @@ def test_load_tower_rejects_duplicate_keys(tmp_path, capsys):
     assert "duplicate key 'dims'" in rejected(tmp_path, capsys, text)
 
 
+def test_load_tower_rejects_non_utf8(tmp_path, capsys):
+    p = tmp_path / "latin1.json"
+    p.write_bytes(b'{"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]]}, "note": "\xe9"}')
+    assert main(["rays", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}: byte 64 is not UTF-8 text\n"
+
+
+def test_load_tower_rejects_deep_nesting(tmp_path, capsys):
+    depth = 200_000  # far past the interpreter's recursion limit
+    text = '{"dims": ' + "[" * depth + "]" * depth + "}"
+    assert "nested too deeply" in rejected(tmp_path, capsys, text)
+
+
+def test_load_tower_rejects_huge_integer_literal(tmp_path, capsys):
+    text = '{"dims": [' + "7" * 5000 + "]}"  # over the int-to-string digit limit
+    assert "4300 digits" in rejected(tmp_path, capsys, text)
+
+
 def test_build_prints_counts(spec_path, capsys):
     assert main(["build", spec_path]) == 0
     assert capsys.readouterr().out == "rays: 8, maxcones: 12\n"
@@ -167,6 +185,16 @@ def test_cone_cap_below_one(spec_path, capsys, monkeypatch):
         assert "FLAGBOTT_CONE_CAP must be at least 1" in capsys.readouterr().err
 
 
+def test_cap_stops_huge_stage_dimension(tmp_path, capsys):
+    # 2001! cones: the count stops at the first partial product over the cap
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps({"dims": [2000]}))
+    msg = "error: fan has at least 3628800 maximal cones, over the cap of 1000000\n"
+    for argv in (["build", str(p)], ["verify", str(p)], ["export", str(p), "--out", str(tmp_path / "f")]):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", msg)
+
+
 def test_cap_bounds_rays_and_minors(tmp_path, capsys, monkeypatch):
     p = tmp_path / "one_stage.json"
     p.write_text(json.dumps({"dims": [4]}))  # 2**5 - 2 = 30 rays
@@ -225,6 +253,12 @@ def test_sample_generic_deterministic(capsys):
     assert all(len(r.split()) == 4 for r in rows)
     assert main(["sample-generic", "--n", "3", "--bound", "5", "--seed", "7"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_sample_generic_exhausted(capsys):
+    # 7x7 matrices with entries in [-2, 2] are rarely generic
+    assert main(["sample-generic", "--n", "6", "--bound", "2", "--seed", "0"]) == 1
+    assert capsys.readouterr() == ("", "error: no generic matrix found in 10000 attempts\n")
 
 
 def test_verify_exit_code_on_runtime_failure(spec_path, capsys, monkeypatch):

@@ -8,7 +8,14 @@ import random
 
 import pytest
 
-from conftest import random_tower, three_stage_tower, two_stage_tower
+from conftest import (
+    chain_tuple_of_perm_tuple,
+    maximal_cone,
+    perm_tuple_of_chain_tuple,
+    random_tower,
+    three_stage_tower,
+    two_stage_tower,
+)
 from flagbott import orbitfan
 from flagbott.exactlin import IntMatrix, identity, mat_mul
 from flagbott.fans import RayLabel, Subset
@@ -17,10 +24,7 @@ from flagbott.orbitfan import (
     OracleFailure,
     all_rays,
     build_fan,
-    chain_tuple_of_perm_tuple,
     derive_rays_from_weights,
-    maximal_cone,
-    perm_tuple_of_chain_tuple,
     ray_generator,
     verify_pairing_identity,
     weights_at,
@@ -196,6 +200,15 @@ def test_build_fan_cone_cap():
     build_fan(t, cone_cap=72)
 
 
+def test_build_fan_cone_cap_huge_dimension():
+    # (10**9 + 1)! cones: counting stops at 10!, the first factorial over 10**6
+    t = FlagBottTower((10**9,), {})
+    with pytest.raises(EnumerationTooLarge) as info:
+        build_fan(t)
+    assert info.value.count == 3628800
+    assert str(info.value) == "fan has at least 3628800 maximal cones, over the cap of 1000000"
+
+
 def test_single_stage_fan_is_permutohedral():
     for n in (1, 2, 3):
         t = FlagBottTower((n,), {})
@@ -293,8 +306,8 @@ def test_weights_pair_with_cone_rays_as_dual_basis():
             if i % 7:
                 continue  # thinned; the acceptance suite covers every cone
             w = weights_at(t, v).matrix()
-            cols = IntMatrix.from_cols(
-                [fan.rays[r].vector for r in fan.maxcones[i]]
+            cols = IntMatrix.from_rows(
+                list(zip(*(fan.rays[r].vector for r in fan.maxcones[i])))
             )
             prod = mat_mul(w, cols)
             assert sorted(prod.col(k) for k in range(prod.cols)) == sorted(

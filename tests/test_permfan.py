@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from conftest import permutation_of_chain
 from flagbott.fans import RayLabel
 from flagbott.permfan import (
     Chain,
@@ -14,14 +15,10 @@ from flagbott.permfan import (
     InvalidDimension,
     InvalidRayLabel,
     Subset,
-    adjacent_transposition,
-    all_chains,
     chain_of_permutation,
     check_permutation,
-    multiply,
     perm_fan,
     perm_ray_vector,
-    permutation_of_chain,
     proper_subsets,
 )
 
@@ -73,26 +70,6 @@ def test_permutation_checks():
         check_permutation((0, 1, 2))
 
 
-def test_multiply_composes():
-    # (v * w)(k) = v(w(k))
-    assert multiply((2, 3, 1), (3, 1, 2)) == (1, 2, 3)
-    v = (2, 1, 3)
-    w = (1, 3, 2)
-    assert multiply(v, w) == (2, 3, 1)
-    assert multiply(w, v) == (3, 1, 2)
-    assert multiply(v, (1, 2, 3)) == v
-    assert multiply((1, 2, 3), v) == v
-
-
-def test_adjacent_transposition():
-    assert adjacent_transposition(4, 2) == (1, 3, 2, 4)
-    assert adjacent_transposition(2, 1) == (2, 1)
-    with pytest.raises(ValueError):
-        adjacent_transposition(3, 3)
-    with pytest.raises(ValueError):
-        adjacent_transposition(3, 0)
-
-
 def test_perm_ray_vector_figure_values():
     n = 2
     cases = {
@@ -130,11 +107,6 @@ def test_chain_of_permutation_example():
     # v = (3, 1, 2): S_1 = {2}, S_2 = {1, 2}
     c = chain_of_permutation((3, 1, 2))
     assert [s.members() for s in c] == [(2,), (1, 2)]
-
-
-def test_all_chains_counts():
-    for n in range(1, 5):
-        assert len(all_chains(n)) == math.factorial(n + 1)
 
 
 def test_perm_fan_counts():

@@ -1,0 +1,85 @@
+"""Property tests: the loader's error contract, the chain/permutation
+bijection, and the determinant and adjugate identities."""
+
+from __future__ import annotations
+
+import json
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from conftest import permutation_of_chain  # noqa: E402
+from flagbott.cli import SpecError, load_tower  # noqa: E402
+from flagbott.exactlin import IntMatrix, adjugate_det, det, mat_mul  # noqa: E402
+from flagbott.permfan import chain_of_permutation  # noqa: E402
+from flagbott.tower import validate  # noqa: E402
+
+SETTINGS = hypothesis.settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    suppress_health_check=[hypothesis.HealthCheck.function_scoped_fixture],
+)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=16,
+)
+# near-valid towers reach past the top-level checks into keys, matrices and shapes
+entries = st.integers(-2, 2) | st.booleans() | st.just(1.5) | st.just("1")
+matrices = st.lists(st.lists(entries, max_size=4), max_size=4) | json_values
+keys = st.sampled_from(["2,1", "3,1", "3,2", "1,2", "2, 1", "02,1", "x"])
+near_valid = st.fixed_dictionaries(
+    {
+        "dims": st.lists(st.integers(-1, 3) | st.booleans(), max_size=3),
+        "A": st.dictionaries(keys, matrices, max_size=4),
+    }
+)
+documents = (json_values | near_valid).map(lambda doc: json.dumps(doc).encode()) | st.binary(max_size=40)
+
+
+@SETTINGS
+@hypothesis.given(documents)
+def test_load_tower_raises_only_spec_error(tmp_path, text):
+    p = tmp_path / "tower.json"
+    p.write_bytes(text)
+    try:
+        t = load_tower(str(p))
+    except SpecError as e:
+        assert str(e).startswith(str(p))
+    else:
+        assert validate(t) == []
+
+
+@SETTINGS
+@hypothesis.given(st.integers(2, 9).flatmap(lambda g: st.permutations(range(1, g + 1))))
+def test_chain_permutation_round_trip(v):
+    v = tuple(v)
+    assert permutation_of_chain(chain_of_permutation(v)) == v
+
+
+@st.composite
+def square_pair(draw):
+    n = draw(st.integers(1, 5))
+    square = st.lists(st.lists(st.integers(-5, 5), min_size=n, max_size=n), min_size=n, max_size=n)
+    return IntMatrix.from_rows(draw(square)), IntMatrix.from_rows(draw(square))
+
+
+@SETTINGS
+@hypothesis.given(square_pair())
+def test_det_is_multiplicative(pair):
+    a, b = pair
+    assert det(mat_mul(a, b)) == det(a) * det(b)
+
+
+@SETTINGS
+@hypothesis.given(square_pair())
+def test_adjugate_times_matrix_is_det_identity(pair):
+    m, _ = pair
+    adj, d = adjugate_det(m)
+    hypothesis.assume(d != 0)
+    n = m.rows
+    assert mat_mul(adj, m) == IntMatrix.from_rows([[d if i == j else 0 for j in range(n)] for i in range(n)])

@@ -1,4 +1,4 @@
-"""Tower data type, validation, genericity, and the stage action pieces."""
+"""Tower data type, validation, and genericity."""
 
 from __future__ import annotations
 
@@ -9,17 +9,14 @@ from math import prod
 
 import pytest
 
-from conftest import random_tower, three_stage_tower, two_stage_tower
+from conftest import random_tower, three_stage_tower, truncated, two_stage_tower
 from flagbott.exactlin import IntMatrix
 from flagbott.tower import (
     FlagBottTower,
     InvalidStagePair,
-    NotInvertible,
     RationalMatrix,
     SamplingExhausted,
     is_generic_matrix,
-    lambda_of,
-    phi_apply,
     plucker,
     sample_generic,
     validate,
@@ -68,24 +65,14 @@ def test_validate_reports_missing_and_extra_keys():
 
 def test_truncated():
     t = three_stage_tower()
-    t2 = t.truncated(2)
+    t2 = truncated(t, 2)
     assert t2.dims == (2, 2)
     assert t2.twists == {(2, 1): t.twist(2, 1)}
-    assert t.truncated(3) == t
+    assert truncated(t, 3) == t
     with pytest.raises(ValueError):
-        t.truncated(0)
+        truncated(t, 0)
     with pytest.raises(ValueError):
-        t.truncated(4)
-
-
-def test_rational_matrix_mul_and_triangular():
-    a = RationalMatrix.from_rows([[1, 2], [0, 3]])
-    b = RationalMatrix.from_rows([[1, 0], [1, 1]])
-    assert a.mul(b).row(0) == (Fraction(3), Fraction(2))
-    assert a.is_upper_triangular()
-    assert not b.is_upper_triangular()
-    assert a.diagonal_entries() == (Fraction(1), Fraction(3))
-    assert a.scale_rows([2, 3]).row(1) == (Fraction(0), Fraction(9))
+        truncated(t, 4)
 
 
 def test_plucker_minors():
@@ -145,9 +132,11 @@ def test_is_generic_rejects_permutation_matrices():
 def test_is_generic_invariant_under_row_scaling():
     vandermonde = RationalMatrix.from_rows([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
     degenerate = RationalMatrix.from_rows([[1, 1, 1], [1, 2, 4], [0, 1, 3]])
-    scaling = RationalMatrix.diagonal([2, -3, 5])
+    factors = (2, -3, 5)
     for g in (vandermonde, degenerate):
-        scaled = scaling.mul(g)
+        scaled = RationalMatrix.from_rows(
+            [[f * e for e in g.row(i)] for i, f in enumerate(factors)]
+        )
         assert is_generic_matrix(g)[0] == is_generic_matrix(scaled)[0]
 
 
@@ -164,101 +153,6 @@ def test_sample_generic_exhaustion():
         sample_generic(2, bound=2, seed=0, max_attempts=0)
     with pytest.raises(ValueError):
         sample_generic(2, bound=1, seed=0)
-
-
-def test_lambda_of_diagonal_character():
-    # exponent rows [[1, 2, 0]] applied to diag(b11, b22, b33)
-    a = IntMatrix.from_rows([[1, 2, 0], [0, 0, 0]])
-    b = RationalMatrix.from_rows(
-        [[2, 1, 0], [0, 3, 1], [0, 0, 5]]
-    )
-    lam = lambda_of(a, b)
-    assert lam.diagonal_entries() == (Fraction(2) * Fraction(9), Fraction(1))
-    zero_diag = RationalMatrix.from_rows([[0, 1], [0, 1]])
-    with pytest.raises(NotInvertible):
-        lambda_of(IntMatrix.from_rows([[1, 0]]), zero_diag)
-
-
-def test_lambda_of_zero_exponent_ignores_zero_diagonal():
-    a = IntMatrix.from_rows([[0, 1]])
-    b = RationalMatrix.from_rows([[0, 0], [0, 2]])
-    assert lambda_of(a, b).diagonal_entries() == (Fraction(2),)
-
-
-def test_lambda_of_ignores_offdiagonal_entries():
-    a = IntMatrix.from_rows([[2, -1, 3], [0, 4, -2]])
-    diag = (Fraction(2), Fraction(-3, 2), Fraction(5))
-    plain = RationalMatrix.diagonal(diag)
-    messy = RationalMatrix.from_rows(
-        [[diag[0], 7, -9], [0, diag[1], Fraction(1, 3)], [0, 0, diag[2]]]
-    )
-    assert lambda_of(a, plain) == lambda_of(a, messy)
-
-
-def test_phi_apply_two_stage():
-    # stage 2 of the two-stage tower twists by b11^1 * b22^2 of the stage-1 group element
-    t = two_stage_tower()
-    g1 = RationalMatrix.identity(3)
-    g2 = RationalMatrix.identity(2)
-    b1 = RationalMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 1]])
-    b2 = RationalMatrix.identity(2)
-    out = phi_apply(t, 2, [g1, g2], [b1, b2])
-    assert out[0] == g1.mul(b1)
-    # Lambda has diag (2 * 9, 1); its inverse scales the rows of g2 * b2
-    assert out[1].row(0) == (Fraction(1, 18), Fraction(0))
-    assert out[1].row(1) == (Fraction(0), Fraction(1))
-
-
-def test_phi_apply_requires_upper_triangular():
-    t = two_stage_tower()
-    g = [RationalMatrix.identity(3), RationalMatrix.identity(2)]
-    bad = RationalMatrix.from_rows([[1, 0, 0], [1, 1, 0], [0, 0, 1]])
-    with pytest.raises(ValueError):
-        phi_apply(t, 2, g, [bad, RationalMatrix.identity(2)])
-
-
-def _random_rational(rng: random.Random, size: int) -> RationalMatrix:
-    return RationalMatrix.from_rows(
-        [
-            [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(size)]
-            for _ in range(size)
-        ]
-    )
-
-
-def _random_triangular(rng: random.Random, size: int) -> RationalMatrix:
-    rows = []
-    for i in range(size):
-        row = [Fraction(0)] * i
-        row.append(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 4)))
-        row.extend(
-            Fraction(rng.randint(-5, 5), rng.randint(1, 3))
-            for _ in range(size - i - 1)
-        )
-        rows.append(row)
-    return RationalMatrix.from_rows(rows)
-
-
-def test_phi_apply_identity_elements_fix_points():
-    t = three_stage_tower()
-    rng = random.Random(7)
-    gs = tuple(_random_rational(rng, d + 1) for d in t.dims)
-    ids = tuple(RationalMatrix.identity(d + 1) for d in t.dims)
-    assert phi_apply(t, t.m, gs, ids) == gs
-
-
-def test_phi_apply_is_a_right_action():
-    # acting by bs and then by cs must equal acting once by the stagewise
-    # products bs[i] * cs[i], with exact rational arithmetic on both sides
-    t = three_stage_tower()
-    for seed in range(5):
-        rng = random.Random(seed)
-        gs = tuple(_random_rational(rng, d + 1) for d in t.dims)
-        bs = tuple(_random_triangular(rng, d + 1) for d in t.dims)
-        cs = tuple(_random_triangular(rng, d + 1) for d in t.dims)
-        twice = phi_apply(t, t.m, phi_apply(t, t.m, gs, bs), cs)
-        merged = tuple(b.mul(c) for b, c in zip(bs, cs))
-        assert twice == phi_apply(t, t.m, gs, merged)
 
 
 def test_random_tower_sampler_is_deterministic():
