@@ -25,7 +25,6 @@ from .orbitfan import (
 from .permfan import perm_fan, perm_ray_vector
 from .tower import (
     FlagBottTower,
-    RationalMatrix,
     is_generic_matrix,
     plucker,
     sample_generic,

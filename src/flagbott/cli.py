@@ -13,7 +13,9 @@ is an error.
 Exit codes: 0 success, 1 verification or runtime failure, 2 malformed
 input: a tower file that is not UTF-8 text, bad JSON syntax, nesting
 past the recursion limit, an integer literal past the digit limit, bad
-shapes, missing matrices or bad keys, or a cone cap below 1.
+shapes, missing matrices or bad keys; a cone cap that is not an integer,
+has more digits than the int digit limit, or is below 1; a
+sample-generic --n below 1 or --bound below 2.
 
 The environment variable FLAGBOTT_CONE_CAP, an integer of at least 1,
 overrides the enumeration cap: it bounds the maximal cones a command
@@ -120,12 +122,16 @@ def _cone_cap() -> int:
     raw = os.environ.get("FLAGBOTT_CONE_CAP")
     if raw is None:
         return DEFAULT_CONE_CAP
+    shown = repr(raw if len(raw) <= 20 else raw[:20] + "...")  # one short line
     try:
         cap = int(raw)
     except ValueError:
-        raise SpecError(f"FLAGBOTT_CONE_CAP must be an integer, got {raw!r}") from None
+        # int() also refuses a well-formed literal past the digit limit
+        digits = raw.strip().lstrip("+-").replace("_", "").isdecimal()
+        what = "is too large" if digits else "must be an integer"
+        raise SpecError(f"FLAGBOTT_CONE_CAP {what}, got {shown}") from None
     if cap < 1:
-        raise SpecError(f"FLAGBOTT_CONE_CAP must be at least 1, got {raw!r}")
+        raise SpecError(f"FLAGBOTT_CONE_CAP must be at least 1, got {shown}")
     return cap
 
 
@@ -226,10 +232,11 @@ def _oracle_check(tower: FlagBottTower, fan: Fan) -> tuple[bool, str]:
 
 
 def _cmd_sample_generic(args: argparse.Namespace) -> int:
-    # an n below 1 has no minors to count; sample_generic rejects it
-    _check_cap("flag minors per candidate", [max(args.n, 0) + 1], 1)
+    if args.n < 1 or args.bound < 2:
+        raise SpecError("sample-generic needs --n of at least 1 and --bound of at least 2")
+    _check_cap("flag minors per candidate", [args.n + 1], 1)
     g = sample_generic(args.n, args.bound, args.seed)
-    for i in range(g.size):
+    for i in range(g.rows):
         print(" ".join(str(e) for e in g.row(i)))
     return 0
 

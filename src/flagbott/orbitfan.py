@@ -57,12 +57,7 @@ from typing import Iterator
 
 from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
 from .fans import Fan, PermTuple, Ray, RayLabel, Subset
-from .permfan import (
-    chain_of_permutation,
-    check_permutation,
-    perm_ray_vector,
-    proper_subsets,
-)
+from .permfan import check_permutation, perm_fan, perm_ray_vector, proper_subsets
 from .tower import FlagBottTower, InvalidStagePair, validate
 
 __all__ = [
@@ -177,25 +172,17 @@ def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
             if total > cone_cap:
                 raise EnumerationTooLarge(total, cone_cap)
     rays = tuple(all_rays(t))
-    index = {ray.label: i for i, ray in enumerate(rays)}
-    # per stage, map each permutation to the ray indices of its chain
-    stage_tables = []
-    for ell, n_ell in enumerate(t.dims, start=1):
-        table = []
-        for v in itertools.permutations(range(1, n_ell + 2)):
-            chain = chain_of_permutation(v)
-            table.append((v, [index[RayLabel(ell, s)] for s in chain]))
-        stage_tables.append(table)
-    maxcones = []
-    perm_tuples = []
-    for combo in itertools.product(*stage_tables):
-        perm_tuples.append(tuple(v for v, _ in combo))
-        idxs: list[int] = []
-        for _, part in combo:
-            idxs.extend(part)
-        idxs.sort()
-        maxcones.append(tuple(idxs))
-    return Fan(t.dims, rays, tuple(maxcones), tuple(perm_tuples))
+    # all_rays lists stage ell's rays in perm_fan(n_ell)'s order after the
+    # earlier stages' rays, so the stage's cones are perm_fan's shifted by
+    # that offset; concatenated in stage order, a cone stays ascending
+    stage_fans = [perm_fan(n_ell) for n_ell in t.dims]
+    offsets = itertools.accumulate((len(f.rays) for f in stage_fans), initial=0)
+    stage_cones = [
+        [tuple(i + off for i in c) for c in f.maxcones] for f, off in zip(stage_fans, offsets)
+    ]
+    stage_perms = [[v for (v,) in f.perm_tuples] for f in stage_fans]
+    maxcones = tuple(sum(combo, ()) for combo in itertools.product(*stage_cones))
+    return Fan(t.dims, rays, maxcones, tuple(itertools.product(*stage_perms)))
 
 
 def _x_row(t: FlagBottTower, v: PermTuple, j: int) -> dict[int, list[list[int]]]:

@@ -8,9 +8,11 @@ torus: its rows are exponent vectors.
 A point of the ambient product of linear groups is generic when every one
 of its flag minors is nonzero: for each k, every k x k minor on column
 block 1..k.  Genericity is what makes the orbit closure's fan independent
-of the point, so the test must be exact: rational entries are Fractions,
-and a minor clears each row's denominators and takes the integer Bareiss
-determinant.
+of the point, so the test must be exact: points are integer matrices and
+each minor is the integer Bareiss determinant.  Integer points lose no
+generality: scaling a row by a nonzero factor scales every minor through
+it by that factor, so a rational point is generic exactly when the integer
+matrix got by clearing each row's denominators is.
 """
 
 from __future__ import annotations
@@ -18,13 +20,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm, prod
-from typing import Mapping, Sequence
+from typing import Mapping
 
-from .exactlin import IntMatrix, _det_rows
+from .exactlin import DimensionMismatch, IntMatrix, _det_rows
 
-RatLike = int | Fraction
+MAX_ATTEMPTS = 10_000  # candidates sample_generic draws before giving up
 
 
 class InvalidIndices(ValueError):
@@ -37,31 +37,6 @@ class InvalidStagePair(ValueError):
 
 class SamplingExhausted(RuntimeError):
     """Random search for a generic point hit the retry cap."""
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Immutable square matrix over the rationals, row-major."""
-
-    size: int
-    entries: tuple[Fraction, ...]
-
-    def __post_init__(self):
-        if len(self.entries) != self.size * self.size:
-            raise ValueError(f"size {self.size} needs {self.size**2} entries")
-
-    @classmethod
-    def from_rows(cls, rows: Sequence[Sequence[RatLike]]) -> RationalMatrix:
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise ValueError("matrix must be square")
-        return cls(n, tuple(Fraction(e) for row in rows for e in row))
-
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.entries[i * self.size + j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i * self.size : (i + 1) * self.size]
 
 
 @dataclass(frozen=True)
@@ -119,43 +94,45 @@ def validate(t: FlagBottTower) -> list[str]:
     return defects
 
 
-def plucker(g: RationalMatrix, indices: tuple[int, ...]) -> Fraction:
+def _flag_size(g: IntMatrix) -> int:
+    if not g.is_square():
+        raise DimensionMismatch(f"flag minors need a square matrix, got {g.rows}x{g.cols}")
+    return g.rows
+
+
+def plucker(g: IntMatrix, indices: tuple[int, ...]) -> int:
     """Minor of g on the given rows (1-indexed, increasing) and columns 1..k."""
+    size = _flag_size(g)
     k = len(indices)
-    if k < 1 or k > g.size:
-        raise InvalidIndices(f"need between 1 and {g.size} row indices, got {k}")
-    if any(not 1 <= i <= g.size for i in indices) or any(
+    if k < 1 or k > size:
+        raise InvalidIndices(f"need between 1 and {size} row indices, got {k}")
+    if any(not 1 <= i <= size for i in indices) or any(
         a >= b for a, b in zip(indices, indices[1:])
     ):
-        raise InvalidIndices(f"row indices must be strictly increasing in 1..{g.size}: {indices}")
-    rows = [[g.entry(i - 1, c) for c in range(k)] for i in indices]
-    # clear each row's denominators so the integer Bareiss routine applies
-    scales = [lcm(*(e.denominator for e in row)) for row in rows]
-    ints = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(rows, scales)]
-    return Fraction(_det_rows(ints), prod(scales))
+        raise InvalidIndices(f"row indices must be strictly increasing in 1..{size}: {indices}")
+    return _det_rows([list(g.row(i - 1)[:k]) for i in indices])
 
 
-def is_generic_matrix(g: RationalMatrix) -> tuple[bool, tuple[int, ...] | None]:
-    """Whether every flag minor of g is nonzero.
+def is_generic_matrix(g: IntMatrix) -> tuple[bool, tuple[int, ...] | None]:
+    """Whether every flag minor of the square matrix g is nonzero.
 
     Scans k = 1..size and, for each k, the k-element row sets in
     lexicographic order; returns (False, indices) at the first vanishing
     minor, else (True, None).
     """
-    for k in range(1, g.size + 1):
-        for indices in itertools.combinations(range(1, g.size + 1), k):
+    size = _flag_size(g)
+    for k in range(1, size + 1):
+        for indices in itertools.combinations(range(1, size + 1), k):
             if plucker(g, indices) == 0:
                 return False, indices
     return True, None
 
 
-def sample_generic(
-    n: int, bound: int, seed: int, max_attempts: int = 10_000
-) -> RationalMatrix:
+def sample_generic(n: int, bound: int, seed: int) -> IntMatrix:
     """Random integer (n+1) x (n+1) matrix with all flag minors nonzero.
 
     Entries are drawn uniformly from [-bound, bound]; the draw is
-    deterministic in seed.  Raises SamplingExhausted after max_attempts
+    deterministic in seed.  Raises SamplingExhausted after MAX_ATTEMPTS
     rejected candidates.
     """
     if n < 1:
@@ -164,12 +141,11 @@ def sample_generic(
         raise ValueError(f"bound must be at least 2, got {bound}")
     rng = random.Random(seed)
     size = n + 1
-    for _ in range(max_attempts):
-        g = RationalMatrix.from_rows(
+    for _ in range(MAX_ATTEMPTS):
+        g = IntMatrix.from_rows(
             [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
         )
         ok, _ = is_generic_matrix(g)
         if ok:
             return g
-    raise SamplingExhausted(f"no generic matrix found in {max_attempts} attempts")
-
+    raise SamplingExhausted(f"no generic matrix found in {MAX_ATTEMPTS} attempts")

@@ -2,15 +2,16 @@
 
 The two golden towers, a seeded random-tower sampler, and reference
 helpers that build expected values independently of the library's
-pipeline: the chain-to-permutation inverse, chain-tuple cone labels and
-tower truncation.
+pipeline: the chain-to-permutation inverse, chain-tuple cone labels,
+tower truncation and the chain-sum form of the accumulated twist matrices.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
-from flagbott.exactlin import IntMatrix
+from flagbott.exactlin import IntMatrix, mat_mul
 from flagbott.fans import Chain, PermTuple, RayLabel
 from flagbott.permfan import chain_of_permutation
 from flagbott.tower import FlagBottTower
@@ -107,3 +108,24 @@ def truncated(t: FlagBottTower, stages: int) -> FlagBottTower:
         t.dims[:stages],
         {(j, ell): a for (j, ell), a in t.twists.items() if j <= stages},
     )
+
+
+def perm_row_matrix(v: tuple[int, ...]) -> IntMatrix:
+    """The 0/1 matrix B whose row i is the standard basis vector at v(i)."""
+    return IntMatrix.from_rows([[int(c == vi) for c in range(1, len(v) + 1)] for vi in v])
+
+
+def x_matrix_chain_sum(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:
+    """X_(j,ell) summed chain by chain with literal permutation-matrix
+    products; an exponential-time reference for x_matrix."""
+    bs = {p: perm_row_matrix(v[p - 1]) for p in range(1, j + 1)}
+    total = [0] * ((t.dims[j - 1] + 1) * (t.dims[ell - 1] + 1))
+    between = range(ell + 1, j)
+    for r in range(0, j - ell):
+        for mids in itertools.combinations(between, r):
+            seq = (j,) + tuple(reversed(mids)) + (ell,)
+            acc = bs[j]
+            for hi, lo in zip(seq, seq[1:]):
+                acc = mat_mul(mat_mul(acc, t.twist(hi, lo)), bs[lo])
+            total = [x + y for x, y in zip(total, acc.entries)]
+    return IntMatrix(t.dims[j - 1] + 1, t.dims[ell - 1] + 1, tuple(total))

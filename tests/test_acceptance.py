@@ -39,7 +39,6 @@ from flagbott.orbitfan import (
 from flagbott.permfan import perm_fan, perm_ray_vector, proper_subsets
 from flagbott.tower import (
     FlagBottTower,
-    RationalMatrix,
     is_generic_matrix,
     sample_generic,
 )
@@ -309,10 +308,10 @@ def test_criterion_09_genericity(capsys):
                     [1 if j == perm[i] else 0 for j in range(size)]
                     for i in range(size)
                 ]
-                ok, witness = is_generic_matrix(RationalMatrix.from_rows(rows))
+                ok, witness = is_generic_matrix(IntMatrix.from_rows(rows))
                 assert not ok and witness is not None
                 rejected += 1
-        vandermonde = RationalMatrix.from_rows([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
+        vandermonde = IntMatrix.from_rows([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
         assert is_generic_matrix(vandermonde) == (True, None)
         for seed in range(3):
             g = sample_generic(2, bound=4, seed=seed)

@@ -4,6 +4,7 @@ Every name a module lists in __all__ must resolve, and every public
 module-level function in src/flagbott must be referenced by src/ code
 outside its own body, or be named on the allowlist below.  A function
 that only tests call belongs in tests/ as a test oracle, or nowhere.
+Every exact decision runs on integers, so no module imports fractions.
 """
 
 from __future__ import annotations
@@ -78,3 +79,18 @@ def test_public_functions_have_src_callers():
     }
     assert sorted(uncalled - ALLOWLIST) == []
     assert sorted(ALLOWLIST - defined) == [], "allowlist names a function that is gone"
+
+
+def test_src_imports_no_fractions():
+    importers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "fractions" for m in modules):
+                importers.append(path.name)
+    assert importers == []

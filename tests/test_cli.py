@@ -185,6 +185,16 @@ def test_cone_cap_below_one(spec_path, capsys, monkeypatch):
         assert "FLAGBOTT_CONE_CAP must be at least 1" in capsys.readouterr().err
 
 
+def test_cone_cap_over_digit_limit(spec_path, capsys, monkeypatch):
+    # a well-formed integer that only the int digit limit refuses
+    monkeypatch.setenv("FLAGBOTT_CONE_CAP", "9" * 5000)
+    assert main(["build", spec_path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("FLAGBOTT_CONE_CAP is too large")
+    assert len(err.encode()) < 200
+
+
 def test_cap_stops_huge_stage_dimension(tmp_path, capsys):
     # 2001! cones: the count stops at the first partial product over the cap
     p = tmp_path / "huge.json"
@@ -259,6 +269,13 @@ def test_sample_generic_exhausted(capsys):
     # 7x7 matrices with entries in [-2, 2] are rarely generic
     assert main(["sample-generic", "--n", "6", "--bound", "2", "--seed", "0"]) == 1
     assert capsys.readouterr() == ("", "error: no generic matrix found in 10000 attempts\n")
+
+
+def test_sample_generic_out_of_range_is_malformed(capsys):
+    msg = "sample-generic needs --n of at least 1 and --bound of at least 2\n"
+    for n, bound in (("0", "3"), ("-2", "3"), ("3", "1")):
+        assert main(["sample-generic", "--n", n, "--bound", bound, "--seed", "0"]) == 2
+        assert capsys.readouterr() == ("", msg)
 
 
 def test_verify_exit_code_on_runtime_failure(spec_path, capsys, monkeypatch):

@@ -15,6 +15,7 @@ from conftest import (
     random_tower,
     three_stage_tower,
     two_stage_tower,
+    x_matrix_chain_sum,
 )
 from flagbott import orbitfan
 from flagbott.exactlin import IntMatrix, identity, mat_mul
@@ -235,27 +236,6 @@ def test_x_matrix_identity_perms_is_plain_twist():
         ]
     )
     assert x_matrix(t, v, 3, 1) == expect
-
-
-def perm_row_matrix(v: tuple[int, ...]) -> IntMatrix:
-    """The 0/1 matrix B whose row i is the standard basis vector at v(i)."""
-    return IntMatrix.from_rows([[int(c == vi) for c in range(1, len(v) + 1)] for vi in v])
-
-
-def x_matrix_chain_sum(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:
-    """X_(j,ell) summed chain by chain with literal permutation-matrix
-    products; an exponential-time reference for x_matrix."""
-    bs = {p: perm_row_matrix(v[p - 1]) for p in range(1, j + 1)}
-    total = [0] * ((t.dims[j - 1] + 1) * (t.dims[ell - 1] + 1))
-    between = range(ell + 1, j)
-    for r in range(0, j - ell):
-        for mids in itertools.combinations(between, r):
-            seq = (j,) + tuple(reversed(mids)) + (ell,)
-            acc = bs[j]
-            for hi, lo in zip(seq, seq[1:]):
-                acc = mat_mul(mat_mul(acc, t.twist(hi, lo)), bs[lo])
-            total = [x + y for x, y in zip(total, acc.entries)]
-    return IntMatrix(t.dims[j - 1] + 1, t.dims[ell - 1] + 1, tuple(total))
 
 
 def test_x_matrix_matches_chain_sum():

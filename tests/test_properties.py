@@ -1,5 +1,6 @@
 """Property tests: the loader's error contract, the chain/permutation
-bijection, and the determinant and adjugate identities."""
+bijection, the determinant and adjugate identities, and the weight
+recurrence against its chain-sum form."""
 
 from __future__ import annotations
 
@@ -10,11 +11,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from conftest import permutation_of_chain  # noqa: E402
+from conftest import permutation_of_chain, x_matrix_chain_sum  # noqa: E402
 from flagbott.cli import SpecError, load_tower  # noqa: E402
 from flagbott.exactlin import IntMatrix, adjugate_det, det, mat_mul  # noqa: E402
+from flagbott.orbitfan import x_matrix  # noqa: E402
 from flagbott.permfan import chain_of_permutation  # noqa: E402
-from flagbott.tower import validate  # noqa: E402
+from flagbott.tower import FlagBottTower, validate  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=60,
@@ -83,3 +85,25 @@ def test_adjugate_times_matrix_is_det_identity(pair):
     hypothesis.assume(d != 0)
     n = m.rows
     assert mat_mul(adj, m) == IntMatrix.from_rows([[d if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+@st.composite
+def tower_and_perm_tuple(draw):
+    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+    twists = {}
+    for j in range(2, len(dims) + 1):
+        for ell in range(1, j):
+            row = st.lists(st.integers(-5, 5), min_size=dims[ell - 1] + 1, max_size=dims[ell - 1] + 1)
+            rows = draw(st.lists(row, min_size=dims[j - 1] + 1, max_size=dims[j - 1] + 1))
+            twists[(j, ell)] = IntMatrix.from_rows(rows)
+    v = tuple(tuple(draw(st.permutations(range(1, n + 2)))) for n in dims)
+    return FlagBottTower(tuple(dims), twists), v
+
+
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(tower_and_perm_tuple())
+def test_x_matrix_equals_chain_sum(tower_and_v):
+    t, v = tower_and_v
+    for j in range(2, t.m + 1):
+        for ell in range(1, j):
+            assert x_matrix(t, v, j, ell) == x_matrix_chain_sum(t, v, j, ell)
