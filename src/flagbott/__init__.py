@@ -6,7 +6,7 @@ iterated bundle (join) structure -- all in exact integer arithmetic.
 """
 
 from .exactlin import IntMatrix, NotUnimodular, det, mat_mul, unimodular_inverse
-from .fans import Chain, Fan, Ray, RayLabel, Subset
+from .fans import Fan, Ray, RayLabel, Subset
 from .fancheck import (
     is_complete_simplicial,
     is_smooth,

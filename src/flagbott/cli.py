@@ -13,9 +13,11 @@ is an error.
 Exit codes: 0 success, 1 verification or runtime failure, 2 malformed
 input: a tower file that is not UTF-8 text, bad JSON syntax, nesting
 past the recursion limit, an integer literal past the digit limit, bad
-shapes, missing matrices or bad keys; a cone cap that is not an integer,
-has more digits than the int digit limit, or is below 1; a
-sample-generic --n below 1 or --bound below 2.
+shapes, missing matrices or bad keys; a cone cap or a sample-generic
+--n, --bound or --seed that is not an integer or has more digits than
+the int digit limit; a cone cap below 1; a sample-generic --n below 1
+or --bound below 2; an --out file that cannot be written.  Each such
+error is one line, and it echoes at most 20 characters of a bad value.
 
 The environment variable FLAGBOTT_CONE_CAP, an integer of at least 1,
 overrides the enumeration cap: it bounds the maximal cones a command
@@ -118,20 +120,28 @@ def format_fan(fan: Fan) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _cone_cap() -> int:
-    raw = os.environ.get("FLAGBOTT_CONE_CAP")
-    if raw is None:
-        return DEFAULT_CONE_CAP
-    shown = repr(raw if len(raw) <= 20 else raw[:20] + "...")  # one short line
+def _shown(raw: str) -> str:
+    return repr(raw if len(raw) <= 20 else raw[:20] + "...")  # one short line
+
+
+def _integer(name: str, raw: str) -> int:
+    """An integer given from outside the program, or a SpecError naming it."""
     try:
-        cap = int(raw)
+        return int(raw)
     except ValueError:
         # int() also refuses a well-formed literal past the digit limit
         digits = raw.strip().lstrip("+-").replace("_", "").isdecimal()
         what = "is too large" if digits else "must be an integer"
-        raise SpecError(f"FLAGBOTT_CONE_CAP {what}, got {shown}") from None
+        raise SpecError(f"{name} {what}, got {_shown(raw)}") from None
+
+
+def _cone_cap() -> int:
+    raw = os.environ.get("FLAGBOTT_CONE_CAP")
+    if raw is None:
+        return DEFAULT_CONE_CAP
+    cap = _integer("FLAGBOTT_CONE_CAP", raw)
     if cap < 1:
-        raise SpecError(f"FLAGBOTT_CONE_CAP must be at least 1, got {shown}")
+        raise SpecError(f"FLAGBOTT_CONE_CAP must be at least 1, got {_shown(raw)}")
     return cap
 
 
@@ -145,8 +155,11 @@ def _check_cap(what: str, exponents: list[int], minus: int) -> None:
 
 
 def _write_text(path: str, text: str) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write(text)
+    try:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(text)
+    except OSError as e:
+        raise SpecError(f"{path}: {e.strerror or e}") from None
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
@@ -232,10 +245,13 @@ def _oracle_check(tower: FlagBottTower, fan: Fan) -> tuple[bool, str]:
 
 
 def _cmd_sample_generic(args: argparse.Namespace) -> int:
-    if args.n < 1 or args.bound < 2:
+    n = _integer("--n", args.n)
+    bound = _integer("--bound", args.bound)
+    seed = _integer("--seed", args.seed)
+    if n < 1 or bound < 2:
         raise SpecError("sample-generic needs --n of at least 1 and --bound of at least 2")
-    _check_cap("flag minors per candidate", [args.n + 1], 1)
-    g = sample_generic(args.n, args.bound, args.seed)
+    _check_cap("flag minors per candidate", [n + 1], 1)
+    g = sample_generic(n, bound, seed)
     for i in range(g.rows):
         print(" ".join(str(e) for e in g.row(i)))
     return 0
@@ -267,9 +283,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sample-generic", help="sample a generic integer matrix")
-    p.add_argument("--n", type=int, required=True, help="flag dimension (matrix size n+1)")
-    p.add_argument("--bound", type=int, required=True, help="entry bound")
-    p.add_argument("--seed", type=int, required=True)
+    # integers are parsed by _integer, which keeps a bad value's echo short
+    p.add_argument("--n", required=True, help="flag dimension (matrix size n+1)")
+    p.add_argument("--bound", required=True, help="entry bound")
+    p.add_argument("--seed", required=True)
     p.set_defaults(func=_cmd_sample_generic)
 
     p = sub.add_parser("export", help="write the fan in exchange format")

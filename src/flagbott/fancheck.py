@@ -32,7 +32,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .exactlin import _det_rows
-from .fans import Fan, Ray, RayLabel
+from .fans import Fan, Ray
 from .permfan import perm_fan, perm_ray_vector
 from .tower import FlagBottTower
 
@@ -229,41 +229,45 @@ def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
             report.defects.append(
                 JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
             )
-    fiber_parts = {
-        frozenset(lbl.subset for lbl in fan.cone_labels(ci) if lbl.stage == m)
-        for ci in range(len(fan.maxcones))
-    }
-    one_factor = perm_fan(n_m)
-    expected_parts = {
-        frozenset(lbl.subset for lbl in one_factor.cone_labels(ci))
-        for ci in range(len(one_factor.maxcones))
-    }
+    # one pass over the cones: a cone splits into its fiber (stage-m subset
+    # masks) and its lift (lower-stage ray indices)
+    top = {i: ray.label.subset.mask for i, ray in enumerate(fan.rays) if ray.label.stage == m}
+    lifts: dict[tuple, frozenset[int]] = {}
+    pairs = set()
+    fiber_parts = set()
+    mismatches: list[JoinDefect] = []
+    coverage: list[JoinDefect] = []
+    for ci, (cone, pt) in enumerate(zip(fan.maxcones, fan.perm_tuples)):
+        prefix = pt[: m - 1]
+        fiber = frozenset(top[r] for r in cone if r in top)
+        lift = frozenset(r for r in cone if r not in top)
+        fiber_parts.add(fiber)
+        pairs.add((prefix, fiber))
+        if lifts.setdefault(prefix, lift) != lift:
+            mismatches.append(
+                JoinDefect(m, "lift_mismatch", f"prefix {prefix} has two different lifts")
+            )
+        size = len(fiber) + len(lift)
+        if size != fan.n:
+            coverage.append(JoinDefect(m, "pair_coverage", f"cone {ci} has {size} rays"))
+    # perm_fan's ray of subset mask s has index s - 1
+    expected_parts = {frozenset(r + 1 for r in cone) for cone in perm_fan(n_m).maxcones}
     if fiber_parts != expected_parts:
         report.defects.append(
             JoinDefect(m, "fiber_cones", "stage slices do not match the one-factor fan")
         )
 
     # (b) each base cone is the unimodular projection of a unique lift
-    lifts: dict[tuple, frozenset[RayLabel]] = {}
-    for ci, pt in enumerate(fan.perm_tuples):
-        prefix = pt[: m - 1]
-        lift = frozenset(lbl for lbl in fan.cone_labels(ci) if lbl.stage < m)
-        if prefix in lifts:
-            if lifts[prefix] != lift:
-                report.defects.append(
-                    JoinDefect(m, "lift_mismatch", f"prefix {prefix} has two different lifts")
-                )
-        else:
-            lifts[prefix] = lift
+    report.defects.extend(mismatches)
     for prefix, lift in sorted(lifts.items()):
         if len(lift) != base_n:
             report.defects.append(
                 JoinDefect(m, "lift_degenerate", f"lift over {prefix} has {len(lift)} rays")
             )
             continue
-        d = _det_rows(
-            [list(fan.rays[fan.ray_index[lbl]].vector[:base_n]) for lbl in sorted(lift)]
-        )
+        # rows in label order, so that renumbering the rays keeps the sign
+        rows = sorted(lift, key=lambda r: fan.rays[r].label)
+        d = _det_rows([list(fan.rays[r].vector[:base_n]) for r in rows])
         if d not in (1, -1):
             report.defects.append(
                 JoinDefect(
@@ -274,15 +278,7 @@ def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
             )
 
     # (c) cones are exactly the joins: one lift plus one fiber cone apiece
-    pairs = set()
-    for ci, pt in enumerate(fan.perm_tuples):
-        labels = fan.cone_labels(ci)
-        fiber_key = frozenset(lbl.subset for lbl in labels if lbl.stage == m)
-        pairs.add((pt[: m - 1], fiber_key))
-        if len(labels) != fan.n:
-            report.defects.append(
-                JoinDefect(m, "pair_coverage", f"cone {ci} has {len(labels)} rays")
-            )
+    report.defects.extend(coverage)
     # the projected base fan has one cone per prefix
     want = len(lifts) * len(expected_parts)
     if len(fan.maxcones) != want or len(pairs) != want:

@@ -1,23 +1,20 @@
-"""Shared combinatorial types: subsets, chains, labeled rays, fans.
+"""Shared combinatorial types: subsets, labeled rays, fans.
 
 A fan here is always simplicial and carried with its bookkeeping: rays are
 labeled by (stage, subset), maximal cones are tuples of ray indices, and
 each maximal cone remembers the tuple of permutations that produced it.
 Subsets of {1,...,g} are bitmasks (bit i-1 is element i), which makes
-complements, inclusion tests, and deterministic ordering cheap.
+complements, inclusion tests, and deterministic ordering cheap.  Code that
+walks the cones of a fan works on ray indices and subset masks, not on
+sets of labels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable
 
 PermTuple = tuple[tuple[int, ...], ...]
-
-
-class InvalidChain(ValueError):
-    """Subsets do not form a full strictly increasing chain."""
 
 
 @dataclass(frozen=True, order=True)
@@ -61,33 +58,6 @@ class Subset:
         return "{" + ",".join(str(e) for e in self.members()) + "}"
 
 
-@dataclass(frozen=True)
-class Chain:
-    """Full flag of subsets S_1 < S_2 < ... < S_{g-1} of {1,...,g}, |S_p| = p."""
-
-    ground: int
-    sets: tuple[Subset, ...]
-
-    def __post_init__(self):
-        g = self.ground
-        if g < 2:
-            raise InvalidChain(f"ground set size must be at least 2, got {g}")
-        if len(self.sets) != g - 1:
-            raise InvalidChain(f"need {g - 1} subsets, got {len(self.sets)}")
-        prev = 0
-        for p, s in enumerate(self.sets, start=1):
-            if s.ground != g:
-                raise InvalidChain(f"subset ground {s.ground} does not match chain ground {g}")
-            if len(s) != p:
-                raise InvalidChain(f"subset at position {p} has size {len(s)}")
-            if prev & ~s.mask:
-                raise InvalidChain(f"subsets at positions {p - 1} and {p} are not nested")
-            prev = s.mask
-
-    def __iter__(self) -> Iterator[Subset]:
-        return iter(self.sets)
-
-
 @dataclass(frozen=True, order=True)
 class RayLabel:
     """Identity of a ray: which stage it belongs to and which subset names it."""
@@ -123,10 +93,3 @@ class Fan:
     @property
     def n(self) -> int:
         return sum(self.dims)
-
-    @cached_property
-    def ray_index(self) -> dict[RayLabel, int]:
-        return {ray.label: i for i, ray in enumerate(self.rays)}
-
-    def cone_labels(self, i: int) -> frozenset[RayLabel]:
-        return frozenset(self.rays[r].label for r in self.maxcones[i])

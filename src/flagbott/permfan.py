@@ -9,7 +9,9 @@ ray:
 
 and every permutation v of {1,...,n+1} gives a maximal cone spanned by the
 rays of its chain S_1 < ... < S_n, where S_p collects the last p values of
-the one-line notation: S_p = {v(n+2-p), ..., v(n+1)}.
+the one-line notation: S_p = {v(n+2-p), ..., v(n+1)}.  In perm_fan the
+rays are listed by ascending bitmask, so the ray of S has index mask - 1
+and a cone is formed straight from the prefix masks of its chain.
 
 Permutations are plain tuples in one-line notation with values 1..n+1.
 """
@@ -19,18 +21,15 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .fans import Chain, Fan, InvalidChain, PermTuple, Ray, RayLabel, Subset
+from .fans import Fan, PermTuple, Ray, RayLabel, Subset
 
 __all__ = [
     "Subset",
-    "Chain",
-    "InvalidChain",
     "InvalidDimension",
     "InvalidRayLabel",
     "check_permutation",
     "proper_subsets",
     "perm_ray_vector",
-    "chain_of_permutation",
     "perm_fan",
 ]
 
@@ -73,30 +72,16 @@ def perm_ray_vector(n: int, s: Subset) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def chain_of_permutation(v: tuple[int, ...]) -> Chain:
-    """Chain of a permutation: S_p holds the last p values of one-line v."""
-    check_permutation(v)
-    g = len(v)
-    if g < 2:
-        raise InvalidDimension(f"need at least 2 symbols, got {g}")
-    mask = 0
-    sets = []
-    for p in range(1, g):
-        mask |= 1 << (v[g - p] - 1)
-        sets.append(Subset(g, mask))
-    return Chain(g, tuple(sets))
-
-
 def perm_fan(n: int) -> Fan:
     """The full fan in Z^n: 2^{n+1} - 2 rays, (n+1)! maximal cones."""
     if n < 1:
         raise InvalidDimension(f"dimension must be positive, got {n}")
     rays = tuple(Ray(RayLabel(1, s), perm_ray_vector(n, s)) for s in proper_subsets(n + 1))
-    index = {ray.label.subset: i for i, ray in enumerate(rays)}
     maxcones: list[tuple[int, ...]] = []
     perm_tuples: list[PermTuple] = []
     for v in itertools.permutations(range(1, n + 2)):
-        c = chain_of_permutation(v)
-        maxcones.append(tuple(sorted(index[s] for s in c)))
+        # S_1 < ... < S_n as bitmasks, adding v(n+1), v(n), ..., v(2) in turn
+        masks = itertools.accumulate(1 << (e - 1) for e in reversed(v[1:]))
+        maxcones.append(tuple(sorted(mask - 1 for mask in masks)))
         perm_tuples.append((v,))
     return Fan((n,), rays, tuple(maxcones), tuple(perm_tuples))

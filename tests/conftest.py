@@ -2,8 +2,9 @@
 
 The two golden towers, a seeded random-tower sampler, and reference
 helpers that build expected values independently of the library's
-pipeline: the chain-to-permutation inverse, chain-tuple cone labels,
-tower truncation and the chain-sum form of the accumulated twist matrices.
+pipeline: the chain of a permutation and its inverse, chain-tuple cone
+labels, label lookups on a fan, tower truncation and the chain-sum form
+of the accumulated twist matrices.
 """
 
 from __future__ import annotations
@@ -12,10 +13,11 @@ import itertools
 import random
 
 from flagbott.exactlin import IntMatrix, mat_mul
-from flagbott.fans import Chain, PermTuple, RayLabel
-from flagbott.permfan import chain_of_permutation
+from flagbott.fans import Fan, PermTuple, RayLabel, Subset
+from flagbott.permfan import check_permutation
 from flagbott.tower import FlagBottTower
 
+Chain = tuple[Subset, ...]  # S_1 < S_2 < ... < S_{g-1} of {1, ..., g}, |S_p| = p
 ChainTuple = tuple[Chain, ...]
 
 
@@ -64,12 +66,19 @@ POPULATION_SEEDS = tuple(1000 + k for k in range(100))
 ORACLE_SEEDS = tuple(2000 + k for k in range(25))
 
 
+def chain_of_permutation(v: tuple[int, ...]) -> Chain:
+    """Chain of a permutation: S_p holds the last p values of one-line v."""
+    check_permutation(v)
+    g = len(v)
+    return tuple(Subset.of(g, v[g - p :]) for p in range(1, g))
+
+
 def permutation_of_chain(c: Chain) -> tuple[int, ...]:
     """Inverse of chain_of_permutation."""
-    g = c.ground
+    g = len(c) + 1
     out = [0] * g
     prev = 0
-    for p, s in enumerate(c.sets, start=1):
+    for p, s in enumerate(c, start=1):
         added = s.mask & ~prev
         out[g - p] = added.bit_length()  # single bit: index of the new element
         prev = s.mask
@@ -91,13 +100,23 @@ def maximal_cone(t: FlagBottTower, chains: ChainTuple) -> frozenset[RayLabel]:
         raise ValueError(f"need one chain per stage ({t.m}), got {len(chains)}")
     labels = set()
     for ell, (chain, n_ell) in enumerate(zip(chains, t.dims), start=1):
-        if chain.ground != n_ell + 1:
+        if len(chain) != n_ell:
             raise ValueError(
-                f"stage {ell} chain has ground {chain.ground}, expected {n_ell + 1}"
+                f"stage {ell} chain has ground {len(chain) + 1}, expected {n_ell + 1}"
             )
         for s in chain:
             labels.add(RayLabel(ell, s))
     return frozenset(labels)
+
+
+def ray_index(fan: Fan) -> dict[RayLabel, int]:
+    """Index of each ray of the fan, by label."""
+    return {ray.label: i for i, ray in enumerate(fan.rays)}
+
+
+def cone_labels(fan: Fan, i: int) -> frozenset[RayLabel]:
+    """Labels of the rays of maximal cone i."""
+    return frozenset(fan.rays[r].label for r in fan.maxcones[i])
 
 
 def truncated(t: FlagBottTower, stages: int) -> FlagBottTower:

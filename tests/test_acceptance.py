@@ -15,6 +15,7 @@ import time
 from conftest import (
     ORACLE_SEEDS,
     POPULATION_SEEDS,
+    cone_labels,
     random_tower,
     three_stage_tower,
     truncated,
@@ -131,7 +132,7 @@ def ray_map(t: FlagBottTower) -> dict[tuple[int, tuple[int, ...]], tuple[int, ..
 
 def cone_label_sets(fan) -> set[frozenset]:
     return {
-        frozenset((lbl.stage, lbl.subset.members()) for lbl in fan.cone_labels(i))
+        frozenset((lbl.stage, lbl.subset.members()) for lbl in cone_labels(fan, i))
         for i in range(len(fan.maxcones))
     }
 

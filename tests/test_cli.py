@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+from conftest import ray_index
 from flagbott import cli, orbitfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel, Subset
@@ -244,7 +245,7 @@ def test_verify_pairing_fails_on_perturbed_ray(spec_path, capsys, monkeypatch):
 
 def test_verify_oracle_fails_on_flipped_ray(spec_path, capsys, monkeypatch):
     fan = build_fan(load_tower(spec_path))
-    r = fan.ray_index[RayLabel(1, Subset.of(3, (1,)))]
+    r = ray_index(fan)[RayLabel(1, Subset.of(3, (1,)))]
     rays = list(fan.rays)
     rays[r] = Ray(rays[r].label, tuple(-c for c in rays[r].vector))
     flipped = dataclasses.replace(fan, rays=tuple(rays))
@@ -276,6 +277,27 @@ def test_sample_generic_out_of_range_is_malformed(capsys):
     for n, bound in (("0", "3"), ("-2", "3"), ("3", "1")):
         assert main(["sample-generic", "--n", n, "--bound", bound, "--seed", "0"]) == 2
         assert capsys.readouterr() == ("", msg)
+
+
+def test_sample_generic_integer_arguments_are_malformed(capsys):
+    # a well-formed integer that only the int digit limit refuses, and a non-integer
+    big = "9" * 5000
+    for name in ("--n", "--bound", "--seed"):
+        for raw, what in ((big, "is too large"), ("3x", "must be an integer")):
+            argv = ["sample-generic", "--n", "3", "--bound", "5", "--seed", "0"]
+            argv[argv.index(name) + 1] = raw
+            assert main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err.startswith(f"{name} {what}, got ")
+            assert len(err.encode()) < 300
+
+
+def test_unwritable_out_is_malformed(spec_path, tmp_path, capsys):
+    path = str(tmp_path / "missing" / "fan.txt")
+    for argv in (["export", spec_path, "--out", path], ["build", spec_path, "--out", path]):
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"{path}: No such file or directory\n"
 
 
 def test_verify_exit_code_on_runtime_failure(spec_path, capsys, monkeypatch):

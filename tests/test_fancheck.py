@@ -11,13 +11,16 @@ import pytest
 
 from conftest import (
     POPULATION_SEEDS,
+    cone_labels,
     random_tower,
+    ray_index,
     three_stage_tower,
     truncated,
     two_stage_tower,
 )
-from flagbott.exactlin import IntMatrix, adjugate_det
+from flagbott.exactlin import IntMatrix, _det_rows, adjugate_det
 from flagbott.fancheck import (
+    BundleJoinReport,
     CompletenessReport,
     JoinDefect,
     NotSimplicial,
@@ -29,7 +32,8 @@ from flagbott.fancheck import (
 )
 from flagbott.fans import Fan, Ray, RayLabel, Subset
 from flagbott.orbitfan import build_fan
-from flagbott.permfan import perm_fan
+from flagbott.permfan import perm_fan, perm_ray_vector
+from flagbott.tower import FlagBottTower
 
 
 def tiny_fan(vectors: list[tuple[int, int]], cones: list[tuple[int, ...]]) -> Fan:
@@ -296,7 +300,7 @@ def test_bundle_join_detects_fiber_leak():
     t = two_stage_tower()
     fan = build_fan(t)
     bad_rays = list(fan.rays)
-    i = fan.ray_index[RayLabel(2, Subset.of(2, [1]))]
+    i = ray_index(fan)[RayLabel(2, Subset.of(2, [1]))]
     bad_rays[i] = dataclasses.replace(bad_rays[i], vector=(1, 0, 1))
     doctored = dataclasses.replace(fan, rays=tuple(bad_rays))
     report = verify_bundle_join(doctored, t)
@@ -308,7 +312,7 @@ def test_bundle_join_detects_base_collapse():
     t = two_stage_tower()
     fan = build_fan(t)
     bad_rays = list(fan.rays)
-    i = fan.ray_index[RayLabel(1, Subset.of(3, [1]))]
+    i = ray_index(fan)[RayLabel(1, Subset.of(3, [1]))]
     bad_rays[i] = dataclasses.replace(bad_rays[i], vector=(0, 0, 5))
     doctored = dataclasses.replace(fan, rays=tuple(bad_rays))
     report = verify_bundle_join(doctored, t)
@@ -322,7 +326,7 @@ def test_bundle_join_detects_wrong_fiber_vector():
     t = two_stage_tower()
     fan = build_fan(t)
     bad_rays = list(fan.rays)
-    i = fan.ray_index[RayLabel(2, Subset.of(2, [2]))]
+    i = ray_index(fan)[RayLabel(2, Subset.of(2, [2]))]
     bad_rays[i] = dataclasses.replace(bad_rays[i], vector=(0, 0, -2))
     doctored = dataclasses.replace(fan, rays=tuple(bad_rays))
     report = verify_bundle_join(doctored, t)
@@ -368,6 +372,178 @@ def test_bundle_join_reports_missing_fiber_ray():
     report = verify_bundle_join(doctored_cones(fan, {0: lower}), t)
     assert {d.kind for d in report.defects} == {"fiber_cones", "pair_coverage"}
     assert JoinDefect(2, "pair_coverage", "cone 0 has 2 rays") in report.defects
+
+
+def _reference_check_top_split(fan: Fan, report: BundleJoinReport) -> None:
+    m = len(fan.dims)
+    n_m = fan.dims[-1]
+    base_n = fan.n - n_m
+    report.splits_checked.append(m)
+
+    # (a) stage-m rays live in the last block and form the one-factor fan there
+    for ray in fan.rays:
+        head, tail = ray.vector[:base_n], ray.vector[base_n:]
+        if ray.label.stage == m:
+            if any(head):
+                report.defects.append(
+                    JoinDefect(m, "fiber_support", f"ray {ray.label} leaks into lower blocks")
+                )
+            if tail != perm_ray_vector(n_m, ray.label.subset):
+                report.defects.append(
+                    JoinDefect(m, "fiber_vector", f"ray {ray.label} is not the one-factor ray")
+                )
+        elif not any(head):
+            report.defects.append(
+                JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
+            )
+    fiber_parts = {
+        frozenset(lbl.subset for lbl in cone_labels(fan, ci) if lbl.stage == m)
+        for ci in range(len(fan.maxcones))
+    }
+    one_factor = perm_fan(n_m)
+    expected_parts = {
+        frozenset(lbl.subset for lbl in cone_labels(one_factor, ci))
+        for ci in range(len(one_factor.maxcones))
+    }
+    if fiber_parts != expected_parts:
+        report.defects.append(
+            JoinDefect(m, "fiber_cones", "stage slices do not match the one-factor fan")
+        )
+
+    # (b) each base cone is the unimodular projection of a unique lift
+    lifts: dict[tuple, frozenset[RayLabel]] = {}
+    for ci, pt in enumerate(fan.perm_tuples):
+        prefix = pt[: m - 1]
+        lift = frozenset(lbl for lbl in cone_labels(fan, ci) if lbl.stage < m)
+        if prefix in lifts:
+            if lifts[prefix] != lift:
+                report.defects.append(
+                    JoinDefect(m, "lift_mismatch", f"prefix {prefix} has two different lifts")
+                )
+        else:
+            lifts[prefix] = lift
+    index = ray_index(fan)
+    for prefix, lift in sorted(lifts.items()):
+        if len(lift) != base_n:
+            report.defects.append(
+                JoinDefect(m, "lift_degenerate", f"lift over {prefix} has {len(lift)} rays")
+            )
+            continue
+        d = _det_rows(
+            [list(fan.rays[index[lbl]].vector[:base_n]) for lbl in sorted(lift)]
+        )
+        if d not in (1, -1):
+            report.defects.append(
+                JoinDefect(
+                    m,
+                    "lift_degenerate",
+                    f"lift over {prefix} projects with determinant {d}",
+                )
+            )
+
+    # (c) cones are exactly the joins: one lift plus one fiber cone apiece
+    pairs = set()
+    for ci, pt in enumerate(fan.perm_tuples):
+        labels = cone_labels(fan, ci)
+        fiber_key = frozenset(lbl.subset for lbl in labels if lbl.stage == m)
+        pairs.add((pt[: m - 1], fiber_key))
+        if len(labels) != fan.n:
+            report.defects.append(
+                JoinDefect(m, "pair_coverage", f"cone {ci} has {len(labels)} rays")
+            )
+    # the projected base fan has one cone per prefix
+    want = len(lifts) * len(expected_parts)
+    if len(fan.maxcones) != want or len(pairs) != want:
+        report.defects.append(
+            JoinDefect(
+                m,
+                "pair_coverage",
+                f"{len(fan.maxcones)} cones over {len(pairs)} distinct "
+                f"(base, fiber) pairs, expected {want}",
+            )
+        )
+
+
+def reference_verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
+    """The bundle check on ray labels: the library's own form before it
+    moved to ray indices and subset masks, with the label lookups in
+    conftest."""
+    if fan.dims != t.dims:
+        raise ValueError(f"fan dims {fan.dims} do not match tower dims {t.dims}")
+    report = BundleJoinReport()
+    cur = fan
+    while len(cur.dims) > 1:
+        _reference_check_top_split(cur, report)
+        cur = project_fan(cur, len(cur.dims) - 1)
+    return report
+
+
+def cone_faulted(fan: Fan, rng: random.Random, renumber: bool) -> Fan:
+    """Swap two cones' ray tuples, drop a ray from a cone, replace a cone's
+    top-stage ray by any ray (one already in the cone included), drop or
+    duplicate a cone, flip or double a ray, swap a top-stage ray's vector
+    with another ray's, or none of these; then, if asked, renumber the
+    rays at random."""
+    kinds = ("swap", "drop_ray", "top_ray", "drop", "duplicate", "flip", "move", "none")
+    kind = rng.choice(kinds)
+    rays, cones, perms = list(fan.rays), list(fan.maxcones), list(fan.perm_tuples)
+    c, d = rng.randrange(len(cones)), rng.randrange(len(cones))
+    top = [i for i, ray in enumerate(rays) if ray.label.stage == len(fan.dims)]
+    if kind == "swap":
+        cones[c], cones[d] = cones[d], cones[c]
+    elif kind == "drop_ray":
+        k = rng.randrange(len(cones[c]))
+        cones[c] = cones[c][:k] + cones[c][k + 1 :]
+    elif kind == "top_ray":
+        old = rng.choice([r for r in cones[c] if r in top])
+        new = rng.choice(cones[c] if rng.random() < 0.5 else range(len(rays)))
+        cones[c] = tuple(new if r == old else r for r in cones[c])
+    elif kind == "drop":
+        del cones[c], perms[c]
+    elif kind == "duplicate":
+        cones.append(cones[c])
+        perms.append(perms[c])
+    elif kind == "flip":
+        i, f = rng.randrange(len(rays)), rng.choice((-1, 2))
+        rays[i] = Ray(rays[i].label, tuple(f * x for x in rays[i].vector))
+    elif kind == "move":
+        i, j = rng.choice(top), rng.randrange(len(rays))
+        rays[i], rays[j] = Ray(rays[i].label, rays[j].vector), Ray(rays[j].label, rays[i].vector)
+    order = list(range(len(rays)))
+    if renumber:
+        rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    return dataclasses.replace(
+        fan,
+        rays=tuple(rays[old] for old in order),
+        maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in cones),
+        perm_tuples=tuple(perms),
+    )
+
+
+def test_bundle_join_matches_label_reference():
+    towers = [two_stage_tower(), three_stage_tower()]
+    towers += [random_tower(seed) for seed in POPULATION_SEEDS]
+    towers = [t for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
+    assert len(towers) == 2 + 89
+    rng = random.Random(6)
+    kinds = set()
+    for t in towers:
+        fan = build_fan(t)
+        cases = [fan] + [cone_faulted(fan, rng, renumber) for renumber in (False, True) * 4]
+        for case in cases:
+            report = verify_bundle_join(case, t)
+            assert report == reference_verify_bundle_join(case, t)
+            kinds.update(d.kind for d in report.defects)
+    assert kinds == {
+        "fiber_support",
+        "fiber_vector",
+        "fiber_cones",
+        "base_support",
+        "lift_mismatch",
+        "lift_degenerate",
+        "pair_coverage",
+    }
 
 
 def test_full_pipeline_on_random_towers():

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     chain_tuple_of_perm_tuple,
+    cone_labels,
     maximal_cone,
     perm_tuple_of_chain_tuple,
     random_tower,
@@ -173,7 +174,7 @@ def test_build_fan_two_stage():
         for s3 in [(1,), (2,)]
     }
     built = {
-        frozenset((lbl.stage, lbl.subset.members()) for lbl in fan.cone_labels(i))
+        frozenset((lbl.stage, lbl.subset.members()) for lbl in cone_labels(fan, i))
         for i in range(len(fan.maxcones))
     }
     assert built == printed
@@ -221,7 +222,7 @@ def test_cones_contain_their_stage_rays():
     fan = build_fan(t)
     for i, v in enumerate(fan.perm_tuples):
         expect = maximal_cone(t, chain_tuple_of_perm_tuple(v))
-        assert fan.cone_labels(i) == expect
+        assert cone_labels(fan, i) == expect
 
 
 def test_x_matrix_identity_perms_is_plain_twist():

@@ -7,15 +7,12 @@ import math
 
 import pytest
 
-from conftest import permutation_of_chain
+from conftest import chain_of_permutation, cone_labels, permutation_of_chain, ray_index
 from flagbott.fans import RayLabel
 from flagbott.permfan import (
-    Chain,
-    InvalidChain,
     InvalidDimension,
     InvalidRayLabel,
     Subset,
-    chain_of_permutation,
     check_permutation,
     perm_fan,
     perm_ray_vector,
@@ -48,18 +45,6 @@ def test_proper_subsets_count_and_order():
     masks = [s.mask for s in subs]
     assert masks == sorted(masks)
     assert all(s.is_proper_nonempty() for s in subs)
-
-
-def test_chain_validation():
-    g = 3
-    c = Chain(g, (Subset.of(g, [2]), Subset.of(g, [2, 3])))
-    assert [s.members() for s in c] == [(2,), (2, 3)]
-    with pytest.raises(InvalidChain):
-        Chain(g, (Subset.of(g, [2, 3]), Subset.of(g, [2])))
-    with pytest.raises(InvalidChain):
-        Chain(g, (Subset.of(g, [1]), Subset.of(g, [2, 3])))
-    with pytest.raises(InvalidChain):
-        Chain(g, (Subset.of(g, [1]),))
 
 
 def test_permutation_checks():
@@ -99,7 +84,7 @@ def test_chain_permutation_bijection():
         for v in itertools.permutations(range(1, n + 2)):
             c = chain_of_permutation(v)
             assert permutation_of_chain(c) == v
-            seen.add(c.sets)
+            seen.add(c)
         assert len(seen) == math.factorial(n + 1)
 
 
@@ -138,7 +123,7 @@ def test_perm_fan_n2_matches_figure():
         (2, 3): (-1, 0),
     }
     cones = {
-        frozenset(lbl.subset.members() for lbl in fan.cone_labels(i))
+        frozenset(lbl.subset.members() for lbl in cone_labels(fan, i))
         for i in range(len(fan.maxcones))
     }
     assert cones == {
@@ -156,10 +141,12 @@ def test_perm_fan_cone_matches_its_chain():
     for i, perm in enumerate(fan.perm_tuples):
         chain = chain_of_permutation(perm[0])
         expect = {RayLabel(1, s) for s in chain}
-        assert set(fan.cone_labels(i)) == expect
+        assert cone_labels(fan, i) == expect
 
 
 def test_ray_index_lookup():
-    fan = perm_fan(2)
-    for i, ray in enumerate(fan.rays):
-        assert fan.ray_index[ray.label] == i
+    # perm_fan forms its cones from subset masks: the ray of mask s is ray s - 1
+    for n in range(1, 5):
+        fan = perm_fan(n)
+        for i, ray in enumerate(fan.rays):
+            assert ray_index(fan)[ray.label] == i == ray.label.subset.mask - 1

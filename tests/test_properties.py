@@ -1,21 +1,23 @@
 """Property tests: the loader's error contract, the chain/permutation
-bijection, the determinant and adjugate identities, and the weight
-recurrence against its chain-sum form."""
+bijection, the determinant and adjugate identities, the weight
+recurrence against its chain-sum form, and the paper's theorem on drawn
+towers."""
 
 from __future__ import annotations
 
 import json
+from math import factorial, prod
 
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from conftest import permutation_of_chain, x_matrix_chain_sum  # noqa: E402
+from conftest import chain_of_permutation, permutation_of_chain, x_matrix_chain_sum  # noqa: E402
 from flagbott.cli import SpecError, load_tower  # noqa: E402
 from flagbott.exactlin import IntMatrix, adjugate_det, det, mat_mul  # noqa: E402
-from flagbott.orbitfan import x_matrix  # noqa: E402
-from flagbott.permfan import chain_of_permutation  # noqa: E402
+from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
+from flagbott.orbitfan import build_fan, derive_rays_from_weights, x_matrix  # noqa: E402
 from flagbott.tower import FlagBottTower, validate  # noqa: E402
 
 SETTINGS = hypothesis.settings(
@@ -88,16 +90,24 @@ def test_adjugate_times_matrix_is_det_identity(pair):
 
 
 @st.composite
-def tower_and_perm_tuple(draw):
-    dims = draw(st.lists(st.integers(1, 3), min_size=2, max_size=3))
+def towers(draw, dims, bound: int):
+    """A tower of drawn dims, with twist entries in [-bound, bound]."""
+    dims = draw(dims)
+    entries = st.integers(-bound, bound)
     twists = {}
     for j in range(2, len(dims) + 1):
         for ell in range(1, j):
-            row = st.lists(st.integers(-5, 5), min_size=dims[ell - 1] + 1, max_size=dims[ell - 1] + 1)
+            row = st.lists(entries, min_size=dims[ell - 1] + 1, max_size=dims[ell - 1] + 1)
             rows = draw(st.lists(row, min_size=dims[j - 1] + 1, max_size=dims[j - 1] + 1))
             twists[(j, ell)] = IntMatrix.from_rows(rows)
-    v = tuple(tuple(draw(st.permutations(range(1, n + 2)))) for n in dims)
-    return FlagBottTower(tuple(dims), twists), v
+    return FlagBottTower(tuple(dims), twists)
+
+
+@st.composite
+def tower_and_perm_tuple(draw):
+    t = draw(towers(st.lists(st.integers(1, 3), min_size=2, max_size=3), 5))
+    v = tuple(tuple(draw(st.permutations(range(1, n + 2)))) for n in t.dims)
+    return t, v
 
 
 @hypothesis.settings(SETTINGS, max_examples=30)
@@ -107,3 +117,24 @@ def test_x_matrix_equals_chain_sum(tower_and_v):
     for j in range(2, t.m + 1):
         for ell in range(1, j):
             assert x_matrix(t, v, j, ell) == x_matrix_chain_sum(t, v, j, ell)
+
+
+def cone_count(dims) -> int:
+    return prod(factorial(n + 1) for n in dims)
+
+
+# at most 576 cones, so that every check runs in well under a second
+small_dims = st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda d: cone_count(d) <= 576)
+
+
+@hypothesis.settings(SETTINGS, max_examples=15)
+@hypothesis.given(towers(small_dims, 10**6))
+def test_fan_of_a_drawn_tower_is_smooth_complete_and_a_join(t):
+    fan = build_fan(t)
+    assert len(fan.rays) == sum(2 ** (n + 1) - 2 for n in t.dims)
+    assert len(fan.maxcones) == cone_count(t.dims)
+    assert is_smooth(fan).ok
+    assert is_complete_simplicial(fan).ok
+    for cone, v in zip(fan.maxcones, fan.perm_tuples):
+        assert derive_rays_from_weights(t, v) == {fan.rays[r].vector for r in cone}
+    assert verify_bundle_join(fan, t).ok
