@@ -18,6 +18,7 @@ from .orbitfan import (
     build_fan,
     derive_rays_from_weights,
     ray_generator,
+    verify_oracle,
     verify_pairing_identity,
     weights_at,
     x_matrix,

@@ -10,14 +10,16 @@ A key must be spelled exactly f"{j},{l}" (no spaces, signs or leading
 zeros); true and false are not integers; a key repeated in any object
 is an error.
 
-Exit codes: 0 success, 1 verification or runtime failure, 2 malformed
-input: a tower file that is not UTF-8 text, bad JSON syntax, nesting
-past the recursion limit, an integer literal past the digit limit, bad
-shapes, missing matrices or bad keys; a cone cap or a sample-generic
---n, --bound or --seed that is not an integer or has more digits than
-the int digit limit; a cone cap below 1; a sample-generic --n below 1
-or --bound below 2; an --out file that cannot be written.  Each such
-error is one line, and it echoes at most 20 characters of a bad value.
+Exit codes: 0 success, 1 verification or runtime failure, or a write
+error on standard output (silent when the reader closed the pipe), 2
+malformed input: a tower file that is not UTF-8 text, bad JSON syntax,
+nesting past the recursion limit, an integer literal past the digit
+limit, bad shapes, missing matrices or bad keys; a cone cap or a
+sample-generic --n, --bound or --seed that is not an integer or has more
+digits than the int digit limit; a cone cap below 1; a sample-generic
+--n below 1 or --bound below 2; an --out file that cannot be written.
+Each such error is one line, and it echoes at most 20 characters of a
+bad value.
 
 The environment variable FLAGBOTT_CONE_CAP, an integer of at least 1,
 overrides the enumeration cap: it bounds the maximal cones a command
@@ -39,10 +41,9 @@ from .fancheck import is_complete_simplicial, is_smooth, verify_bundle_join
 from .orbitfan import (
     DEFAULT_CONE_CAP,
     EnumerationTooLarge,
-    OracleFailure,
     all_rays,
     build_fan,
-    derive_rays_from_weights,
+    verify_oracle,
     verify_pairing_identity,
 )
 from .tower import FlagBottTower, SamplingExhausted, sample_generic, validate
@@ -214,7 +215,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             ok = rep.ok
             note = f"{rep.pairings_checked} pairings" if ok else f"{len(rep.violations)} violations"
         elif name == "oracle":
-            ok, note = _oracle_check(tower, fan)
+            rep = verify_oracle(fan, tower)
+            ok = rep.ok
+            note = f"{rep.cones_checked} cones agree" if ok else f"{rep.disagreeing} of {rep.cones_checked} cones disagree"
         else:
             rep = verify_bundle_join(fan, tower)
             ok = rep.ok
@@ -226,22 +229,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         print(f"{name}: {'ok' if ok else 'FAIL'} ({note})")
         failed = failed or not ok
     return 1 if failed else 0
-
-
-def _oracle_check(tower: FlagBottTower, fan: Fan) -> tuple[bool, str]:
-    bad = 0
-    for ci, pt in enumerate(fan.perm_tuples):
-        want = {fan.rays[r].vector for r in fan.maxcones[ci]}
-        try:
-            got = derive_rays_from_weights(tower, pt)
-        except OracleFailure:
-            bad += 1
-            continue
-        if got != want:
-            bad += 1
-    if bad:
-        return False, f"{bad} of {len(fan.maxcones)} cones disagree"
-    return True, f"{len(fan.maxcones)} cones agree"
 
 
 def _cmd_sample_generic(args: argparse.Namespace) -> int:
@@ -300,12 +287,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a write error surfaces here, not at exit
+        return code
     except SpecError as e:
         print(str(e), file=sys.stderr)
         return 2
-    except (EnumerationTooLarge, OracleFailure, SamplingExhausted, ValueError) as e:
+    except (EnumerationTooLarge, SamplingExhausted, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except OSError as e:  # stdout refused a write: a closed pipe or a full disk
+        if not isinstance(e, BrokenPipeError):
+            print(f"error: {e.strerror or e}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout still holds output it cannot write; as the Python signal
+            # docs advise for a closed pipe, point it at devnull, so that the
+            # flush at interpreter exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -45,13 +45,58 @@ B_p are computed by reindexing rows and columns.  Row i of the block row
 [X_(j,1) ... X_(j,j-1)  B_j  0 ... 0] is an ambient character; consecutive
 differences projected to Z^n are the n isotropy weights at v.  Those
 weights form a unimodular matrix whose inverse columns must reproduce the
-cone's rays; derive_rays_from_weights exposes that as an independent
-oracle for the ray formula above.
+cone's rays; that is the weight oracle, an independent check of the ray
+formula above.  derive_rays_from_weights computes the inverse for one
+cone, and serves as the per-cone reference for verify_oracle.
+
+The oracle on the prefix tree.  Let W be the weight matrix at v and U the
+matrix whose columns are the rays of v's cone.  The cone agrees when the
+inverse columns of W are exactly the cone's rays, which holds iff W U is
+a permutation matrix P: then det W = +-1 and W^-1 = U P^-1, and
+conversely.  verify_oracle decides that for every cone without an inverse,
+and for most cones without a product either.
+
+Write X_(j,ell) = B_j Y_(j,ell).  Y_(j,ell) satisfies the recurrence of X
+with B_j left out, so it depends on v_1, ..., v_(j-1) only; it is what the
+recurrence gives with v_j the identity.  Let R_j[k], k = 1..n_j+1, be row
+k of the block row [Y_(j,1) ... Y_(j,j-1)  I  0 ... 0], projected.  Then
+row i of [X_(j,1) ... B_j ...] is R_j[v_j(i)], and weight (j, i) is
+R_j[v_j(i+1)] - R_j[v_j(i)], which vanishes on the blocks above j.  Split
+the rows of W by weight stage and the columns of U by ray stage, so that
+block (j, ell) of W U pairs the stage-j weights with the stage-ell rays.
+
+(a) Suppose every stage-ell ray of the cone vanishes on the blocks below
+    ell.  Then block (j, ell) is zero for j < ell: W U is block lower
+    triangular.  Such a matrix is a permutation matrix iff its diagonal
+    blocks are and every block below them is zero.  The first block row
+    puts its n_1 ones in the first block column, one per column, so no
+    other one falls in that column; repeat down the diagonal.  Under (a)
+    the cone agrees exactly when (b) and (c) hold:
+(b) for each j, W_jj U_jj is a permutation matrix.  W_jj holds the
+    differences e_(v_j(i+1)) - e_(v_j(i)) in block j and U_jj the block-j
+    coordinates of the stage-j rays, so this reads v_j alone: it is
+    decided once per stage and permutation;
+(c) for each ell < j and each stage-ell ray u of the cone, the stage-j
+    weights vanish on u, that is, R_j[k] . u is the same for every k
+    (v_j permutes the R_j[k] and changes no value).  This reads
+    v_1, ..., v_(j-1) only: it is decided once per prefix.
+
+So verify_oracle walks the prefix tree of the permutation tuples in cone
+order, and a failure of (b) or (c) condemns every cone below it at once,
+counted by the size of the subtree.  (b) and (c) decide nothing for a
+cone with a ray that breaks (a).  Swap the vectors of a stage-1 ray and
+a stage-2 ray: on a cone holding both, U_11 gets a column zero in block 1
+and (b) fails, yet U is only the true U with two columns swapped, and W U
+is still a permutation matrix.  Each cone holding such a ray is decided
+on its own, by forming W U.  The rays are read by label, stage by stage,
+so ray vectors and numbering may be anything; the cones must be
+build_fan's.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -64,7 +109,9 @@ __all__ = [
     "DEFAULT_CONE_CAP",
     "EnumerationTooLarge",
     "InvalidStagePair",
+    "ORACLE_SHOWN",
     "OracleFailure",
+    "OracleReport",
     "PairingReport",
     "PairingViolation",
     "WeightSystem",
@@ -72,6 +119,7 @@ __all__ = [
     "build_fan",
     "derive_rays_from_weights",
     "ray_generator",
+    "verify_oracle",
     "verify_pairing_identity",
     "weights_at",
     "witness_perm_tuple",
@@ -283,6 +331,137 @@ def derive_rays_from_weights(t: FlagBottTower, v: PermTuple) -> set[tuple[int, .
             f"weight matrix at {v} has determinant {e.determinant}"
         ) from e
     return {inv.col(k) for k in range(inv.cols)}
+
+
+ORACLE_SHOWN = 10  # disagreeing cones an OracleReport lists
+
+
+@dataclass
+class OracleReport:
+    """Cones on which the weights reproduce the rays; first lists the
+    lowest disagreeing cone indices, ascending, at most ORACLE_SHOWN."""
+
+    cones_checked: int
+    disagreeing: int
+    first: list[int]
+
+    @property
+    def ok(self) -> bool:
+        return not self.disagreeing
+
+
+def _units(n: int) -> list[tuple[int, ...]]:
+    # the columns of any n x n permutation matrix, sorted
+    return sorted(tuple(int(i == k) for i in range(n)) for k in range(n))
+
+
+def _diagonal_columns(v: tuple[int, ...], blocks: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
+    # (b): the columns of W_jj U_jj, sorted.  Weight i pairs with a ray's
+    # block b as b[v(i+1)] - b[v(i)], where b ends in the projected-away 0
+    return sorted(tuple(b[vi - 1] - b[vh - 1] for vh, vi in zip(v, v[1:])) for b in blocks)
+
+
+def _prefix_agrees(t: FlagBottTower, prefix: PermTuple, rays: list[tuple[int, ...]]) -> bool:
+    # (c): R_j[k] . u is the same for every k, for each ray u of the prefix
+    j = len(prefix) + 1
+    n_j = t.dims[j - 1]
+    ys = _x_row(t, prefix + (tuple(range(1, n_j + 2)),), j)
+    rows = [[y for p in range(1, j) for y in ys[p][k][: t.dims[p - 1]]] for k in range(n_j + 1)]
+    lo = len(rows[0])
+    for u in rays:
+        head, block = u[:lo], u[lo : lo + n_j] + (0,)
+        if len({sum(map(operator.mul, row, head)) + block[k] for k, row in enumerate(rows)}) > 1:
+            return False
+    return True
+
+
+def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
+    """The weight oracle on every maximal cone, by the walk on the prefix
+    tree that the module docstring proves exact.
+
+    The weight route never reads the ray formula: it reads the twist
+    recurrence and the ray vectors that fan holds, by label.  The cones
+    of fan must be build_fan's.
+    """
+    _require_valid(t)
+    if fan.dims != t.dims:
+        raise ValueError(f"fan dims {fan.dims} differ from tower dims {t.dims}")
+    m = t.m
+    by_label = {(ray.label.stage, ray.label.subset.mask): ray.vector for ray in fan.rays}
+    # per stage and permutation: its chain's rays, whether one of them
+    # breaks (a), and whether (b) holds
+    perms, chains, broken, diagonal_ok = [], [], [], []
+    lo = 0
+    for ell, n_ell in enumerate(t.dims, start=1):
+        stage_perms = list(itertools.permutations(range(1, n_ell + 2)))
+        stage_chains = [
+            [by_label[ell, mask] for mask in itertools.accumulate(1 << (e - 1) for e in reversed(v[1:]))]
+            for v in stage_perms
+        ]
+        units = _units(n_ell)
+        perms.append(stage_perms)
+        chains.append(stage_chains)
+        broken.append([any(any(u[:lo]) for u in us) for us in stage_chains])
+        diagonal_ok.append(
+            [
+                _diagonal_columns(v, [u[lo : lo + n_ell] + (0,) for u in us]) == units
+                for v, us in zip(stage_perms, stage_chains)
+            ]
+        )
+        lo += n_ell
+    # size[s]: the cones below a prefix of s stages; clean[s]: no stage
+    # from s on has a ray that breaks (a)
+    size, clean = [1] * (m + 1), [True] * (m + 1)
+    for s in range(m - 1, -1, -1):
+        size[s] = size[s + 1] * len(perms[s])
+        clean[s] = clean[s + 1] and not any(broken[s])
+    # at the last stage every other permutation ends a cone that agrees
+    last_odd = [i for i, bad in enumerate(broken[-1]) if bad or not diagonal_ok[-1][i]]
+    units = _units(t.n)
+    disagreeing = 0
+    first: list[int] = []
+
+    def disagree(start: int, count: int) -> None:
+        nonlocal disagreeing
+        disagreeing += count
+        first.extend(range(start, start + min(count, ORACLE_SHOWN - len(first))))
+
+    def one_by_one(s: int, prefix: tuple[int, ...], start: int) -> None:
+        # each cone below the prefix, by forming W U
+        suffixes = itertools.product(*(range(len(p)) for p in perms[s:]))
+        for offset, suffix in enumerate(suffixes):
+            idx = prefix + suffix
+            ws = weights_at(t, tuple(perms[p][i] for p, i in enumerate(idx))).weights
+            cols = [tuple(sum(map(operator.mul, w, u)) for w in ws) for p, i in enumerate(idx) for u in chains[p][i]]
+            if sorted(cols) != units:
+                disagree(start + offset, 1)
+
+    def condemned(s: int, prefix: tuple[int, ...], start: int) -> None:
+        # every cone below the prefix whose rays all satisfy (a) disagrees
+        if clean[s]:
+            disagree(start, size[s])
+            return
+        for i in range(len(perms[s])):
+            below = one_by_one if broken[s][i] else condemned
+            below(s + 1, prefix + (i,), start + i * size[s + 1])
+
+    def walk(s: int, prefix: tuple[int, ...], rays: list[tuple[int, ...]], start: int) -> None:
+        # the prefix's s permutations satisfy (a) and (b), and (c) holds for
+        # its weights; check (c) for the stage-(s+1) weights on its rays
+        if s and not _prefix_agrees(t, tuple(perms[p][i] for p, i in enumerate(prefix)), rays):
+            condemned(s, prefix, start)
+            return
+        for i in last_odd if s == m - 1 else range(len(perms[s])):
+            at = start + i * size[s + 1]
+            if broken[s][i]:
+                one_by_one(s + 1, prefix + (i,), at)
+            elif not diagonal_ok[s][i]:
+                condemned(s + 1, prefix + (i,), at)
+            else:
+                walk(s + 1, prefix + (i,), rays + chains[s][i], at)
+
+    walk(0, (), [], 0)
+    return OracleReport(size[0], disagreeing, first)
 
 
 def witness_perm_tuple(t: FlagBottTower, ell: int, s: Subset) -> PermTuple:

@@ -3,17 +3,25 @@
 The two golden towers, a seeded random-tower sampler, and reference
 helpers that build expected values independently of the library's
 pipeline: the chain of a permutation and its inverse, chain-tuple cone
-labels, label lookups on a fan, tower truncation and the chain-sum form
-of the accumulated twist matrices.
+labels, label lookups on a fan, tower truncation, the chain-sum form
+of the accumulated twist matrices, and the weight oracle cone by cone
+with the ray faults it is checked on.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
 from flagbott.exactlin import IntMatrix, mat_mul
-from flagbott.fans import Fan, PermTuple, RayLabel, Subset
+from flagbott.fans import Fan, PermTuple, Ray, RayLabel, Subset
+from flagbott.orbitfan import (
+    ORACLE_SHOWN,
+    OracleFailure,
+    OracleReport,
+    derive_rays_from_weights,
+)
 from flagbott.permfan import check_permutation
 from flagbott.tower import FlagBottTower
 
@@ -148,3 +156,72 @@ def x_matrix_chain_sum(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:
                 acc = mat_mul(mat_mul(acc, t.twist(hi, lo)), bs[lo])
             total = [x + y for x, y in zip(total, acc.entries)]
     return IntMatrix(t.dims[j - 1] + 1, t.dims[ell - 1] + 1, tuple(total))
+
+
+def reference_oracle(fan: Fan, t: FlagBottTower, derive=derive_rays_from_weights) -> OracleReport:
+    """The weight oracle cone by cone: the inverse columns of the weight
+    matrix at each cone's permutation tuple must be the cone's rays.
+    derive maps (t, v) to those columns; a memoised one may stand in for
+    derive_rays_from_weights when one tower's fan is checked many times."""
+    bad = []
+    for ci, pt in enumerate(fan.perm_tuples):
+        want = {fan.rays[r].vector for r in fan.maxcones[ci]}
+        try:
+            got = derive(t, pt)
+        except OracleFailure:
+            bad.append(ci)
+            continue
+        if got != want:
+            bad.append(ci)
+    return OracleReport(len(fan.maxcones), len(bad), bad[:ORACLE_SHOWN])
+
+
+RAY_FAULTS = ("high", "flip", "swap_within", "swap_across", "copy")
+
+
+def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
+    """One fault in the ray vectors, then, if asked, a random renumbering
+    of the rays (the cones follow their rays).
+
+    high: add +-1 to one coordinate in a block above the ray's own (in its
+    own block on a one-stage tower); flip: negate a ray; swap_within and
+    swap_across: swap the vectors of two rays of one stage, or of two
+    stages (of one stage on a one-stage tower); copy: give a ray the
+    vector of any ray, itself included.
+    """
+    rays = list(fan.rays)
+    m = len(fan.dims)
+
+    def pick(keep=lambda ray: True) -> int:
+        return rng.choice([i for i, ray in enumerate(rays) if keep(ray)])
+
+    if kind == "high":
+        i = pick(lambda ray: ray.label.stage < m) if m > 1 else pick()
+        above = sum(fan.dims[: rays[i].label.stage]) if m > 1 else 0
+        k = rng.randrange(above, fan.n)
+        vec = list(rays[i].vector)
+        vec[k] += rng.choice((-1, 1))
+        rays[i] = Ray(rays[i].label, tuple(vec))
+    elif kind == "flip":
+        i = pick()
+        rays[i] = Ray(rays[i].label, tuple(-c for c in rays[i].vector))
+    elif kind in ("swap_within", "swap_across"):
+        i = pick()
+        stage = rays[i].label.stage
+        across = kind == "swap_across" and m > 1
+        j = pick(lambda ray: (ray.label.stage != stage) == across)
+        rays[i], rays[j] = Ray(rays[i].label, rays[j].vector), Ray(rays[j].label, rays[i].vector)
+    elif kind == "copy":
+        i = pick()
+        rays[i] = Ray(rays[i].label, rays[pick()].vector)
+    else:
+        raise ValueError(f"unknown ray fault {kind!r}")
+    order = list(range(len(rays)))
+    if renumber:
+        rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    return dataclasses.replace(
+        fan,
+        rays=tuple(rays[old] for old in order),
+        maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in fan.maxcones),
+    )

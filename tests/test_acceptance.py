@@ -31,10 +31,12 @@ from flagbott.fancheck import (
 )
 from flagbott.fans import Subset
 from flagbott.orbitfan import (
+    OracleReport,
     all_rays,
     build_fan,
     derive_rays_from_weights,
     ray_generator,
+    verify_oracle,
     verify_pairing_identity,
 )
 from flagbott.permfan import perm_fan, perm_ray_vector, proper_subsets
@@ -240,6 +242,7 @@ def test_criterion_05_oracle_equivalence(capsys):
                 formula = {fan.rays[r].vector for r in fan.maxcones[i]}
                 assert derive_rays_from_weights(t, v) == formula
                 cones += 1
+            assert verify_oracle(fan, t) == OracleReport(len(fan.maxcones), 0, [])
         c.note = f"{len(towers)} towers, {cones} cones, weight-derived rays match"
 
 

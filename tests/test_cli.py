@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import errno
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -306,9 +310,6 @@ def test_verify_exit_code_on_runtime_failure(spec_path, capsys, monkeypatch):
 
 
 def test_module_entry_point(spec_path):
-    import subprocess
-    import sys
-
     proc = subprocess.run(
         [sys.executable, "-m", "flagbott", "build", spec_path],
         capture_output=True,
@@ -316,3 +317,43 @@ def test_module_entry_point(spec_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "rays: 8, maxcones: 12\n"
+
+
+@pytest.fixture
+def many_rays_path(tmp_path):
+    # dims [12]: 8190 rays, far more output than a pipe buffers
+    p = tmp_path / "many.json"
+    p.write_text(json.dumps({"dims": [12], "A": {}}))
+    return str(p)
+
+
+def test_closed_stdout_pipe_exits_1_without_traceback(many_rays_path):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flagbott", "rays", many_rays_path],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"1 {1} : 1 0 0 0 0 0 0 0 0 0 0 0\n"
+    proc.stdout.close()  # the reader goes away, as `| head -1` does
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 1
+    assert b"Traceback" not in err
+    assert len(err.splitlines()) <= 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+def test_full_stdout_exits_1_with_one_line(spec_path, many_rays_path):
+    # rays on 8190 rays fails while printing; verify's five lines fail at
+    # the final flush
+    for argv in (["rays", many_rays_path], ["verify", spec_path]):
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "flagbott", *argv],
+                stdout=full,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=120,
+            )
+        assert proc.returncode == 1
+        assert proc.stderr == f"error: {os.strerror(errno.ENOSPC)}\n"

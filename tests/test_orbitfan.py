@@ -5,29 +5,38 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from math import factorial, prod
 
 import pytest
 
 from conftest import (
+    POPULATION_SEEDS,
+    RAY_FAULTS,
     chain_tuple_of_perm_tuple,
     cone_labels,
     maximal_cone,
     perm_tuple_of_chain_tuple,
     random_tower,
+    ray_faulted,
+    ray_index,
+    reference_oracle,
     three_stage_tower,
     two_stage_tower,
     x_matrix_chain_sum,
 )
 from flagbott import orbitfan
 from flagbott.exactlin import IntMatrix, identity, mat_mul
-from flagbott.fans import RayLabel, Subset
+from flagbott.fans import Fan, Ray, RayLabel, Subset
 from flagbott.orbitfan import (
+    ORACLE_SHOWN,
     EnumerationTooLarge,
     OracleFailure,
+    OracleReport,
     all_rays,
     build_fan,
     derive_rays_from_weights,
     ray_generator,
+    verify_oracle,
     verify_pairing_identity,
     weights_at,
     witness_perm_tuple,
@@ -344,6 +353,134 @@ def test_oracle_rejects_doubled_weight(monkeypatch):
     monkeypatch.setattr(orbitfan, "weights_at", doubled)
     with pytest.raises(OracleFailure, match="determinant"):
         derive_rays_from_weights(t, v)
+
+
+def memoised_derive():
+    """derive_rays_from_weights with its results kept, so that the
+    reference decides many faulted fans of one tower at the cost of one."""
+    seen = {}
+
+    def derive(t, v):
+        if v not in seen:
+            try:
+                seen[v] = derive_rays_from_weights(t, v)
+            except OracleFailure as e:
+                seen[v] = e
+        if isinstance(seen[v], OracleFailure):
+            raise seen[v]
+        return seen[v]
+
+    return derive
+
+
+def test_verify_oracle_matches_per_cone_reference():
+    towers = [two_stage_tower(), three_stage_tower()]
+    towers += [random_tower(seed) for seed in POPULATION_SEEDS]
+    towers = [t for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
+    assert len(towers) == 2 + 89
+    rng = random.Random(7)
+    disagreed = set()
+    for t in towers:
+        fan = build_fan(t)
+        derive = memoised_derive()
+        assert verify_oracle(fan, t) == reference_oracle(fan, t, derive) == OracleReport(len(fan.maxcones), 0, [])
+        for kind in RAY_FAULTS:
+            for renumber in (False, True):
+                case = ray_faulted(fan, rng, kind, renumber)
+                report = verify_oracle(case, t)
+                assert report == reference_oracle(case, t, derive), (t.dims, kind, renumber)
+                if not report.ok:
+                    disagreed.add(kind)
+    assert disagreed == set(RAY_FAULTS)
+
+
+def holding(fan: Fan, *labels) -> list[int]:
+    """The cones that hold every one of the labelled rays."""
+    index = ray_index(fan)
+    return [ci for ci, cone in enumerate(fan.maxcones) if all(index[lbl] in cone for lbl in labels)]
+
+
+def with_vectors(fan: Fan, vectors: dict) -> Fan:
+    """fan with the rays of the given labels set to the given vectors."""
+    rays = tuple(Ray(ray.label, vectors.get(ray.label, ray.vector)) for ray in fan.rays)
+    return dataclasses.replace(fan, rays=rays)
+
+
+def disagreement(fan: Fan, cones) -> OracleReport:
+    """The report of a fan on which exactly the given cones disagree."""
+    return OracleReport(len(fan.maxcones), len(cones), sorted(cones)[:ORACLE_SHOWN])
+
+
+def test_verify_oracle_diagonal_failure(monkeypatch):
+    # a sign flip keeps (a) and (c), which are blind to the sign; only (b)
+    # can fail, so the walk alone must find every cone holding the ray
+    t = three_stage_tower()
+    fan = build_fan(t)
+    label = RayLabel(2, sub(3, 1, 3))
+    u = fan.rays[ray_index(fan)[label]].vector
+    flipped = with_vectors(fan, {label: tuple(-c for c in u)})
+    monkeypatch.setattr(orbitfan, "weights_at", None)  # no cone is decided on its own
+    report = verify_oracle(flipped, t)
+    want = holding(fan, label)
+    assert len(want) == 24
+    assert report == disagreement(fan, want)
+    monkeypatch.setattr(orbitfan, "_prefix_agrees", lambda *args: True)
+    assert verify_oracle(flipped, t) == report
+
+
+def test_verify_oracle_off_diagonal_failure(monkeypatch):
+    # one coordinate of block 3 added to a stage-1 ray keeps (a) and (b);
+    # (c) fails at every prefix that holds the ray, condemning its subtree
+    t = three_stage_tower()
+    fan = build_fan(t)
+    label = RayLabel(1, sub(3, 2))
+    u = fan.rays[ray_index(fan)[label]].vector
+    monkeypatch.setattr(orbitfan, "weights_at", None)
+    perturbed = with_vectors(fan, {label: u[:4] + (u[4] + 1,)})
+    want = holding(fan, label)
+    assert len(want) == 24
+    assert verify_oracle(perturbed, t) == disagreement(fan, want)
+    monkeypatch.setattr(orbitfan, "_prefix_agrees", lambda *args: True)
+    assert verify_oracle(perturbed, t).ok
+
+
+def test_verify_oracle_decides_broken_supports_cone_by_cone(monkeypatch):
+    # swap a stage-1 and a stage-2 ray on a (2, 2) tower: the stage-2 label
+    # now has a vector off block 1, which breaks (a); of the 20 cones
+    # holding either ray, the 4 holding both still agree
+    t = random_tower(9, max_stages=2, max_dim=2)
+    assert t.dims == (2, 2)
+    fan = build_fan(t)
+    low, high = RayLabel(1, sub(3, 1)), RayLabel(2, sub(3, 2, 3))
+    index = ray_index(fan)
+    swapped = with_vectors(fan, {low: fan.rays[index[high]].vector, high: fan.rays[index[low]].vector})
+    either = set(holding(fan, low)) | set(holding(fan, high))
+    both = set(holding(fan, low, high))
+    assert (len(either), len(both)) == (20, 4)
+    calls = []
+    true_weights_at = orbitfan.weights_at
+    monkeypatch.setattr(orbitfan, "weights_at", lambda t, v: calls.append(v) or true_weights_at(t, v))
+    report = verify_oracle(swapped, t)
+    assert report == disagreement(fan, either - both)
+    assert sorted(calls) == sorted(fan.perm_tuples[ci] for ci in holding(fan, high))
+    assert report == reference_oracle(swapped, t)
+
+
+def test_verify_oracle_never_reads_the_ray_formula(monkeypatch):
+    t = three_stage_tower()
+    fan = build_fan(t)
+
+    def refuse(*args):
+        raise AssertionError("the weight route read the ray formula")
+
+    monkeypatch.setattr(orbitfan, "ray_generator", refuse)
+    monkeypatch.setattr(orbitfan, "all_rays", refuse)
+    assert verify_oracle(fan, t) == OracleReport(72, 0, [])
+
+
+def test_verify_oracle_rejects_mismatched_dims():
+    with pytest.raises(ValueError, match="dims"):
+        verify_oracle(build_fan(two_stage_tower()), three_stage_tower())
 
 
 def test_pairing_identity_on_goldens():

@@ -1,11 +1,12 @@
 """Property tests: the loader's error contract, the chain/permutation
 bijection, the determinant and adjugate identities, the weight
-recurrence against its chain-sum form, and the paper's theorem on drawn
-towers."""
+recurrence against its chain-sum form, the paper's theorem on drawn
+towers, and the prefix-tree oracle against the per-cone one."""
 
 from __future__ import annotations
 
 import json
+import random
 from math import factorial, prod
 
 import pytest
@@ -13,11 +14,18 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-from conftest import chain_of_permutation, permutation_of_chain, x_matrix_chain_sum  # noqa: E402
+from conftest import (  # noqa: E402
+    RAY_FAULTS,
+    chain_of_permutation,
+    permutation_of_chain,
+    ray_faulted,
+    reference_oracle,
+    x_matrix_chain_sum,
+)
 from flagbott.cli import SpecError, load_tower  # noqa: E402
 from flagbott.exactlin import IntMatrix, adjugate_det, det, mat_mul  # noqa: E402
 from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
-from flagbott.orbitfan import build_fan, derive_rays_from_weights, x_matrix  # noqa: E402
+from flagbott.orbitfan import build_fan, derive_rays_from_weights, verify_oracle, x_matrix  # noqa: E402
 from flagbott.tower import FlagBottTower, validate  # noqa: E402
 
 SETTINGS = hypothesis.settings(
@@ -138,3 +146,12 @@ def test_fan_of_a_drawn_tower_is_smooth_complete_and_a_join(t):
     for cone, v in zip(fan.maxcones, fan.perm_tuples):
         assert derive_rays_from_weights(t, v) == {fan.rays[r].vector for r in cone}
     assert verify_bundle_join(fan, t).ok
+
+
+@hypothesis.settings(SETTINGS, max_examples=15)
+@hypothesis.given(
+    towers(small_dims, 10**6), st.sampled_from(RAY_FAULTS), st.booleans(), st.integers(0, 2**32 - 1)
+)
+def test_prefix_oracle_equals_per_cone_oracle_on_a_faulted_fan(t, kind, renumber, seed):
+    fan = ray_faulted(build_fan(t), random.Random(seed), kind, renumber)
+    assert verify_oracle(fan, t) == reference_oracle(fan, t)
