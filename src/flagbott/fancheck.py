@@ -14,16 +14,22 @@ arithmetic:
                        with the last stage's one-factor fan as fiber, at
                        every stage split down the tower.
 
-The wall test reads only cone determinants, the same ones smoothness
-computes.  Let U be the matrix whose columns are a cone's rays in
-ascending order and d = det U.  By Cramer's rule, row k of adj(U) paired
-with x is det(U with column k replaced by x), so sign(d) * adj(U)[k] is
-the inner normal of the wall omitting ray k.  Let cones C1 and C2 share
-a wall, with opposite rays at positions k1 and k2 and determinants d1
-and d2.  U1 with column k1 replaced by C2's opposite ray is U2 with that
-column moved from position k2 to k1, so its determinant is
+Smoothness and the wall test both read Fan.cone_dets, every cone
+determinant computed once per fan in one pass, which shares elimination
+work between cones with the same leading rays.  Let U be the matrix
+whose columns are a cone's rays in ascending order and d = det U.  By
+Cramer's rule, row k of adj(U) paired with x is
+det(U with column k replaced by x), so sign(d) * adj(U)[k] is the inner
+normal of the wall omitting ray k.  Let cones C1 and C2 share a wall,
+with opposite rays at positions k1 and k2 and determinants d1 and d2.
+U1 with column k1 replaced by C2's opposite ray is U2 with that column
+moved from position k2 to k1, so its determinant is
 (-1)**(k1 - k2) * d2.  Hence both opposite rays lie strictly across the
 wall iff (-1)**(k1 + k2) * d1 * d2 < 0.
+
+The wall census keys a wall by its ray bitmask, an int: the cone's mask
+with the opposite ray's bit cleared.  A wall is spelled out as a tuple of
+ray indices only when it has a defect to report.
 """
 
 from __future__ import annotations
@@ -33,12 +39,9 @@ from dataclasses import dataclass, field
 
 from .exactlin import _det_rows
 from .fans import Fan, Ray
+from .fans import NotSimplicial  # noqa: F401  is_smooth and is_complete_simplicial raise it
 from .permfan import perm_fan, perm_ray_vector
 from .tower import FlagBottTower
-
-
-class NotSimplicial(ValueError):
-    """A maximal cone does not have exactly n rays."""
 
 
 @dataclass(frozen=True)
@@ -57,20 +60,9 @@ class SmoothnessReport:
         return not self.failures
 
 
-def _cone_det(fan: Fan, cone: tuple[int, ...]) -> int:
-    if len(cone) != fan.n:
-        raise NotSimplicial(f"cone has {len(cone)} rays in dimension {fan.n}")
-    # det is transpose-invariant, so rows may hold the ray vectors
-    return _det_rows([list(fan.rays[r].vector) for r in cone])
-
-
 def is_smooth(fan: Fan) -> SmoothnessReport:
     """Determinant of every maximal cone; smooth means all are +-1."""
-    failures = []
-    for ci, cone in enumerate(fan.maxcones):
-        d = _cone_det(fan, cone)
-        if d not in (1, -1):
-            failures.append(ConeDeterminant(ci, d))
+    failures = [ConeDeterminant(ci, d) for ci, d in enumerate(fan.cone_dets) if d not in (1, -1)]
     return SmoothnessReport(len(fan.maxcones), failures)
 
 
@@ -96,52 +88,41 @@ class CompletenessReport:
 
 def is_complete_simplicial(fan: Fan) -> CompletenessReport:
     """Wall-pairing completeness test for a simplicial fan."""
-    n = fan.n
-    # wall (sorted ray indices) -> list of (cone index, opposite position, cone det)
-    census: dict[tuple[int, ...], list[tuple[int, int, int]]] = defaultdict(list)
+    bits = [1 << r for r in range(len(fan.rays))]
+    # wall bitmask -> list of (cone index, opposite position, cone det)
+    census: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
     defects: list[WallDefect] = []
-    for ci, cone in enumerate(fan.maxcones):
-        d = _cone_det(fan, cone)
+    for ci, (cone, d) in enumerate(zip(fan.maxcones, fan.cone_dets)):
         if d == 0:
             defects.append(
                 WallDefect("degenerate", cone, (ci,), "cone rays are linearly dependent")
             )
             continue
-        for k in range(n):
-            census[cone[:k] + cone[k + 1 :]].append((ci, k, d))
-    for wall, hits in sorted(census.items()):
-        if len(hits) == 1:
-            defects.append(
-                WallDefect("dangling", wall, (hits[0][0],), "wall lies in only one cone")
-            )
-        elif len(hits) > 2:
-            defects.append(
-                WallDefect(
-                    "crowded",
-                    wall,
-                    tuple(h[0] for h in hits),
-                    f"wall lies in {len(hits)} cones",
-                )
-            )
-        else:
-            (c1, k1, d1), (c2, k2, d2) = hits
-            # the sign rule of the module docstring
-            if (-1) ** (k1 + k2) * d1 * d2 > 0:
-                defects.append(
-                    WallDefect(
-                        "same_side",
-                        wall,
-                        (c1, c2),
-                        "opposite rays do not straddle the wall hyperplane",
-                    )
-                )
-    # connectivity of the wall-adjacency graph
+        # a cone with a repeated ray has det 0, so bits add like a union
+        mask = sum(bits[r] for r in cone)
+        for k, r in enumerate(cone):
+            census[mask ^ bits[r]].append((ci, k, d))
+    wall_defects = []
+    # the wall-adjacency graph: cones joined by a wall of two
     neighbors: dict[int, set[int]] = defaultdict(set)
     for hits in census.values():
-        if len(hits) == 2:
-            a, b = hits[0][0], hits[1][0]
-            neighbors[a].add(b)
-            neighbors[b].add(a)
+        if len(hits) == 1:
+            kind, detail = "dangling", "wall lies in only one cone"
+        elif len(hits) > 2:
+            kind, detail = "crowded", f"wall lies in {len(hits)} cones"
+        else:
+            (c1, k1, d1), (c2, k2, d2) = hits
+            neighbors[c1].add(c2)
+            neighbors[c2].add(c1)
+            # the sign rule of the module docstring
+            if (-1) ** (k1 + k2) * d1 * d2 < 0:
+                continue
+            kind, detail = "same_side", "opposite rays do not straddle the wall hyperplane"
+        c, k, _ = hits[0]
+        wall = fan.maxcones[c][:k] + fan.maxcones[c][k + 1 :]
+        wall_defects.append(WallDefect(kind, wall, tuple(h[0] for h in hits), detail))
+    defects += sorted(wall_defects, key=lambda defect: defect.wall)
+    # connectivity of the wall-adjacency graph
     connected = True
     if fan.maxcones:
         seen = {0}

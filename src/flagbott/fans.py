@@ -6,13 +6,16 @@ each maximal cone remembers the tuple of permutations that produced it.
 Subsets of {1,...,g} are bitmasks (bit i-1 is element i), which makes
 complements, inclusion tests, and deterministic ordering cheap.  Code that
 walks the cones of a fan works on ray indices and subset masks, not on
-sets of labels.
+sets of labels.  A fan computes its cone determinants once, on first use.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
+
+from . import exactlin
 
 PermTuple = tuple[tuple[int, ...], ...]
 
@@ -75,6 +78,10 @@ class Ray:
     vector: tuple[int, ...]
 
 
+class NotSimplicial(ValueError):
+    """A maximal cone does not have exactly n rays."""
+
+
 @dataclass(frozen=True)
 class Fan:
     """Simplicial fan with labeled rays and permutation-indexed maximal cones.
@@ -93,3 +100,13 @@ class Fan:
     @property
     def n(self) -> int:
         return sum(self.dims)
+
+    @cached_property
+    def cone_dets(self) -> tuple[int, ...]:
+        """Determinant of each maximal cone, its ray vectors as rows in
+        cone order; the determinant is transpose-invariant."""
+        n = self.n
+        for cone in self.maxcones:
+            if len(cone) != n:
+                raise NotSimplicial(f"cone has {len(cone)} rays in dimension {n}")
+        return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays]))

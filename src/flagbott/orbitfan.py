@@ -381,25 +381,28 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
 
     The weight route never reads the ray formula: it reads the twist
     recurrence and the ray vectors that fan holds, by label.  The cones
-    of fan must be build_fan's.
+    of fan must be build_fan's, in its order; raises ValueError, naming
+    the first cone that is not.
     """
     _require_valid(t)
     if fan.dims != t.dims:
         raise ValueError(f"fan dims {fan.dims} differ from tower dims {t.dims}")
     m = t.m
-    by_label = {(ray.label.stage, ray.label.subset.mask): ray.vector for ray in fan.rays}
-    # per stage and permutation: its chain's rays, whether one of them
-    # breaks (a), and whether (b) holds
-    perms, chains, broken, diagonal_ok = [], [], [], []
+    by_label = {(ray.label.stage, ray.label.subset.mask): i for i, ray in enumerate(fan.rays)}
+    # per stage and permutation: its chain's ray indices and vectors,
+    # whether one of them breaks (a), and whether (b) holds
+    perms, indices, chains, broken, diagonal_ok = [], [], [], [], []
     lo = 0
     for ell, n_ell in enumerate(t.dims, start=1):
         stage_perms = list(itertools.permutations(range(1, n_ell + 2)))
-        stage_chains = [
-            [by_label[ell, mask] for mask in itertools.accumulate(1 << (e - 1) for e in reversed(v[1:]))]
+        stage_indices = [
+            tuple(by_label[ell, mask] for mask in itertools.accumulate(1 << (e - 1) for e in reversed(v[1:])))
             for v in stage_perms
         ]
+        stage_chains = [[fan.rays[i].vector for i in c] for c in stage_indices]
         units = _units(n_ell)
         perms.append(stage_perms)
+        indices.append(stage_indices)
         chains.append(stage_chains)
         broken.append([any(any(u[:lo]) for u in us) for us in stage_chains])
         diagonal_ok.append(
@@ -409,6 +412,11 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
             ]
         )
         lo += n_ell
+    # the walk numbers the cones as build_fan does: by itertools.product
+    expected = zip(itertools.product(*perms), itertools.product(*indices))
+    for ci, (pt, cone, want) in enumerate(itertools.zip_longest(fan.perm_tuples, fan.maxcones, expected)):
+        if want is None or pt != want[0] or cone != tuple(sorted(sum(want[1], ()))):
+            raise ValueError(f"fan cone {ci} is not build_fan's cone {ci}")
     # size[s]: the cones below a prefix of s stages; clean[s]: no stage
     # from s on has a ray that breaks (a)
     size, clean = [1] * (m + 1), [True] * (m + 1)

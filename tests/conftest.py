@@ -4,8 +4,9 @@ The two golden towers, a seeded random-tower sampler, and reference
 helpers that build expected values independently of the library's
 pipeline: the chain of a permutation and its inverse, chain-tuple cone
 labels, label lookups on a fan, tower truncation, the chain-sum form
-of the accumulated twist matrices, and the weight oracle cone by cone
-with the ray faults it is checked on.
+of the accumulated twist matrices, the weight oracle cone by cone with
+the ray faults it is checked on, and the completeness test with explicit
+wall normals with the fan faults it is checked on.
 """
 
 from __future__ import annotations
@@ -13,9 +14,11 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+from collections import defaultdict
 
-from flagbott.exactlin import IntMatrix, mat_mul
-from flagbott.fans import Fan, PermTuple, Ray, RayLabel, Subset
+from flagbott.exactlin import IntMatrix, adjugate_det, mat_mul
+from flagbott.fancheck import CompletenessReport, WallDefect
+from flagbott.fans import Fan, NotSimplicial, PermTuple, Ray, RayLabel, Subset
 from flagbott.orbitfan import (
     ORACLE_SHOWN,
     OracleFailure,
@@ -224,4 +227,114 @@ def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
         fan,
         rays=tuple(rays[old] for old in order),
         maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in fan.maxcones),
+    )
+
+
+def _reference_cone_matrix(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
+    n = fan.n
+    if len(cone) != n:
+        raise NotSimplicial(f"cone has {len(cone)} rays in dimension {n}")
+    return IntMatrix.from_rows(list(zip(*(fan.rays[r].vector for r in cone))))
+
+
+def reference_is_complete_simplicial(fan: Fan) -> CompletenessReport:
+    """Wall-pairing test with explicit inner wall normals from the adjugate."""
+    n = fan.n
+    # wall (sorted ray indices) -> list of (cone index, opposite ray, inner normal)
+    census: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = defaultdict(list)
+    defects: list[WallDefect] = []
+    for ci, cone in enumerate(fan.maxcones):
+        adj, d = adjugate_det(_reference_cone_matrix(fan, cone))
+        if d == 0:
+            defects.append(
+                WallDefect("degenerate", cone, (ci,), "cone rays are linearly dependent")
+            )
+            continue
+        sign = 1 if d > 0 else -1
+        for k in range(n):
+            normal = tuple(sign * e for e in adj.row(k))
+            wall = cone[:k] + cone[k + 1 :]
+            census[wall].append((ci, cone[k], normal))
+    for wall, hits in sorted(census.items()):
+        if len(hits) == 1:
+            defects.append(
+                WallDefect("dangling", wall, (hits[0][0],), "wall lies in only one cone")
+            )
+        elif len(hits) > 2:
+            defects.append(
+                WallDefect(
+                    "crowded",
+                    wall,
+                    tuple(h[0] for h in hits),
+                    f"wall lies in {len(hits)} cones",
+                )
+            )
+        else:
+            (c1, opp1, nrm1), (c2, opp2, nrm2) = hits
+            v2 = fan.rays[opp2].vector
+            v1 = fan.rays[opp1].vector
+            s1 = sum(a * b for a, b in zip(nrm1, v2))
+            s2 = sum(a * b for a, b in zip(nrm2, v1))
+            if s1 >= 0 or s2 >= 0:
+                defects.append(
+                    WallDefect(
+                        "same_side",
+                        wall,
+                        (c1, c2),
+                        "opposite rays do not straddle the wall hyperplane",
+                    )
+                )
+    # connectivity of the wall-adjacency graph
+    neighbors: dict[int, set[int]] = defaultdict(set)
+    for hits in census.values():
+        if len(hits) == 2:
+            a, b = hits[0][0], hits[1][0]
+            neighbors[a].add(b)
+            neighbors[b].add(a)
+    connected = True
+    if fan.maxcones:
+        seen = {0}
+        stack = [0]
+        while stack:
+            c = stack.pop()
+            for nb in neighbors[c]:
+                if nb not in seen:
+                    seen.add(nb)
+                    stack.append(nb)
+        connected = len(seen) == len(fan.maxcones)
+    return CompletenessReport(len(fan.maxcones), len(census), defects, connected)
+
+
+def perturbed(fan: Fan, rng: random.Random) -> Fan:
+    """Flip, randomise or copy one ray, drop or duplicate one cone, or
+    neither; then renumber the rays at random.
+
+    Tower fans order their rays so that the opposite rays of two adjacent
+    cones always sit at positions of equal parity; renumbering makes the
+    parity factor of the sign rule matter.
+    """
+    kind = rng.choice(("flip", "randomise", "copy", "drop", "duplicate", "none"))
+    rays = list(fan.rays)
+    i = rng.randrange(len(rays))
+    if kind == "flip":
+        rays[i] = Ray(rays[i].label, tuple(-c for c in rays[i].vector))
+    elif kind == "randomise":
+        rays[i] = Ray(rays[i].label, tuple(rng.randint(-3, 3) for _ in range(fan.n)))
+    elif kind == "copy":
+        rays[i] = Ray(rays[i].label, rays[rng.randrange(len(rays))].vector)
+    cones, perms = list(fan.maxcones), list(fan.perm_tuples)
+    c = rng.randrange(len(cones))
+    if kind == "drop":
+        del cones[c], perms[c]
+    elif kind == "duplicate":
+        cones.append(cones[c])
+        perms.append(perms[c])
+    order = list(range(len(rays)))
+    rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    return dataclasses.replace(
+        fan,
+        rays=tuple(rays[old] for old in order),
+        maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in cones),
+        perm_tuples=tuple(perms),
     )

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from conftest import ray_index
-from flagbott import cli, orbitfan
+from flagbott import cli, exactlin, orbitfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel, Subset
 from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identity
@@ -141,6 +141,24 @@ def test_verify_all_checks_pass(spec_path, capsys):
     names = [line.split(":")[0] for line in lines]
     assert names == ["smooth", "complete", "pairing", "oracle", "bundle"]
     assert all(": ok (" in line for line in lines)
+
+
+def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
+    calls = []
+    dets = exactlin._dets
+    monkeypatch.setattr(exactlin, "_dets", lambda matrices, rows: calls.append(len(matrices)) or dets(matrices, rows))
+    assert main(["verify", spec_path]) == 0
+    assert capsys.readouterr().out == (
+        "smooth: ok (12 cones)\n"
+        "complete: ok (18 walls)\n"
+        "pairing: ok (24 pairings)\n"
+        "oracle: ok (12 cones agree)\n"
+        "bundle: ok (splits 2)\n"
+    )
+    assert calls == [12]
+    assert main(["verify", spec_path, "--complete"]) == 0
+    assert capsys.readouterr().out == "complete: ok (18 walls)\n"
+    assert calls == [12, 12]
 
 
 def test_verify_single_check(spec_path, capsys):

@@ -10,6 +10,7 @@ from flagbott.exactlin import (
     DimensionMismatch,
     IntMatrix,
     NotUnimodular,
+    _dets,
     adjugate_det,
     det,
     identity,
@@ -88,6 +89,16 @@ def test_det_small_cases():
     assert det(IntMatrix.zero(3, 3)) == 0
     # upper triangular: product of the diagonal
     assert det(IntMatrix.from_rows([[2, 9, 9], [0, 3, 9], [0, 0, 5]])) == 30
+
+
+def test_dets_edge_cases():
+    assert _dets([], []) == []
+    assert _dets([()], []) == [1]
+    # row 0 leads with a zero, so its matrices pivot off the first column;
+    # (0, 0) repeats a row and (2, 1) holds the zero row
+    rows = [(0, 1), (1, 0), (0, 0), (3, 5)]
+    matrices = [(1, 0), (0, 1), (0, 3), (0, 0), (2, 1), (3, 1), (1, 3)]
+    assert _dets(matrices, rows) == [1, -1, -3, 0, 0, -5, 5]
 
 
 def test_det_rejects_nonsquare():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import random
-from collections import defaultdict
 from math import factorial, prod
 
 import pytest
@@ -12,16 +11,17 @@ import pytest
 from conftest import (
     POPULATION_SEEDS,
     cone_labels,
+    perturbed,
     random_tower,
     ray_index,
+    reference_is_complete_simplicial,
     three_stage_tower,
     truncated,
     two_stage_tower,
 )
-from flagbott.exactlin import IntMatrix, _det_rows, adjugate_det
+from flagbott.exactlin import _det_rows
 from flagbott.fancheck import (
     BundleJoinReport,
-    CompletenessReport,
     JoinDefect,
     NotSimplicial,
     WallDefect,
@@ -130,116 +130,6 @@ def test_crowded_wall_reported():
     assert crowded
     assert crowded[0].wall == (0,)
     assert len(crowded[0].cones) == 3
-
-
-def _reference_cone_matrix(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
-    n = fan.n
-    if len(cone) != n:
-        raise NotSimplicial(f"cone has {len(cone)} rays in dimension {n}")
-    return IntMatrix.from_rows(list(zip(*(fan.rays[r].vector for r in cone))))
-
-
-def reference_is_complete_simplicial(fan: Fan) -> CompletenessReport:
-    """Wall-pairing test with explicit inner wall normals from the adjugate."""
-    n = fan.n
-    # wall (sorted ray indices) -> list of (cone index, opposite ray, inner normal)
-    census: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = defaultdict(list)
-    defects: list[WallDefect] = []
-    for ci, cone in enumerate(fan.maxcones):
-        adj, d = adjugate_det(_reference_cone_matrix(fan, cone))
-        if d == 0:
-            defects.append(
-                WallDefect("degenerate", cone, (ci,), "cone rays are linearly dependent")
-            )
-            continue
-        sign = 1 if d > 0 else -1
-        for k in range(n):
-            normal = tuple(sign * e for e in adj.row(k))
-            wall = cone[:k] + cone[k + 1 :]
-            census[wall].append((ci, cone[k], normal))
-    for wall, hits in sorted(census.items()):
-        if len(hits) == 1:
-            defects.append(
-                WallDefect("dangling", wall, (hits[0][0],), "wall lies in only one cone")
-            )
-        elif len(hits) > 2:
-            defects.append(
-                WallDefect(
-                    "crowded",
-                    wall,
-                    tuple(h[0] for h in hits),
-                    f"wall lies in {len(hits)} cones",
-                )
-            )
-        else:
-            (c1, opp1, nrm1), (c2, opp2, nrm2) = hits
-            v2 = fan.rays[opp2].vector
-            v1 = fan.rays[opp1].vector
-            s1 = sum(a * b for a, b in zip(nrm1, v2))
-            s2 = sum(a * b for a, b in zip(nrm2, v1))
-            if s1 >= 0 or s2 >= 0:
-                defects.append(
-                    WallDefect(
-                        "same_side",
-                        wall,
-                        (c1, c2),
-                        "opposite rays do not straddle the wall hyperplane",
-                    )
-                )
-    # connectivity of the wall-adjacency graph
-    neighbors: dict[int, set[int]] = defaultdict(set)
-    for hits in census.values():
-        if len(hits) == 2:
-            a, b = hits[0][0], hits[1][0]
-            neighbors[a].add(b)
-            neighbors[b].add(a)
-    connected = True
-    if fan.maxcones:
-        seen = {0}
-        stack = [0]
-        while stack:
-            c = stack.pop()
-            for nb in neighbors[c]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        connected = len(seen) == len(fan.maxcones)
-    return CompletenessReport(len(fan.maxcones), len(census), defects, connected)
-
-
-def perturbed(fan: Fan, rng: random.Random) -> Fan:
-    """Flip, randomise or copy one ray, drop or duplicate one cone, or
-    neither; then renumber the rays at random.
-
-    Tower fans order their rays so that the opposite rays of two adjacent
-    cones always sit at positions of equal parity; renumbering makes the
-    parity factor of the sign rule matter.
-    """
-    kind = rng.choice(("flip", "randomise", "copy", "drop", "duplicate", "none"))
-    rays = list(fan.rays)
-    i = rng.randrange(len(rays))
-    if kind == "flip":
-        rays[i] = Ray(rays[i].label, tuple(-c for c in rays[i].vector))
-    elif kind == "randomise":
-        rays[i] = Ray(rays[i].label, tuple(rng.randint(-3, 3) for _ in range(fan.n)))
-    elif kind == "copy":
-        rays[i] = Ray(rays[i].label, rays[rng.randrange(len(rays))].vector)
-    cones, perms = list(fan.maxcones), list(fan.perm_tuples)
-    c = rng.randrange(len(cones))
-    if kind == "drop":
-        del cones[c], perms[c]
-    elif kind == "duplicate":
-        cones.append(cones[c])
-        perms.append(perms[c])
-    order = list(range(len(rays)))
-    rng.shuffle(order)
-    new_index = {old: new for new, old in enumerate(order)}
-    return dataclasses.replace(
-        fan,
-        rays=tuple(rays[old] for old in order),
-        maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in cones),
-        perm_tuples=tuple(perms),
-    )
 
 
 def test_sign_rule_matches_adjugate_normals():

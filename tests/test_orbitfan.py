@@ -483,6 +483,26 @@ def test_verify_oracle_rejects_mismatched_dims():
         verify_oracle(build_fan(two_stage_tower()), three_stage_tower())
 
 
+def test_verify_oracle_rejects_cones_that_are_not_build_fans():
+    t = two_stage_tower()
+    fan = build_fan(t)
+    cones, perms = list(fan.maxcones), list(fan.perm_tuples)
+    cones[0], cones[5] = cones[5], cones[0]
+    perms[0], perms[5] = perms[5], perms[0]
+    last = len(fan.maxcones) - 1
+    doctored = [
+        (dataclasses.replace(fan, maxcones=tuple(cones)), 0),
+        (dataclasses.replace(fan, perm_tuples=tuple(perms)), 0),
+        (dataclasses.replace(fan, maxcones=fan.maxcones[:-1], perm_tuples=fan.perm_tuples[:-1]), last),
+        (dataclasses.replace(fan, maxcones=fan.maxcones[:-1]), last),
+        (dataclasses.replace(fan, maxcones=fan.maxcones + fan.maxcones[:1]), last + 1),
+    ]
+    for case, ci in doctored:
+        with pytest.raises(ValueError, match=f"^fan cone {ci} is not build_fan's"):
+            verify_oracle(case, t)
+    assert verify_oracle(fan, t).ok
+
+
 def test_pairing_identity_on_goldens():
     for t in (two_stage_tower(), three_stage_tower()):
         report = verify_pairing_identity(t)

@@ -1,7 +1,9 @@
 """Property tests: the loader's error contract, the chain/permutation
-bijection, the determinant and adjugate identities, the weight
-recurrence against its chain-sum form, the paper's theorem on drawn
-towers, and the prefix-tree oracle against the per-cone one."""
+bijection, the determinant and adjugate identities, the prefix-shared
+determinants against Bareiss, the weight recurrence against its
+chain-sum form, the paper's theorem on drawn towers, the prefix-tree
+oracle against the per-cone one, and the bitmask wall census against
+explicit wall normals."""
 
 from __future__ import annotations
 
@@ -18,12 +20,14 @@ from conftest import (  # noqa: E402
     RAY_FAULTS,
     chain_of_permutation,
     permutation_of_chain,
+    perturbed,
     ray_faulted,
+    reference_is_complete_simplicial,
     reference_oracle,
     x_matrix_chain_sum,
 )
 from flagbott.cli import SpecError, load_tower  # noqa: E402
-from flagbott.exactlin import IntMatrix, adjugate_det, det, mat_mul  # noqa: E402
+from flagbott.exactlin import IntMatrix, _det_rows, _dets, adjugate_det, det, mat_mul  # noqa: E402
 from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
 from flagbott.orbitfan import build_fan, derive_rays_from_weights, verify_oracle, x_matrix  # noqa: E402
 from flagbott.tower import FlagBottTower, validate  # noqa: E402
@@ -98,6 +102,37 @@ def test_adjugate_times_matrix_is_det_identity(pair):
 
 
 @st.composite
+def det_batches(draw):
+    """Square matrices as index tuples into shared rows.  Each matrix
+    extends one of a few drawn stems, so matrices in drawn, unsorted order
+    share leading rows; indices repeat, a zero row is always there, and
+    zero entries are common, so prefixes go singular and pivots move off
+    the first column; other entries reach twist size."""
+    n = draw(st.integers(0, 5))
+    entry = st.sampled_from((0, 0, 1, -1)) | st.integers(-(10**6), 10**6)
+    rows = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=6))
+    rows.append((0,) * n)
+    index = st.integers(0, len(rows) - 1)
+    stems = draw(st.lists(st.lists(index, max_size=n), min_size=1, max_size=3))
+    matrix = st.sampled_from(stems).flatmap(
+        lambda stem: st.lists(index, min_size=n - len(stem), max_size=n - len(stem)).map(
+            lambda tail: tuple(stem + tail)
+        )
+    )
+    return draw(st.lists(matrix, max_size=8)), rows
+
+
+@SETTINGS
+@hypothesis.given(det_batches())
+@hypothesis.example(([], []))
+@hypothesis.example(([()], []))
+@hypothesis.example(([(0, 1, 2), (0, 1, 3), (0, 2, 1), (0, 1, 2)], [(0, 1, 2), (0, 3, 1), (4, 0, 0), (0, 0, 0)]))
+def test_prefix_shared_dets_equal_bareiss(batch):
+    matrices, rows = batch
+    assert _dets(matrices, rows) == [_det_rows([list(rows[i]) for i in m]) for m in matrices]
+
+
+@st.composite
 def towers(draw, dims, bound: int):
     """A tower of drawn dims, with twist entries in [-bound, bound]."""
     dims = draw(dims)
@@ -155,3 +190,10 @@ def test_fan_of_a_drawn_tower_is_smooth_complete_and_a_join(t):
 def test_prefix_oracle_equals_per_cone_oracle_on_a_faulted_fan(t, kind, renumber, seed):
     fan = ray_faulted(build_fan(t), random.Random(seed), kind, renumber)
     assert verify_oracle(fan, t) == reference_oracle(fan, t)
+
+
+@hypothesis.settings(SETTINGS, max_examples=15)
+@hypothesis.given(towers(small_dims, 10**6), st.integers(0, 2**32 - 1))
+def test_bitmask_census_equals_wall_normals_on_a_perturbed_fan(t, seed):
+    fan = perturbed(build_fan(t), random.Random(seed))
+    assert is_complete_simplicial(fan) == reference_is_complete_simplicial(fan)
