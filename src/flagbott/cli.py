@@ -36,7 +36,7 @@ import sys
 from pathlib import Path
 
 from .exactlin import IntMatrix
-from .fans import Fan
+from .fans import Fan, Ray
 from .fancheck import is_complete_simplicial, is_smooth, verify_bundle_join
 from .orbitfan import (
     DEFAULT_CONE_CAP,
@@ -109,15 +109,16 @@ def load_tower(path: str) -> FlagBottTower:
     return tower
 
 
+def _ray_line(ray: Ray) -> str:
+    return f"{ray.label.stage} {ray.label.subset} : {' '.join(map(str, ray.vector))}"
+
+
 def format_fan(fan: Fan) -> str:
-    lines = ["FANBOTT 1", "dims " + " ".join(str(d) for d in fan.dims)]
-    lines.append(f"RAYS {len(fan.rays)}")
-    for ray in fan.rays:
-        coords = " ".join(str(c) for c in ray.vector)
-        lines.append(f"{ray.label.stage} {ray.label.subset} : {coords}")
+    lines = ["FANBOTT 1", "dims " + " ".join(str(d) for d in fan.dims), f"RAYS {len(fan.rays)}"]
+    lines += map(_ray_line, fan.rays)
     lines.append(f"MAXCONES {len(fan.maxcones)}")
-    for cone in fan.maxcones:
-        lines.append(" ".join(str(i) for i in cone))
+    names = list(map(str, range(len(fan.rays))))
+    lines += (" ".join(map(names.__getitem__, cone)) for cone in fan.maxcones)
     return "\n".join(lines) + "\n"
 
 
@@ -176,8 +177,7 @@ def _cmd_rays(args: argparse.Namespace) -> int:
     tower = load_tower(args.spec)
     _check_cap("rays", [n + 1 for n in tower.dims], 2)
     for ray in all_rays(tower):
-        coords = " ".join(str(c) for c in ray.vector)
-        print(f"{ray.label.stage} {ray.label.subset} : {coords}")
+        print(_ray_line(ray))
     return 0
 
 

@@ -27,14 +27,18 @@ moved from position k2 to k1, so its determinant is
 (-1)**(k1 - k2) * d2.  Hence both opposite rays lie strictly across the
 wall iff (-1)**(k1 + k2) * d1 * d2 < 0.
 
-The wall census keys a wall by its ray bitmask, an int: the cone's mask
-with the opposite ray's bit cleared.  A wall is spelled out as a tuple of
-ray indices only when it has a defect to report.
+The census keeps one int per wall, keyed by the wall's ray bitmask (the
+cone's mask with the opposite ray's bit cleared): its first hit
+h = ci * n + k (cone ci, opposite position k), and from its second hit
+the negative pair ~(h1 * span + h2).  A later hit marks the wall crowded.
+A paired wall that is not crowded joins its two cones in a union-find,
+which decides connectivity; only crowded walls need a second pass, to
+list their cones.  A wall is spelled out as a tuple of ray indices only
+when it has a defect to report.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 from .exactlin import _det_rows
@@ -88,11 +92,13 @@ class CompletenessReport:
 
 def is_complete_simplicial(fan: Fan) -> CompletenessReport:
     """Wall-pairing completeness test for a simplicial fan."""
+    cones, dets, n = fan.maxcones, fan.cone_dets, fan.n
     bits = [1 << r for r in range(len(fan.rays))]
-    # wall bitmask -> list of (cone index, opposite position, cone det)
-    census: dict[int, list[tuple[int, int, int]]] = defaultdict(list)
+    span = len(cones) * n  # hit ci * n + k: cone ci, opposite position k
+    census: dict[int, int] = {}  # wall bitmask -> first hit, or ~(h1 * span + h2)
+    crowded: set[int] = set()
     defects: list[WallDefect] = []
-    for ci, (cone, d) in enumerate(zip(fan.maxcones, fan.cone_dets)):
+    for ci, (cone, d) in enumerate(zip(cones, dets)):
         if d == 0:
             defects.append(
                 WallDefect("degenerate", cone, (ci,), "cone rays are linearly dependent")
@@ -100,41 +106,52 @@ def is_complete_simplicial(fan: Fan) -> CompletenessReport:
             continue
         # a cone with a repeated ray has det 0, so bits add like a union
         mask = sum(bits[r] for r in cone)
-        for k, r in enumerate(cone):
-            census[mask ^ bits[r]].append((ci, k, d))
+        for h, r in enumerate(cone, ci * n):
+            wall = mask ^ bits[r]
+            first = census.setdefault(wall, h)
+            if first < 0:
+                crowded.add(wall)
+            elif first != h:
+                census[wall] = ~(first * span + h)
+
+    def spell(kind: str, hits: list[int], detail: str) -> WallDefect:
+        c, k = divmod(hits[0], n)
+        wall = cones[c][:k] + cones[c][k + 1 :]
+        return WallDefect(kind, wall, tuple(h // n for h in hits), detail)
+
+    # the wall-adjacency graph as a union-find over cones, with path halving
+    parent = list(range(len(cones)))
+
+    def root(c: int) -> int:
+        while parent[c] != c:
+            parent[c] = c = parent[parent[c]]
+        return c
+
     wall_defects = []
-    # the wall-adjacency graph: cones joined by a wall of two
-    neighbors: dict[int, set[int]] = defaultdict(set)
-    for hits in census.values():
-        if len(hits) == 1:
-            kind, detail = "dangling", "wall lies in only one cone"
-        elif len(hits) > 2:
-            kind, detail = "crowded", f"wall lies in {len(hits)} cones"
-        else:
-            (c1, k1, d1), (c2, k2, d2) = hits
-            neighbors[c1].add(c2)
-            neighbors[c2].add(c1)
+    for wall, v in census.items():
+        if v >= 0:
+            wall_defects.append(spell("dangling", [v], "wall lies in only one cone"))
+        elif wall not in crowded:
+            h1, h2 = divmod(~v, span)
+            (c1, k1), (c2, k2) = divmod(h1, n), divmod(h2, n)
+            parent[root(c1)] = root(c2)
             # the sign rule of the module docstring
-            if (-1) ** (k1 + k2) * d1 * d2 < 0:
-                continue
-            kind, detail = "same_side", "opposite rays do not straddle the wall hyperplane"
-        c, k, _ = hits[0]
-        wall = fan.maxcones[c][:k] + fan.maxcones[c][k + 1 :]
-        wall_defects.append(WallDefect(kind, wall, tuple(h[0] for h in hits), detail))
+            if (k1 + k2) & 1 != (dets[c1] * dets[c2] > 0):
+                detail = "opposite rays do not straddle the wall hyperplane"
+                wall_defects.append(spell("same_side", [h1, h2], detail))
+    if crowded:
+        # a second pass lists every hit of a crowded wall, in cone order
+        crowd: dict[int, list[int]] = {wall: [] for wall in crowded}
+        for ci, (cone, d) in enumerate(zip(cones, dets)):
+            mask = sum(bits[r] for r in cone)
+            for h, r in enumerate(cone, ci * n):
+                if d and mask ^ bits[r] in crowd:
+                    crowd[mask ^ bits[r]].append(h)
+        for hits in crowd.values():
+            wall_defects.append(spell("crowded", hits, f"wall lies in {len(hits)} cones"))
     defects += sorted(wall_defects, key=lambda defect: defect.wall)
-    # connectivity of the wall-adjacency graph
-    connected = True
-    if fan.maxcones:
-        seen = {0}
-        stack = [0]
-        while stack:
-            c = stack.pop()
-            for nb in neighbors[c]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        connected = len(seen) == len(fan.maxcones)
-    return CompletenessReport(len(fan.maxcones), len(census), defects, connected)
+    connected = len({root(c) for c in range(len(cones))}) <= 1
+    return CompletenessReport(len(cones), len(census), defects, connected)
 
 
 def project_fan(fan: Fan, stages: int) -> Fan:

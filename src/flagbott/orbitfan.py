@@ -222,15 +222,18 @@ def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     rays = tuple(all_rays(t))
     # all_rays lists stage ell's rays in perm_fan(n_ell)'s order after the
     # earlier stages' rays, so the stage's cones are perm_fan's shifted by
-    # that offset; concatenated in stage order, a cone stays ascending
+    # that offset; joined stage by stage, in itertools.product order, a
+    # cone stays ascending
     stage_fans = [perm_fan(n_ell) for n_ell in t.dims]
     offsets = itertools.accumulate((len(f.rays) for f in stage_fans), initial=0)
     stage_cones = [
         [tuple(i + off for i in c) for c in f.maxcones] for f, off in zip(stage_fans, offsets)
     ]
     stage_perms = [[v for (v,) in f.perm_tuples] for f in stage_fans]
-    maxcones = tuple(sum(combo, ()) for combo in itertools.product(*stage_cones))
-    return Fan(t.dims, rays, maxcones, tuple(itertools.product(*stage_perms)))
+    cones: list[tuple[int, ...]] = [()]
+    for stage in stage_cones:
+        cones = [c + s for c in cones for s in stage]
+    return Fan(t.dims, rays, tuple(cones), tuple(itertools.product(*stage_perms)))
 
 
 def _x_row(t: FlagBottTower, v: PermTuple, j: int) -> dict[int, list[list[int]]]:

@@ -1,12 +1,13 @@
 """Shared fixtures and test oracles.
 
-The two golden towers, a seeded random-tower sampler, and reference
+The two golden towers, seeded random-tower samplers, and reference
 helpers that build expected values independently of the library's
 pipeline: the chain of a permutation and its inverse, chain-tuple cone
-labels, label lookups on a fan, tower truncation, the chain-sum form
-of the accumulated twist matrices, the weight oracle cone by cone with
-the ray faults it is checked on, and the completeness test with explicit
-wall normals with the fan faults it is checked on.
+labels, a fan's cones joined from whole stage cones, label lookups on a
+fan, tower truncation, the chain-sum form of the accumulated twist
+matrices, the weight oracle cone by cone with the ray faults it is
+checked on, and the completeness test with explicit wall normals with
+the fan faults it is checked on.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from flagbott.orbitfan import (
     OracleReport,
     derive_rays_from_weights,
 )
-from flagbott.permfan import check_permutation
+from flagbott.permfan import check_permutation, perm_fan
 from flagbott.tower import FlagBottTower
 
 Chain = tuple[Subset, ...]  # S_1 < S_2 < ... < S_{g-1} of {1, ..., g}, |S_p| = p
@@ -71,6 +72,33 @@ def random_tower(
             ]
             twists[(j, ell)] = IntMatrix.from_rows(rows)
     return FlagBottTower(dims=dims, twists=twists)
+
+
+def seeded_doc(dims: tuple[int, ...], seed: int) -> dict:
+    """Tower document with twist entries uniform in [-5, 5], drawn from
+    random.Random(seed) in the order perfbench/harness.py::seeded_tower
+    draws them, so that seed 1 gives the benchmark's towers."""
+    rng = random.Random(seed)
+    twists = {}
+    for j in range(2, len(dims) + 1):
+        for ell in range(1, j):
+            twists[f"{j},{ell}"] = [
+                [rng.randint(-5, 5) for _ in range(dims[ell - 1] + 1)]
+                for _ in range(dims[j - 1] + 1)
+            ]
+    return {"dims": list(dims), "A": twists}
+
+
+def reference_maxcones(t: FlagBottTower) -> tuple[tuple[int, ...], ...]:
+    """build_fan's cones as whole tuples of per-stage cones: stage ell's
+    perm_fan cones, shifted past the earlier stages' rays, joined in
+    itertools.product order with sum."""
+    stage_fans = [perm_fan(n) for n in t.dims]
+    offsets = itertools.accumulate((len(f.rays) for f in stage_fans), initial=0)
+    stage_cones = [
+        [tuple(i + off for i in c) for c in f.maxcones] for f, off in zip(stage_fans, offsets)
+    ]
+    return tuple(sum(c, ()) for c in itertools.product(*stage_cones))
 
 
 POPULATION_SEEDS = tuple(1000 + k for k in range(100))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import ray_index
+from conftest import ray_index, seeded_doc
 from flagbott import cli, exactlin, orbitfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel, Subset
@@ -19,6 +20,21 @@ from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identi
 from flagbott.tower import FlagBottTower
 
 TWO_STAGE_DOC = {"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]]}}
+THREE_STAGE_DOC = {
+    "dims": [2, 2, 1],
+    "A": {
+        "2,1": [[1, 2, 0], [3, 4, 0], [0, 0, 0]],
+        "3,1": [[5, 6, 0], [0, 0, 0]],
+        "3,2": [[7, 8, 0], [0, 0, 0]],
+    },
+}
+# sha256 of the export of each tower, fixed so that a change to the fan's
+# enumeration or to its formatting shows as a changed byte
+EXPORT_SHA256 = [
+    (TWO_STAGE_DOC, "ee314ea32b3739d5c4182616351199c711ca9223ac7d406ab10183ca3b431887"),
+    (THREE_STAGE_DOC, "d2ebbe554c95598ab6b5790f1d8dc8d5e1909800b5e15465ca8c019d7183c786"),
+    (seeded_doc((2, 2, 2, 2), 1), "3d23f6f267e57ff2d3d96150d26c7d5eba88a7ec5a8c0ae226ad8bbdd935eee9"),
+]
 
 
 @pytest.fixture
@@ -181,6 +197,15 @@ def test_export_and_format(spec_path, tmp_path, capsys):
     assert lines[11] == "MAXCONES 12"
     assert len(lines) == 3 + 8 + 1 + 12
     assert text.endswith("\n")
+
+
+@pytest.mark.parametrize("doc, digest", EXPORT_SHA256, ids=["two-stage", "three-stage", "2222-seed1"])
+def test_export_bytes_are_pinned(tmp_path, doc, digest):
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "fan.txt"
+    assert main(["export", str(spec), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_build_out_matches_export(spec_path, tmp_path, capsys):

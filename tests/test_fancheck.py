@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import random
+import tracemalloc
 from math import factorial, prod
 
 import pytest
@@ -15,10 +17,12 @@ from conftest import (
     random_tower,
     ray_index,
     reference_is_complete_simplicial,
+    seeded_doc,
     three_stage_tower,
     truncated,
     two_stage_tower,
 )
+from flagbott.cli import load_tower
 from flagbott.exactlin import _det_rows
 from flagbott.fancheck import (
     BundleJoinReport,
@@ -130,6 +134,79 @@ def test_crowded_wall_reported():
     assert crowded
     assert crowded[0].wall == (0,)
     assert len(crowded[0].cones) == 3
+
+
+def with_cones(fan: Fan, order: list[int]) -> Fan:
+    """The fan with its cones listed in the given order, repeats allowed."""
+    return dataclasses.replace(
+        fan,
+        maxcones=tuple(fan.maxcones[ci] for ci in order),
+        perm_tuples=tuple(fan.perm_tuples[ci] for ci in order),
+    )
+
+
+def test_cone_listed_three_times_has_four_hit_walls():
+    fan = perm_fan(2)
+    tripled = with_cones(fan, [*range(6), 2, 2])
+    report = is_complete_simplicial(tripled)
+    assert report == reference_is_complete_simplicial(tripled)
+    # a census that forgot a wall after its second hit would see two clean pairs
+    assert [(d.kind, len(d.cones)) for d in report.defects] == [("crowded", 4)] * 2
+    assert not report.connected
+
+
+def test_duplicate_right_after_its_original_is_crowded_not_same_side():
+    fan = perm_fan(3)
+    for ci in (0, 5, 23):
+        doubled = with_cones(fan, [*range(ci + 1), ci, *range(ci + 1, 24)])
+        report = is_complete_simplicial(doubled)
+        assert report == reference_is_complete_simplicial(doubled)
+        # the second hit of a wall of cone ci comes from its copy, which
+        # alone would read as same_side; the neighbour's hit makes it crowded
+        assert [d.kind for d in report.defects] == ["crowded"] * 3
+        assert all({ci, ci + 1} < set(d.cones) for d in report.defects)
+        assert not report.connected
+
+
+def test_whole_fan_listed_twice_is_crowded_everywhere():
+    for fan in (perm_fan(2), build_fan(two_stage_tower())):
+        count = len(fan.maxcones)
+        twice = with_cones(fan, [*range(count)] * 2)
+        report = is_complete_simplicial(twice)
+        assert report == reference_is_complete_simplicial(twice)
+        assert report.walls_checked == count * fan.n // 2
+        assert [d.kind for d in report.defects] == ["crowded"] * report.walls_checked
+        assert all(len(d.cones) == 4 for d in report.defects)
+        assert not report.connected
+
+
+def test_census_memory_per_wall(tmp_path):
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps(seeded_doc((2, 2, 2, 2), 1)))
+    fan = build_fan(load_tower(str(spec)))
+    fan.cone_dets  # computed once per fan, outside the census
+    tracemalloc.start()
+    try:
+        report = is_complete_simplicial(fan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert report.walls_checked == 5184
+    assert peak / report.walls_checked < 200
+
+
+def test_degenerate_cone_is_not_a_cone_of_a_crowded_wall():
+    # cone 2 holds wall (0,) too, but is degenerate; cone 3 repeats cone 0
+    fan = tiny_fan([(1, 0), (0, 1), (0, -1), (-2, 0)], [(0, 1), (0, 2), (0, 3), (0, 1)])
+    report = is_complete_simplicial(fan)
+    assert report == reference_is_complete_simplicial(fan)
+    assert [(d.kind, d.cones) for d in report.defects] == [
+        ("degenerate", (2,)),
+        ("crowded", (0, 1, 3)),
+        ("same_side", (0, 3)),
+        ("dangling", (1,)),
+    ]
 
 
 def test_sign_rule_matches_adjugate_normals():

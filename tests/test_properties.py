@@ -2,8 +2,9 @@
 bijection, the determinant and adjugate identities, the prefix-shared
 determinants against Bareiss, the weight recurrence against its
 chain-sum form, the paper's theorem on drawn towers, the prefix-tree
-oracle against the per-cone one, and the bitmask wall census against
-explicit wall normals."""
+oracle against the per-cone one, the bitmask wall census against
+explicit wall normals, and the stage-by-stage cone join against whole
+tuples of stage cones."""
 
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from conftest import (  # noqa: E402
     perturbed,
     ray_faulted,
     reference_is_complete_simplicial,
+    reference_maxcones,
     reference_oracle,
     x_matrix_chain_sum,
 )
@@ -197,3 +199,11 @@ def test_prefix_oracle_equals_per_cone_oracle_on_a_faulted_fan(t, kind, renumber
 def test_bitmask_census_equals_wall_normals_on_a_perturbed_fan(t, seed):
     fan = perturbed(build_fan(t), random.Random(seed))
     assert is_complete_simplicial(fan) == reference_is_complete_simplicial(fan)
+
+
+@hypothesis.settings(SETTINGS, max_examples=10)
+@hypothesis.given(
+    towers(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda d: cone_count(d) <= 1296), 2)
+)
+def test_build_fan_joins_stage_cones_in_product_order(t):
+    assert build_fan(t).maxcones == reference_maxcones(t)
