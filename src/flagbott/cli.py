@@ -188,46 +188,36 @@ def _cmd_export(args: argparse.Namespace) -> int:
     return 0
 
 
+# verify's checks, in flag and output order: (name, reads the fan, run,
+# --help text, note when ok, note on failure).  Each run looks its check
+# up by name when called, so that a function rebound in this module, as a
+# tracer does, is the one that runs.
+_CHECKS = (
+    ("smooth", True, lambda fan, tower: is_smooth(fan), "cone determinants are +-1",
+     lambda r: f"{r.cones_checked} cones", lambda r: f"{len(r.failures)} of {r.cones_checked} cones fail"),
+    ("complete", True, lambda fan, tower: is_complete_simplicial(fan), "wall pairing covers R^n",
+     lambda r: f"{r.walls_checked} walls", lambda r: f"{len(r.defects)} wall defects, connected={r.connected}"),
+    ("pairing", False, lambda fan, tower: verify_pairing_identity(tower), "weights pair correctly with rays",
+     lambda r: f"{r.pairings_checked} pairings", lambda r: f"{len(r.violations)} violations"),
+    ("oracle", True, lambda fan, tower: verify_oracle(fan, tower), "weight-derived rays match the formula",
+     lambda r: f"{r.cones_checked} cones agree", lambda r: f"{r.disagreeing} of {r.cones_checked} cones disagree"),
+    ("bundle", True, lambda fan, tower: verify_bundle_join(fan, tower), "iterated bundle structure holds",
+     lambda r: f"splits {','.join(map(str, r.splits_checked)) or 'none'}", lambda r: f"{len(r.defects)} defects"),
+)
+
+
 def _cmd_verify(args: argparse.Namespace) -> int:
     tower = load_tower(args.spec)
-    chosen = [
-        name
-        for name in ("smooth", "complete", "pairing", "oracle", "bundle")
-        if getattr(args, name)
-    ] or ["smooth", "complete", "pairing", "oracle", "bundle"]
-    fan = None
-    if set(chosen) - {"pairing"}:
-        fan = build_fan(tower, cone_cap=_cone_cap())
-    if "pairing" in chosen:
+    chosen = [check for check in _CHECKS if getattr(args, check[0])] or _CHECKS
+    fan = build_fan(tower, cone_cap=_cone_cap()) if any(reads_fan for _, reads_fan, *_ in chosen) else None
+    if any(name == "pairing" for name, *_ in chosen):
         _check_cap("rays", [n + 1 for n in tower.dims], 2)
     failed = False
-    for name in chosen:
-        if name == "smooth":
-            rep = is_smooth(fan)
-            ok = rep.ok
-            note = f"{rep.cones_checked} cones" if ok else f"{len(rep.failures)} of {rep.cones_checked} cones fail"
-        elif name == "complete":
-            rep = is_complete_simplicial(fan)
-            ok = rep.ok
-            note = f"{rep.walls_checked} walls" if ok else f"{len(rep.defects)} wall defects, connected={rep.connected}"
-        elif name == "pairing":
-            rep = verify_pairing_identity(tower)
-            ok = rep.ok
-            note = f"{rep.pairings_checked} pairings" if ok else f"{len(rep.violations)} violations"
-        elif name == "oracle":
-            rep = verify_oracle(fan, tower)
-            ok = rep.ok
-            note = f"{rep.cones_checked} cones agree" if ok else f"{rep.disagreeing} of {rep.cones_checked} cones disagree"
-        else:
-            rep = verify_bundle_join(fan, tower)
-            ok = rep.ok
-            note = (
-                f"splits {','.join(map(str, rep.splits_checked)) or 'none'}"
-                if ok
-                else f"{len(rep.defects)} defects"
-            )
-        print(f"{name}: {'ok' if ok else 'FAIL'} ({note})")
-        failed = failed or not ok
+    for name, _, run, _, ok_note, fail_note in chosen:
+        rep = run(fan, tower)
+        note = ok_note(rep) if rep.ok else fail_note(rep)
+        print(f"{name}: {'ok' if rep.ok else 'FAIL'} ({note})")
+        failed = failed or not rep.ok
     return 1 if failed else 0
 
 
@@ -262,11 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run structural checks (all by default)")
     p.add_argument("spec")
-    p.add_argument("--smooth", action="store_true", help="cone determinants are +-1")
-    p.add_argument("--complete", action="store_true", help="wall pairing covers R^n")
-    p.add_argument("--pairing", action="store_true", help="weights pair correctly with rays")
-    p.add_argument("--oracle", action="store_true", help="weight-derived rays match the formula")
-    p.add_argument("--bundle", action="store_true", help="iterated bundle structure holds")
+    for name, _, _, help_text, _, _ in _CHECKS:
+        p.add_argument(f"--{name}", action="store_true", help=help_text)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("sample-generic", help="sample a generic integer matrix")

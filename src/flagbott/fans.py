@@ -87,9 +87,9 @@ class Fan:
     """Simplicial fan with labeled rays and permutation-indexed maximal cones.
 
     rays are sorted by (stage, subset mask); each maximal cone is a tuple of
-    ray indices in ascending order; perm_tuples[i] is the tuple of one-line
-    permutations (one per stage) that generated maxcones[i], so cones are in
-    lexicographic order of those tuples.
+    ray indices in ascending order, which cone_dets checks; perm_tuples[i]
+    is the tuple of one-line permutations (one per stage) that generated
+    maxcones[i], so cones are in lexicographic order of those tuples.
     """
 
     dims: tuple[int, ...]
@@ -104,9 +104,15 @@ class Fan:
     @cached_property
     def cone_dets(self) -> tuple[int, ...]:
         """Determinant of each maximal cone, its ray vectors as rows in
-        cone order; the determinant is transpose-invariant."""
+        cone order; the determinant is transpose-invariant.
+
+        The wall test reads a ray's position in its cone, so a cone whose
+        ray indices descend anywhere raises ValueError; a repeated index
+        is left to its zero determinant."""
         n = self.n
-        for cone in self.maxcones:
+        for ci, cone in enumerate(self.maxcones):
             if len(cone) != n:
                 raise NotSimplicial(f"cone has {len(cone)} rays in dimension {n}")
+            if cone != tuple(sorted(cone)):
+                raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
         return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays]))

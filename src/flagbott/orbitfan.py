@@ -57,11 +57,13 @@ conversely.  verify_oracle decides that for every cone without an inverse,
 and for most cones without a product either.
 
 Write X_(j,ell) = B_j Y_(j,ell).  Y_(j,ell) satisfies the recurrence of X
-with B_j left out, so it depends on v_1, ..., v_(j-1) only; it is what the
-recurrence gives with v_j the identity.  Let R_j[k], k = 1..n_j+1, be row
-k of the block row [Y_(j,1) ... Y_(j,j-1)  I  0 ... 0], projected.  Then
-row i of [X_(j,1) ... B_j ...] is R_j[v_j(i)], and weight (j, i) is
-R_j[v_j(i+1)] - R_j[v_j(i)], which vanishes on the blocks above j.  Split
+with B_j left out, so it depends on v_1, ..., v_(j-1) only; _y_rows
+computes it from that prefix.  Let R_j[k], k = 1..n_j+1, be row k of the
+block row [Y_(j,1) ... Y_(j,j-1)  I  0 ... 0], projected; _stage_rows
+computes these rows.  Then row i of [X_(j,1) ... B_j ...] is R_j[v_j(i)],
+and weight (j, i) is R_j[v_j(i+1)] - R_j[v_j(i)], which vanishes on the
+blocks above j.  weights_at and the test (c) below read these rows, and
+x_matrix reindexes the rows of Y_(j,ell) by v_j.  Split
 the rows of W by weight stage and the columns of U by ray stage, so that
 block (j, ell) of W U pairs the stage-j weights with the stage-ell rays.
 
@@ -98,7 +100,6 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterator
 
 from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
 from .fans import Fan, PermTuple, Ray, RayLabel, Subset
@@ -114,7 +115,6 @@ __all__ = [
     "OracleReport",
     "PairingReport",
     "PairingViolation",
-    "WeightSystem",
     "all_rays",
     "build_fan",
     "derive_rays_from_weights",
@@ -236,25 +236,42 @@ def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     return Fan(t.dims, rays, tuple(cones), tuple(itertools.product(*stage_perms)))
 
 
-def _x_row(t: FlagBottTower, v: PermTuple, j: int) -> dict[int, list[list[int]]]:
-    # all accumulated twist matrices X_(j,ell) for ell < j, as row lists, by
-    # X_(j,ell) = (B_j A_(j,ell) + sum_p X_(j,p) A_(p,ell)) B_ell; row i of
-    # B_j M is row v_j(i) of M, and M B_ell moves column b to v_ell(b)
-    vj = v[j - 1]
-    xs: dict[int, list[list[int]]] = {}
+def _y_rows(t: FlagBottTower, prefix: PermTuple) -> dict[int, list[list[int]]]:
+    # every Y_(j,ell) for ell < j = len(prefix) + 1, as row lists, by
+    # Y_(j,ell) = (A_(j,ell) + sum_p Y_(j,p) A_(p,ell)) B_ell, where
+    # M B_ell moves column b to v_ell(b)
+    j = len(prefix) + 1
+    ys: dict[int, list[list[int]]] = {}
     for ell in range(j - 1, 0, -1):
-        a = t.twist(j, ell)
-        acc = [list(a.row(vi - 1)) for vi in vj]
+        acc = t.twist(j, ell).to_rows()
         for p in range(ell + 1, j):
             a_rows = t.twist(p, ell).to_rows()
-            for row, x_row in zip(acc, xs[p]):
-                for x, a_row in zip(x_row, a_rows):
-                    if x:
+            for row, y_row in zip(acc, ys[p]):
+                for y, a_row in zip(y_row, a_rows):
+                    if y:
                         for c, e in enumerate(a_row):
-                            row[c] += x * e
-        cols = sorted(range(len(v[ell - 1])), key=v[ell - 1].__getitem__)
-        xs[ell] = [[row[b] for b in cols] for row in acc]
-    return xs
+                            row[c] += y * e
+        cols = sorted(range(len(prefix[ell - 1])), key=prefix[ell - 1].__getitem__)
+        ys[ell] = [[row[b] for b in cols] for row in acc]
+    return ys
+
+
+def _stage_rows(t: FlagBottTower, prefix: PermTuple) -> list[list[int]]:
+    # R_j[k] at list index k - 1: row k of [Y_(j,1) ... Y_(j,j-1) I 0 ... 0],
+    # projected to Z^n by keeping the first n_p entries of each block
+    j = len(prefix) + 1
+    ys = _y_rows(t, prefix)
+    offset = sum(t.dims[: j - 1])
+    rows = []
+    for k in range(t.dims[j - 1] + 1):
+        row = []
+        for p in range(1, j):
+            row.extend(ys[p][k][: t.dims[p - 1]])
+        row.extend([0] * (t.n - offset))
+        if k < t.dims[j - 1]:
+            row[offset + k] = 1
+        rows.append(row)
+    return rows
 
 
 def x_matrix(t: FlagBottTower, v: PermTuple, j: int, ell: int) -> IntMatrix:
@@ -262,62 +279,20 @@ def x_matrix(t: FlagBottTower, v: PermTuple, j: int, ell: int) -> IntMatrix:
     _check_perm_tuple(t, v)
     if not 1 <= ell < j <= t.m:
         raise InvalidStagePair(f"need 1 <= ell < j <= {t.m}, got ({j}, {ell})")
-    return IntMatrix.from_rows(_x_row(t, v, j)[ell])
+    ys = _y_rows(t, v[: j - 1])[ell]
+    return IntMatrix.from_rows([ys[vi - 1] for vi in v[j - 1]])
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Isotropy weights at the fixed point of a permutation tuple.
-
-    weights holds the n projected consecutive differences in stage-major
-    order.
-    """
-
-    dims: tuple[int, ...]
-    perms: PermTuple
-    weights: tuple[tuple[int, ...], ...]
-
-    def weight(self, j: int, i: int) -> tuple[int, ...]:
-        """The weight for stage j, index i (both 1-indexed)."""
-        if not 1 <= j <= len(self.dims):
-            raise IndexError(j)
-        if not 1 <= i <= self.dims[j - 1]:
-            raise IndexError(i)
-        return self.weights[sum(self.dims[: j - 1]) + (i - 1)]
-
-    def items(self) -> Iterator[tuple[tuple[int, int], tuple[int, ...]]]:
-        pos = 0
-        for j, n_j in enumerate(self.dims, start=1):
-            for i in range(1, n_j + 1):
-                yield (j, i), self.weights[pos]
-                pos += 1
-
-    def matrix(self) -> IntMatrix:
-        return IntMatrix.from_rows(self.weights)
-
-
-def weights_at(t: FlagBottTower, v: PermTuple) -> WeightSystem:
-    """All n isotropy weights at the fixed point indexed by v."""
+def weights_at(t: FlagBottTower, v: PermTuple) -> tuple[tuple[int, ...], ...]:
+    """All n isotropy weights at the fixed point indexed by v, in
+    stage-major order: weight (j, i) is R_j[v_j(i+1)] - R_j[v_j(i)]."""
     _check_perm_tuple(t, v)
     weights = []
-    offset = 0
-    for j, n_j in enumerate(t.dims, start=1):
-        xs = _x_row(t, v, j)
-        # projected ambient rows: the first n_p entries of each X_(j,p),
-        # then row i of B_j, then zeros
-        rows = []
-        for i, vi in enumerate(v[j - 1]):
-            row = []
-            for p in range(1, j):
-                row.extend(xs[p][i][: t.dims[p - 1]])
-            row.extend([0] * (t.n - offset))
-            if vi <= n_j:
-                row[offset + vi - 1] = 1
-            rows.append(row)
-        for i in range(n_j):
-            weights.append(tuple(b - a for a, b in zip(rows[i], rows[i + 1])))
-        offset += n_j
-    return WeightSystem(t.dims, v, tuple(weights))
+    for j, vj in enumerate(v, start=1):
+        rows = _stage_rows(t, v[: j - 1])
+        for vh, vi in zip(vj, vj[1:]):
+            weights.append(tuple(b - a for a, b in zip(rows[vh - 1], rows[vi - 1])))
+    return tuple(weights)
 
 
 def derive_rays_from_weights(t: FlagBottTower, v: PermTuple) -> set[tuple[int, ...]]:
@@ -326,9 +301,8 @@ def derive_rays_from_weights(t: FlagBottTower, v: PermTuple) -> set[tuple[int, .
     The weight matrix must be unimodular; its inverse columns are the
     generators.  Raises OracleFailure if unimodularity fails.
     """
-    ws = weights_at(t, v)
     try:
-        inv = unimodular_inverse(ws.matrix())
+        inv = unimodular_inverse(IntMatrix.from_rows(weights_at(t, v)))
     except NotUnimodular as e:
         raise OracleFailure(
             f"weight matrix at {v} has determinant {e.determinant}"
@@ -366,16 +340,8 @@ def _diagonal_columns(v: tuple[int, ...], blocks: list[tuple[int, ...]]) -> list
 
 def _prefix_agrees(t: FlagBottTower, prefix: PermTuple, rays: list[tuple[int, ...]]) -> bool:
     # (c): R_j[k] . u is the same for every k, for each ray u of the prefix
-    j = len(prefix) + 1
-    n_j = t.dims[j - 1]
-    ys = _x_row(t, prefix + (tuple(range(1, n_j + 2)),), j)
-    rows = [[y for p in range(1, j) for y in ys[p][k][: t.dims[p - 1]]] for k in range(n_j + 1)]
-    lo = len(rows[0])
-    for u in rays:
-        head, block = u[:lo], u[lo : lo + n_j] + (0,)
-        if len({sum(map(operator.mul, row, head)) + block[k] for k, row in enumerate(rows)}) > 1:
-            return False
-    return True
+    rows = _stage_rows(t, prefix)
+    return all(len({sum(map(operator.mul, row, u)) for row in rows}) == 1 for u in rays)
 
 
 def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
@@ -442,7 +408,7 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
         suffixes = itertools.product(*(range(len(p)) for p in perms[s:]))
         for offset, suffix in enumerate(suffixes):
             idx = prefix + suffix
-            ws = weights_at(t, tuple(perms[p][i] for p, i in enumerate(idx))).weights
+            ws = weights_at(t, tuple(perms[p][i] for p, i in enumerate(idx)))
             cols = [tuple(sum(map(operator.mul, w, u)) for w in ws) for p, i in enumerate(idx) for u in chains[p][i]]
             if sorted(cols) != units:
                 disagree(start + offset, 1)
@@ -521,6 +487,7 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
     generator must be 1 when j = ell and i = n_ell + 1 - |s|, else 0.
     """
     _require_valid(t)
+    labels = [(j, i) for j, n_j in enumerate(t.dims, start=1) for i in range(1, n_j + 1)]
     violations = []
     rays_checked = 0
     pairings_checked = 0
@@ -530,7 +497,7 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
             d = n_ell + 1 - len(s)
             u = ray_generator(t, ell, s)
             ws = weights_at(t, witness_perm_tuple(t, ell, s))
-            for (j, i), w in ws.items():
+            for (j, i), w in zip(labels, ws):
                 pairings_checked += 1
                 expected = 1 if (j == ell and i == d) else 0
                 actual = sum(a * b for a, b in zip(w, u))

@@ -189,6 +189,19 @@ def x_matrix_chain_sum(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:
     return IntMatrix(t.dims[j - 1] + 1, t.dims[ell - 1] + 1, tuple(total))
 
 
+def weights_chain_sum(t: FlagBottTower, v) -> tuple[tuple[int, ...], ...]:
+    """The n weights at v, stage-major: the projected consecutive row
+    differences of [X_(j,1) ... X_(j,j-1) B_j 0 ... 0], each X from
+    x_matrix_chain_sum; a reference for weights_at."""
+    weights = []
+    for j, n_j in enumerate(t.dims, start=1):
+        blocks = [x_matrix_chain_sum(t, v, j, ell) for ell in range(1, j)] + [perm_row_matrix(v[j - 1])]
+        # projecting drops the last column of each block
+        rows = [[e for b in blocks for e in b.row(i)[:-1]] + [0] * sum(t.dims[j:]) for i in range(n_j + 1)]
+        weights += [tuple(b - a for a, b in zip(r, s)) for r, s in zip(rows, rows[1:])]
+    return tuple(weights)
+
+
 def reference_oracle(fan: Fan, t: FlagBottTower, derive=derive_rays_from_weights) -> OracleReport:
     """The weight oracle cone by cone: the inverse columns of the weight
     matrix at each cone's permutation tuple must be the cone's rays.

@@ -184,6 +184,21 @@ def test_verify_single_check(spec_path, capsys):
     assert lines[0] == "smooth: ok (12 cones)"
 
 
+def test_verify_help_lists_the_checks_in_order(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # one line per option
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--help"])
+    assert exit_.value.code == 0
+    options = [line.split(None, 1) for line in capsys.readouterr().out.splitlines() if line.startswith("  --")]
+    assert [(flag, text.strip()) for flag, text in options] == [
+        ("--smooth", "cone determinants are +-1"),
+        ("--complete", "wall pairing covers R^n"),
+        ("--pairing", "weights pair correctly with rays"),
+        ("--oracle", "weight-derived rays match the formula"),
+        ("--bundle", "iterated bundle structure holds"),
+    ]
+
+
 def test_export_and_format(spec_path, tmp_path, capsys):
     out = tmp_path / "fan.txt"
     assert main(["export", spec_path, "--out", str(out)]) == 0

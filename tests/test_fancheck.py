@@ -93,6 +93,20 @@ def test_is_complete_rejects_nonsimplicial():
         is_complete_simplicial(fan)
 
 
+def test_cone_dets_reject_a_cone_out_of_order():
+    # the same geometric fan, but cone 0 lists its rays descending; the
+    # wall test reads positions in the tuple, so both checks must refuse it
+    fan = perm_fan(3)
+    reversed_cone = fan.maxcones[0][::-1]
+    faulty = dataclasses.replace(fan, maxcones=(reversed_cone,) + fan.maxcones[1:])
+    for check in (is_smooth, is_complete_simplicial):
+        with pytest.raises(ValueError, match=r"cone 0 "):
+            check(faulty)
+    resorted = dataclasses.replace(faulty, maxcones=(tuple(sorted(reversed_cone)),) + fan.maxcones[1:])
+    assert is_smooth(resorted).ok
+    assert is_complete_simplicial(resorted).ok
+
+
 def test_is_complete_goldens():
     for t in (two_stage_tower(), three_stage_tower()):
         report = is_complete_simplicial(build_fan(t))

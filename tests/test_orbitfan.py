@@ -277,15 +277,8 @@ def test_x_matrix_permuted_rows():
 
 def test_weights_at_identity_two_stage():
     t = two_stage_tower()
-    ws = weights_at(t, ((1, 2, 3), (1, 2)))
-    assert ws.weight(1, 1) == (-1, 1, 0)
-    assert ws.weight(1, 2) == (0, -1, 0)
-    assert ws.weight(2, 1) == (-1, -2, -1)
-    assert list(dict(ws.items())) == [(1, 1), (1, 2), (2, 1)]
-    with pytest.raises(IndexError):
-        ws.weight(1, 3)
-    with pytest.raises(IndexError):
-        ws.weight(3, 1)
+    # stage-major: weights (1, 1), (1, 2), (2, 1)
+    assert weights_at(t, ((1, 2, 3), (1, 2))) == ((-1, 1, 0), (0, -1, 0), (-1, -2, -1))
 
 
 def test_weights_pair_with_cone_rays_as_dual_basis():
@@ -295,7 +288,7 @@ def test_weights_pair_with_cone_rays_as_dual_basis():
         for i, v in enumerate(fan.perm_tuples):
             if i % 7:
                 continue  # thinned; the acceptance suite covers every cone
-            w = weights_at(t, v).matrix()
+            w = IntMatrix.from_rows(weights_at(t, v))
             cols = IntMatrix.from_rows(
                 list(zip(*(fan.rays[r].vector for r in fan.maxcones[i])))
             )
@@ -346,7 +339,7 @@ def test_oracle_rejects_doubled_weight(monkeypatch):
 
     def doubled(t, v):
         ws = true_weights_at(t, v)
-        return dataclasses.replace(ws, weights=(tuple(2 * c for c in ws.weights[0]),) + ws.weights[1:])
+        return (tuple(2 * c for c in ws[0]),) + ws[1:]
 
     v = ((1, 2, 3), (1, 2))
     derive_rays_from_weights(t, v)

@@ -26,12 +26,13 @@ from conftest import (  # noqa: E402
     reference_is_complete_simplicial,
     reference_maxcones,
     reference_oracle,
+    weights_chain_sum,
     x_matrix_chain_sum,
 )
 from flagbott.cli import SpecError, load_tower  # noqa: E402
 from flagbott.exactlin import IntMatrix, _det_rows, _dets, adjugate_det, det, mat_mul  # noqa: E402
 from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
-from flagbott.orbitfan import build_fan, derive_rays_from_weights, verify_oracle, x_matrix  # noqa: E402
+from flagbott.orbitfan import build_fan, derive_rays_from_weights, verify_oracle, weights_at, x_matrix  # noqa: E402
 from flagbott.tower import FlagBottTower, validate  # noqa: E402
 
 SETTINGS = hypothesis.settings(
@@ -162,6 +163,7 @@ def test_x_matrix_equals_chain_sum(tower_and_v):
     for j in range(2, t.m + 1):
         for ell in range(1, j):
             assert x_matrix(t, v, j, ell) == x_matrix_chain_sum(t, v, j, ell)
+    assert weights_at(t, v) == weights_chain_sum(t, v)
 
 
 def cone_count(dims) -> int:
