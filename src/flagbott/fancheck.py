@@ -35,15 +35,50 @@ A paired wall that is not crowded joins its two cones in a union-find,
 which decides connectivity; only crowded walls need a second pass, to
 list their cones.  A wall is spelled out as a tuple of ray indices only
 when it has a defect to report.
+
+Fans of build_fan's type need no census.  orbitfan.product_departure
+decides in one lazy pass whether a fan has build_fan's ray labels,
+cones and permutation tuples for its dims.  In perm_fan(n) the cones of
+permutations v and v' share a wall exactly when v' is v with the entries
+at positions a and a+1 swapped, which changes one subset of the chain:
+the cones are the chambers of the Coxeter complex of S_(n+1), and the
+fan of build_fan's type is the product of these complexes, one per
+stage.  A Coxeter complex is a thin, connected chamber complex: each
+wall lies in exactly two chambers, and the chamber graph is the Cayley
+graph of the adjacent transpositions (Abramenko-Brown, Buildings,
+GTM 248, ch. 1-3; Bjorner-Brenti, Combinatorics of Coxeter Groups,
+GTM 231, ch. 3).  A product of them, a wall being a wall of one stage's
+chamber, is again thin and connected.  With no zero determinant the
+census would find N * n / 2 walls, each in exactly two cones, none
+dangling or crowded, and a connected graph, so only same_side can fire.
+The flip path decides it by the sign rule on each flip pair: a table per
+stage lists, for each of the (n_p + 1)! permutations, its later
+neighbours with the cone index step and the parity (k1 + k2) & 1, and
+one walk over the cones reads the signs of Fan.cone_dets.  The bundle
+check on such a fan reads each lift as a slice: the stage-m rays have
+the highest indices, so the lift over a prefix is cone[:-n_m] of its
+first cone, and the fibers and joins are build_fan's by construction.
+
+The fallback rule.  is_complete_simplicial takes the flip path only
+when product_departure is None and no cone determinant is 0; every other
+fan -- cones reordered, duplicated or dropped, rays renumbered or
+relabelled, a degenerate cone -- goes to the census.  Each stage split
+of verify_bundle_join takes the slice path only when product_departure
+of the fan at that split is None, and otherwise splits each cone into
+sets.  Either way the report is the one the census or the set split
+gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import product
+from math import factorial
 
 from .exactlin import _det_rows
 from .fans import Fan, Ray
 from .fans import NotSimplicial  # noqa: F401  is_smooth and is_complete_simplicial raise it
+from .orbitfan import product_departure
 from .permfan import perm_fan, perm_ray_vector
 from .tower import FlagBottTower
 
@@ -90,8 +125,53 @@ class CompletenessReport:
         return not self.defects and self.connected
 
 
-def is_complete_simplicial(fan: Fan) -> CompletenessReport:
-    """Wall-pairing completeness test for a simplicial fan."""
+def _flip_table(n: int, stride: int, lo: int) -> list[list[tuple[int, int, int]]]:
+    # for each permutation index i of perm_fan(n): one entry per adjacent
+    # transposition that leads to a later index i' -- the cone index step
+    # (i' - i) * stride, the parity (k1 + k2) & 1 of the opposite rays'
+    # positions, and k1 shifted by lo, the stage's first position in a cone
+    f = perm_fan(n)
+    perms = [v for (v,) in f.perm_tuples]
+    index = {v: i for i, v in enumerate(perms)}
+    table = []
+    for i, (v, cone) in enumerate(zip(perms, f.maxcones)):
+        entries = []
+        for a in range(n):
+            j = index[v[:a] + (v[a + 1], v[a]) + v[a + 2 :]]
+            if i < j:
+                other = f.maxcones[j]
+                (r1,), (r2,) = set(cone) - set(other), set(other) - set(cone)
+                k1, k2 = cone.index(r1), other.index(r2)
+                entries.append(((j - i) * stride, (k1 + k2) & 1, lo + k1))
+        table.append(entries)
+    return table
+
+
+def _flip_defects(fan: Fan) -> list[WallDefect]:
+    # the same_side walls of a fan of build_fan's type, by the sign rule
+    # on each flip pair, in the census's order
+    cones = fan.maxcones
+    positive = bytes(d > 0 for d in fan.cone_dets)
+    tables = []
+    stride, lo = len(cones), 0
+    for n_p in fan.dims:
+        stride //= factorial(n_p + 1)
+        tables.append(_flip_table(n_p, stride, lo))
+        lo += n_p
+    found = []
+    for ci, idx in enumerate(product(*(range(len(table)) for table in tables))):
+        s = positive[ci]
+        for table, i in zip(tables, idx):
+            for step, parity, k in table[i]:
+                # the sign rule: same_side iff (-1)**(k1 + k2) * d1 * d2 > 0
+                if s ^ positive[ci + step] == parity:
+                    found.append((cones[ci][:k] + cones[ci][k + 1 :], ci, ci + step))
+    detail = "opposite rays do not straddle the wall hyperplane"
+    return [WallDefect("same_side", wall, (c1, c2), detail) for wall, c1, c2 in sorted(found)]
+
+
+def _census(fan: Fan) -> CompletenessReport:
+    # the wall census of the module docstring, for any simplicial fan
     cones, dets, n = fan.maxcones, fan.cone_dets, fan.n
     bits = [1 << r for r in range(len(fan.rays))]
     span = len(cones) * n  # hit ci * n + k: cone ci, opposite position k
@@ -154,6 +234,16 @@ def is_complete_simplicial(fan: Fan) -> CompletenessReport:
     return CompletenessReport(len(cones), len(census), defects, connected)
 
 
+def is_complete_simplicial(fan: Fan) -> CompletenessReport:
+    """Wall-pairing completeness test for a simplicial fan: on the flip
+    graph for a fan of build_fan's type with no zero determinant, by the
+    wall census for any other (see the module docstring)."""
+    cones, dets = fan.maxcones, fan.cone_dets
+    if 0 in dets or product_departure(fan) is not None:
+        return _census(fan)
+    return CompletenessReport(len(cones), len(cones) * fan.n // 2, _flip_defects(fan), True)
+
+
 def project_fan(fan: Fan, stages: int) -> Fan:
     """Image of the fan under dropping all blocks after the given stage.
 
@@ -205,6 +295,29 @@ class BundleJoinReport:
         return not self.defects
 
 
+def _check_lifts(fan: Fan, lifts: dict[tuple, tuple[int, ...] | frozenset[int]], report: BundleJoinReport) -> None:
+    # (b) for each prefix, in order: its lift has base_n rays, which
+    # project to the base with determinant +-1
+    m, base_n = len(fan.dims), fan.n - fan.dims[-1]
+    for prefix, lift in sorted(lifts.items()):
+        if len(lift) != base_n:
+            report.defects.append(
+                JoinDefect(m, "lift_degenerate", f"lift over {prefix} has {len(lift)} rays")
+            )
+            continue
+        # rows in label order, so that renumbering the rays keeps the sign
+        rows = sorted(lift, key=lambda r: fan.rays[r].label)
+        d = _det_rows([list(fan.rays[r].vector[:base_n]) for r in rows])
+        if d not in (1, -1):
+            report.defects.append(
+                JoinDefect(
+                    m,
+                    "lift_degenerate",
+                    f"lift over {prefix} projects with determinant {d}",
+                )
+            )
+
+
 def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
     m = len(fan.dims)
     n_m = fan.dims[-1]
@@ -227,8 +340,28 @@ def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
             report.defects.append(
                 JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
             )
-    # one pass over the cones: a cone splits into its fiber (stage-m subset
-    # masks) and its lift (lower-stage ray indices)
+    if product_departure(fan) is None:
+        _split_by_slices(fan, report)
+    else:
+        _split_by_sets(fan, report)
+
+
+def _split_by_slices(fan: Fan, report: BundleJoinReport) -> None:
+    # build_fan's type: the fibers are perm_fan(n_m)'s cones, the
+    # (n_m + 1)! cones over a prefix are consecutive and share its lift
+    # cone[:-n_m], and the cones are exactly the joins; only the lift
+    # determinants of (b) can fail
+    n_m = fan.dims[-1]
+    k = factorial(n_m + 1)
+    lifts = {pt[:-1]: cone[:-n_m] for cone, pt in zip(fan.maxcones[::k], fan.perm_tuples[::k])}
+    _check_lifts(fan, lifts, report)
+
+
+def _split_by_sets(fan: Fan, report: BundleJoinReport) -> None:
+    # any other fan: one pass over the cones splits each into its fiber
+    # (stage-m subset masks) and its lift (lower-stage ray indices)
+    m = len(fan.dims)
+    n_m = fan.dims[-1]
     top = {i: ray.label.subset.mask for i, ray in enumerate(fan.rays) if ray.label.stage == m}
     lifts: dict[tuple, frozenset[int]] = {}
     pairs = set()
@@ -257,23 +390,7 @@ def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
 
     # (b) each base cone is the unimodular projection of a unique lift
     report.defects.extend(mismatches)
-    for prefix, lift in sorted(lifts.items()):
-        if len(lift) != base_n:
-            report.defects.append(
-                JoinDefect(m, "lift_degenerate", f"lift over {prefix} has {len(lift)} rays")
-            )
-            continue
-        # rows in label order, so that renumbering the rays keeps the sign
-        rows = sorted(lift, key=lambda r: fan.rays[r].label)
-        d = _det_rows([list(fan.rays[r].vector[:base_n]) for r in rows])
-        if d not in (1, -1):
-            report.defects.append(
-                JoinDefect(
-                    m,
-                    "lift_degenerate",
-                    f"lift over {prefix} projects with determinant {d}",
-                )
-            )
+    _check_lifts(fan, lifts, report)
 
     # (c) cones are exactly the joins: one lift plus one fiber cone apiece
     report.defects.extend(coverage)

@@ -112,7 +112,7 @@ class Fan:
         n = self.n
         for ci, cone in enumerate(self.maxcones):
             if len(cone) != n:
-                raise NotSimplicial(f"cone has {len(cone)} rays in dimension {n}")
+                raise NotSimplicial(f"cone {ci} has {len(cone)} rays in dimension {n}")
             if cone != tuple(sorted(cone)):
                 raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
         return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays]))

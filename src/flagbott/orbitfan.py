@@ -118,6 +118,7 @@ __all__ = [
     "all_rays",
     "build_fan",
     "derive_rays_from_weights",
+    "product_departure",
     "ray_generator",
     "verify_oracle",
     "verify_pairing_identity",
@@ -205,35 +206,72 @@ def all_rays(t: FlagBottTower) -> list[Ray]:
     ]
 
 
+def _cone_count(dims: tuple[int, ...], cap: int) -> int:
+    # the product of the (n_ell + 1)!, formed factor by factor so that a
+    # huge stage dimension stops at the first partial product over cap,
+    # never in a factorial
+    total = 1
+    for n_ell in dims:
+        for k in range(2, n_ell + 2):
+            total *= k
+            if total > cap:
+                return total
+    return total
+
+
+def _stage_cones(dims: tuple[int, ...]) -> tuple[list[list[tuple[int, ...]]], list[list[tuple[int, ...]]]]:
+    # all_rays lists stage ell's rays in perm_fan(n_ell)'s order after the
+    # earlier stages' rays, so the stage's cones are perm_fan's shifted by
+    # that offset; joined stage by stage, in itertools.product order, a
+    # cone stays ascending.  Returns each stage's cones and permutations.
+    stage_fans = [perm_fan(n_ell) for n_ell in dims]
+    offsets = itertools.accumulate((len(f.rays) for f in stage_fans), initial=0)
+    stage_cones = [
+        [tuple(i + off for i in c) for c in f.maxcones] for f, off in zip(stage_fans, offsets)
+    ]
+    return stage_cones, [[v for (v,) in f.perm_tuples] for f in stage_fans]
+
+
 def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     """The whole fan: all rays plus all tuples-of-permutations cones.
 
     Raises EnumerationTooLarge if the cone count would exceed cone_cap.
     """
     _require_valid(t)
-    # the count is the product of the (n_ell + 1)!, formed factor by factor
-    # so that a huge stage dimension stops at the cap, never in a factorial
-    total = 1
-    for n_ell in t.dims:
-        for k in range(2, n_ell + 2):
-            total *= k
-            if total > cone_cap:
-                raise EnumerationTooLarge(total, cone_cap)
+    total = _cone_count(t.dims, cone_cap)
+    if total > cone_cap:
+        raise EnumerationTooLarge(total, cone_cap)
     rays = tuple(all_rays(t))
-    # all_rays lists stage ell's rays in perm_fan(n_ell)'s order after the
-    # earlier stages' rays, so the stage's cones are perm_fan's shifted by
-    # that offset; joined stage by stage, in itertools.product order, a
-    # cone stays ascending
-    stage_fans = [perm_fan(n_ell) for n_ell in t.dims]
-    offsets = itertools.accumulate((len(f.rays) for f in stage_fans), initial=0)
-    stage_cones = [
-        [tuple(i + off for i in c) for c in f.maxcones] for f, off in zip(stage_fans, offsets)
-    ]
-    stage_perms = [[v for (v,) in f.perm_tuples] for f in stage_fans]
+    stage_cones, stage_perms = _stage_cones(t.dims)
     cones: list[tuple[int, ...]] = [()]
     for stage in stage_cones:
         cones = [c + s for c in cones for s in stage]
     return Fan(t.dims, rays, tuple(cones), tuple(itertools.product(*stage_perms)))
+
+
+def product_departure(fan: Fan) -> int | None:
+    """Where fan departs from build_fan's fan of its dims, ray vectors aside.
+
+    None when the rays carry build_fan's labels in build_fan's order and
+    the cones and permutation tuples are build_fan's, in its
+    itertools.product order.  Otherwise the index of the first cone whose
+    rays or permutation tuple differ, or 0 when the ray labels or the
+    length of either list already differ.  The cones are compared one by
+    one against a lazy join of the stage cones; no second cone list is
+    built.
+    """
+    count = len(fan.maxcones)
+    if len(fan.rays) != sum(2 ** (n + 1) - 2 for n in fan.dims) or len(fan.perm_tuples) != count:
+        return 0
+    labels = (RayLabel(ell, s) for ell, n_ell in enumerate(fan.dims, start=1) for s in proper_subsets(n_ell + 1))
+    if any(ray.label != label for ray, label in zip(fan.rays, labels)) or _cone_count(fan.dims, count) != count:
+        return 0
+    stage_cones, stage_perms = _stage_cones(fan.dims)
+    joins = zip(itertools.product(*stage_perms), itertools.product(*stage_cones))
+    for ci, (pt, cone, (want_pt, parts)) in enumerate(zip(fan.perm_tuples, fan.maxcones, joins)):
+        if pt != want_pt or cone != sum(parts, ()):
+            return ci
+    return None
 
 
 def _y_rows(t: FlagBottTower, prefix: PermTuple) -> dict[int, list[list[int]]]:
@@ -351,7 +389,9 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     The weight route never reads the ray formula: it reads the twist
     recurrence and the ray vectors that fan holds, by label.  The cones
     of fan must be build_fan's, in its order; raises ValueError, naming
-    the first cone that is not.
+    the first cone that is not.  product_departure settles that in one
+    pass when the rays are numbered as build_fan numbers them; a fan it
+    does not pass has its cones compared with build_fan's by ray label.
     """
     _require_valid(t)
     if fan.dims != t.dims:
@@ -381,11 +421,13 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
             ]
         )
         lo += n_ell
-    # the walk numbers the cones as build_fan does: by itertools.product
-    expected = zip(itertools.product(*perms), itertools.product(*indices))
-    for ci, (pt, cone, want) in enumerate(itertools.zip_longest(fan.perm_tuples, fan.maxcones, expected)):
-        if want is None or pt != want[0] or cone != tuple(sorted(sum(want[1], ()))):
-            raise ValueError(f"fan cone {ci} is not build_fan's cone {ci}")
+    # the walk numbers the cones as build_fan does: by itertools.product;
+    # rays numbered otherwise than build_fan's are compared by label
+    if product_departure(fan) is not None:
+        expected = zip(itertools.product(*perms), itertools.product(*indices))
+        for ci, (pt, cone, want) in enumerate(itertools.zip_longest(fan.perm_tuples, fan.maxcones, expected)):
+            if want is None or pt != want[0] or cone != tuple(sorted(sum(want[1], ()))):
+                raise ValueError(f"fan cone {ci} is not build_fan's cone {ci}")
     # size[s]: the cones below a prefix of s stages; clean[s]: no stage
     # from s on has a ray that breaks (a)
     size, clean = [1] * (m + 1), [True] * (m + 1)

@@ -6,8 +6,10 @@ pipeline: the chain of a permutation and its inverse, chain-tuple cone
 labels, a fan's cones joined from whole stage cones, label lookups on a
 fan, tower truncation, the chain-sum form of the accumulated twist
 matrices, the weight oracle cone by cone with the ray faults it is
-checked on, and the completeness test with explicit wall normals with
-the fan faults it is checked on.
+checked on, the completeness test with explicit wall normals with the
+fan faults it is checked on, the bundle check on ray labels with the
+cone faults it is checked on, and the `paths` fixture, which records the
+path each completeness check and bundle split takes.
 """
 
 from __future__ import annotations
@@ -17,8 +19,11 @@ import itertools
 import random
 from collections import defaultdict
 
-from flagbott.exactlin import IntMatrix, adjugate_det, mat_mul
-from flagbott.fancheck import CompletenessReport, WallDefect
+import pytest
+
+from flagbott import fancheck
+from flagbott.exactlin import IntMatrix, _det_rows, adjugate_det, mat_mul
+from flagbott.fancheck import BundleJoinReport, CompletenessReport, JoinDefect, WallDefect, project_fan
 from flagbott.fans import Fan, NotSimplicial, PermTuple, Ray, RayLabel, Subset
 from flagbott.orbitfan import (
     ORACLE_SHOWN,
@@ -26,7 +31,7 @@ from flagbott.orbitfan import (
     OracleReport,
     derive_rays_from_weights,
 )
-from flagbott.permfan import check_permutation, perm_fan
+from flagbott.permfan import check_permutation, perm_fan, perm_ray_vector
 from flagbott.tower import FlagBottTower
 
 Chain = tuple[Subset, ...]  # S_1 < S_2 < ... < S_{g-1} of {1, ..., g}, |S_p| = p
@@ -231,7 +236,8 @@ def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
     own block on a one-stage tower); flip: negate a ray; swap_within and
     swap_across: swap the vectors of two rays of one stage, or of two
     stages (of one stage on a one-stage tower); copy: give a ray the
-    vector of any ray, itself included.
+    vector of any ray, itself included; scale: multiply a ray by 2, 3 or
+    -2.  Without renumbering, every fault keeps build_fan's combinatorics.
     """
     rays = list(fan.rays)
     m = len(fan.dims)
@@ -258,6 +264,9 @@ def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
     elif kind == "copy":
         i = pick()
         rays[i] = Ray(rays[i].label, rays[pick()].vector)
+    elif kind == "scale":
+        i, f = pick(), rng.choice((2, 3, -2))
+        rays[i] = Ray(rays[i].label, tuple(f * c for c in rays[i].vector))
     else:
         raise ValueError(f"unknown ray fault {kind!r}")
     order = list(range(len(rays)))
@@ -271,10 +280,21 @@ def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
     )
 
 
-def _reference_cone_matrix(fan: Fan, cone: tuple[int, ...]) -> IntMatrix:
-    n = fan.n
+@pytest.fixture
+def paths(monkeypatch) -> list[str]:
+    """The paths the checks take, in order: "flip" or "census" for each
+    is_complete_simplicial, "slices" or "sets" for each bundle split."""
+    ran: list[str] = []
+    for name, path in (("_flip_defects", "flip"), ("_census", "census"), ("_split_by_slices", "slices"), ("_split_by_sets", "sets")):
+        run = getattr(fancheck, name)
+        monkeypatch.setattr(fancheck, name, lambda *args, run=run, path=path: ran.append(path) or run(*args))
+    return ran
+
+
+def _reference_cone_matrix(fan: Fan, ci: int) -> IntMatrix:
+    n, cone = fan.n, fan.maxcones[ci]
     if len(cone) != n:
-        raise NotSimplicial(f"cone has {len(cone)} rays in dimension {n}")
+        raise NotSimplicial(f"cone {ci} has {len(cone)} rays in dimension {n}")
     return IntMatrix.from_rows(list(zip(*(fan.rays[r].vector for r in cone))))
 
 
@@ -285,7 +305,7 @@ def reference_is_complete_simplicial(fan: Fan) -> CompletenessReport:
     census: dict[tuple[int, ...], list[tuple[int, int, tuple[int, ...]]]] = defaultdict(list)
     defects: list[WallDefect] = []
     for ci, cone in enumerate(fan.maxcones):
-        adj, d = adjugate_det(_reference_cone_matrix(fan, cone))
+        adj, d = adjugate_det(_reference_cone_matrix(fan, ci))
         if d == 0:
             defects.append(
                 WallDefect("degenerate", cone, (ci,), "cone rays are linearly dependent")
@@ -372,6 +392,153 @@ def perturbed(fan: Fan, rng: random.Random) -> Fan:
         perms.append(perms[c])
     order = list(range(len(rays)))
     rng.shuffle(order)
+    new_index = {old: new for new, old in enumerate(order)}
+    return dataclasses.replace(
+        fan,
+        rays=tuple(rays[old] for old in order),
+        maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in cones),
+        perm_tuples=tuple(perms),
+    )
+
+
+def _reference_check_top_split(fan: Fan, report: BundleJoinReport) -> None:
+    m = len(fan.dims)
+    n_m = fan.dims[-1]
+    base_n = fan.n - n_m
+    report.splits_checked.append(m)
+
+    # (a) stage-m rays live in the last block and form the one-factor fan there
+    for ray in fan.rays:
+        head, tail = ray.vector[:base_n], ray.vector[base_n:]
+        if ray.label.stage == m:
+            if any(head):
+                report.defects.append(
+                    JoinDefect(m, "fiber_support", f"ray {ray.label} leaks into lower blocks")
+                )
+            if tail != perm_ray_vector(n_m, ray.label.subset):
+                report.defects.append(
+                    JoinDefect(m, "fiber_vector", f"ray {ray.label} is not the one-factor ray")
+                )
+        elif not any(head):
+            report.defects.append(
+                JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
+            )
+    fiber_parts = {
+        frozenset(lbl.subset for lbl in cone_labels(fan, ci) if lbl.stage == m)
+        for ci in range(len(fan.maxcones))
+    }
+    one_factor = perm_fan(n_m)
+    expected_parts = {
+        frozenset(lbl.subset for lbl in cone_labels(one_factor, ci))
+        for ci in range(len(one_factor.maxcones))
+    }
+    if fiber_parts != expected_parts:
+        report.defects.append(
+            JoinDefect(m, "fiber_cones", "stage slices do not match the one-factor fan")
+        )
+
+    # (b) each base cone is the unimodular projection of a unique lift
+    lifts: dict[tuple, frozenset[RayLabel]] = {}
+    for ci, pt in enumerate(fan.perm_tuples):
+        prefix = pt[: m - 1]
+        lift = frozenset(lbl for lbl in cone_labels(fan, ci) if lbl.stage < m)
+        if prefix in lifts:
+            if lifts[prefix] != lift:
+                report.defects.append(
+                    JoinDefect(m, "lift_mismatch", f"prefix {prefix} has two different lifts")
+                )
+        else:
+            lifts[prefix] = lift
+    index = ray_index(fan)
+    for prefix, lift in sorted(lifts.items()):
+        if len(lift) != base_n:
+            report.defects.append(
+                JoinDefect(m, "lift_degenerate", f"lift over {prefix} has {len(lift)} rays")
+            )
+            continue
+        d = _det_rows(
+            [list(fan.rays[index[lbl]].vector[:base_n]) for lbl in sorted(lift)]
+        )
+        if d not in (1, -1):
+            report.defects.append(
+                JoinDefect(
+                    m,
+                    "lift_degenerate",
+                    f"lift over {prefix} projects with determinant {d}",
+                )
+            )
+
+    # (c) cones are exactly the joins: one lift plus one fiber cone apiece
+    pairs = set()
+    for ci, pt in enumerate(fan.perm_tuples):
+        labels = cone_labels(fan, ci)
+        fiber_key = frozenset(lbl.subset for lbl in labels if lbl.stage == m)
+        pairs.add((pt[: m - 1], fiber_key))
+        if len(labels) != fan.n:
+            report.defects.append(
+                JoinDefect(m, "pair_coverage", f"cone {ci} has {len(labels)} rays")
+            )
+    # the projected base fan has one cone per prefix
+    want = len(lifts) * len(expected_parts)
+    if len(fan.maxcones) != want or len(pairs) != want:
+        report.defects.append(
+            JoinDefect(
+                m,
+                "pair_coverage",
+                f"{len(fan.maxcones)} cones over {len(pairs)} distinct "
+                f"(base, fiber) pairs, expected {want}",
+            )
+        )
+
+
+def reference_verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
+    """The bundle check on ray labels: the library's own form before it
+    moved to ray indices and subset masks, with the label lookups in
+    conftest."""
+    if fan.dims != t.dims:
+        raise ValueError(f"fan dims {fan.dims} do not match tower dims {t.dims}")
+    report = BundleJoinReport()
+    cur = fan
+    while len(cur.dims) > 1:
+        _reference_check_top_split(cur, report)
+        cur = project_fan(cur, len(cur.dims) - 1)
+    return report
+
+
+def cone_faulted(fan: Fan, rng: random.Random, renumber: bool) -> Fan:
+    """Swap two cones' ray tuples, drop a ray from a cone, replace a cone's
+    top-stage ray by any ray (one already in the cone included), drop or
+    duplicate a cone, flip or double a ray, swap a top-stage ray's vector
+    with another ray's, or none of these; then, if asked, renumber the
+    rays at random."""
+    kinds = ("swap", "drop_ray", "top_ray", "drop", "duplicate", "flip", "move", "none")
+    kind = rng.choice(kinds)
+    rays, cones, perms = list(fan.rays), list(fan.maxcones), list(fan.perm_tuples)
+    c, d = rng.randrange(len(cones)), rng.randrange(len(cones))
+    top = [i for i, ray in enumerate(rays) if ray.label.stage == len(fan.dims)]
+    if kind == "swap":
+        cones[c], cones[d] = cones[d], cones[c]
+    elif kind == "drop_ray":
+        k = rng.randrange(len(cones[c]))
+        cones[c] = cones[c][:k] + cones[c][k + 1 :]
+    elif kind == "top_ray":
+        old = rng.choice([r for r in cones[c] if r in top])
+        new = rng.choice(cones[c] if rng.random() < 0.5 else range(len(rays)))
+        cones[c] = tuple(new if r == old else r for r in cones[c])
+    elif kind == "drop":
+        del cones[c], perms[c]
+    elif kind == "duplicate":
+        cones.append(cones[c])
+        perms.append(perms[c])
+    elif kind == "flip":
+        i, f = rng.randrange(len(rays)), rng.choice((-1, 2))
+        rays[i] = Ray(rays[i].label, tuple(f * x for x in rays[i].vector))
+    elif kind == "move":
+        i, j = rng.choice(top), rng.randrange(len(rays))
+        rays[i], rays[j] = Ray(rays[i].label, rays[j].vector), Ray(rays[j].label, rays[i].vector)
+    order = list(range(len(rays)))
+    if renumber:
+        rng.shuffle(order)
     new_index = {old: new for new, old in enumerate(order)}
     return dataclasses.replace(
         fan,

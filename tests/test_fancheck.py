@@ -12,18 +12,20 @@ import pytest
 
 from conftest import (
     POPULATION_SEEDS,
-    cone_labels,
+    RAY_FAULTS,
+    cone_faulted,
     perturbed,
     random_tower,
+    ray_faulted,
     ray_index,
     reference_is_complete_simplicial,
+    reference_verify_bundle_join,
     seeded_doc,
     three_stage_tower,
     truncated,
     two_stage_tower,
 )
 from flagbott.cli import load_tower
-from flagbott.exactlin import _det_rows
 from flagbott.fancheck import (
     BundleJoinReport,
     JoinDefect,
@@ -35,8 +37,8 @@ from flagbott.fancheck import (
     verify_bundle_join,
 )
 from flagbott.fans import Fan, Ray, RayLabel, Subset
-from flagbott.orbitfan import build_fan
-from flagbott.permfan import perm_fan, perm_ray_vector
+from flagbott.orbitfan import build_fan, product_departure
+from flagbott.permfan import perm_fan
 from flagbott.tower import FlagBottTower
 
 
@@ -93,6 +95,14 @@ def test_is_complete_rejects_nonsimplicial():
         is_complete_simplicial(fan)
 
 
+def test_cone_dets_name_a_cone_with_the_wrong_ray_count():
+    fan = perm_fan(2)
+    faulty = dataclasses.replace(fan, maxcones=fan.maxcones[:4] + ((0, 1, 2),) + fan.maxcones[5:])
+    for check in (is_smooth, is_complete_simplicial, reference_is_complete_simplicial):
+        with pytest.raises(NotSimplicial, match=r"^cone 4 has 3 rays in dimension 2$"):
+            check(faulty)
+
+
 def test_cone_dets_reject_a_cone_out_of_order():
     # the same geometric fan, but cone 0 lists its rays descending; the
     # wall test reads positions in the tuple, so both checks must refuse it
@@ -137,6 +147,18 @@ def test_degenerate_cone_reported():
     fan = tiny_fan([(1, 0), (2, 0)], [(0, 1)])
     report = is_complete_simplicial(fan)
     assert any(d.kind == "degenerate" for d in report.defects)
+
+
+def test_degenerate_cone_sends_a_fan_of_build_fans_type_to_the_census(paths):
+    # ray 2 ({1,2}) gets the vector of ray 0 ({1}): the cones of chains
+    # through both are degenerate, though the combinatorics are build_fan's
+    fan = build_fan(two_stage_tower())
+    case = dataclasses.replace(fan, rays=fan.rays[:2] + (Ray(fan.rays[2].label, fan.rays[0].vector),) + fan.rays[3:])
+    assert product_departure(case) is None
+    report = is_complete_simplicial(case)
+    assert report == reference_is_complete_simplicial(case)
+    assert paths == ["census"]
+    assert [d.cones for d in report.defects if d.kind == "degenerate"] == [(10,), (11,)]
 
 
 def test_crowded_wall_reported():
@@ -194,20 +216,52 @@ def test_whole_fan_listed_twice_is_crowded_everywhere():
         assert not report.connected
 
 
-def test_census_memory_per_wall(tmp_path):
+def seeded_fan(tmp_path, dims: tuple[int, ...]) -> tuple[FlagBottTower, Fan]:
+    """The benchmark's seed-1 tower of the given dims, and its fan."""
     spec = tmp_path / "tower.json"
-    spec.write_text(json.dumps(seeded_doc((2, 2, 2, 2), 1)))
-    fan = build_fan(load_tower(str(spec)))
-    fan.cone_dets  # computed once per fan, outside the census
+    spec.write_text(json.dumps(seeded_doc(dims, 1)))
+    t = load_tower(str(spec))
+    return t, build_fan(t)
+
+
+def traced_peak(run):
+    """run() and the peak of the memory it allocates, by tracemalloc."""
     tracemalloc.start()
     try:
-        report = is_complete_simplicial(fan)
-        peak = tracemalloc.get_traced_memory()[1]
+        return run(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_census_memory_per_wall(tmp_path):
+    # two cones swapped: the same complete fan, but off build_fan's order,
+    # so the census runs
+    _, fan = seeded_fan(tmp_path, (2, 2, 2, 2))
+    swapped = with_cones(fan, [1, 0, *range(2, len(fan.maxcones))])
+    swapped.cone_dets  # computed once per fan, outside the census
+    report, peak = traced_peak(lambda: is_complete_simplicial(swapped))
+    assert product_departure(swapped) == 0
     assert report.ok
     assert report.walls_checked == 5184
     assert peak / report.walls_checked < 200
+
+
+def test_flip_path_memory_per_cone(tmp_path):
+    _, fan = seeded_fan(tmp_path, (2, 2, 2, 2))
+    fan.cone_dets
+    report, peak = traced_peak(lambda: is_complete_simplicial(fan))
+    assert report.ok
+    assert report.walls_checked == 5184
+    # the census takes about 400 bytes per cone here
+    assert peak / len(fan.maxcones) < 50
+
+
+def test_slice_path_memory_per_cone(tmp_path):
+    t, fan = seeded_fan(tmp_path, (2, 2, 2, 2))
+    report, peak = traced_peak(lambda: verify_bundle_join(fan, t))
+    assert report == BundleJoinReport([4, 3, 2], [])
+    # splitting each cone into two frozensets takes about 450 bytes per cone
+    assert peak / len(fan.maxcones) < 100
 
 
 def test_degenerate_cone_is_not_a_cone_of_a_crowded_wall():
@@ -223,7 +277,7 @@ def test_degenerate_cone_is_not_a_cone_of_a_crowded_wall():
     ]
 
 
-def test_sign_rule_matches_adjugate_normals():
+def test_sign_rule_matches_adjugate_normals(paths):
     fans = [perm_fan(n) for n in (1, 2, 3, 4)]
     fans += [build_fan(t) for t in (two_stage_tower(), three_stage_tower())]
     towers = [random_tower(seed) for seed in POPULATION_SEEDS]
@@ -231,12 +285,17 @@ def test_sign_rule_matches_adjugate_normals():
     assert len(fans) == 6 + 89
     rng = random.Random(3)
     fans += [perturbed(fan, rng) for fan in list(fans) for _ in range(4)]
-    kinds = set()
+    kinds, taken = set(), set()
     for fan in fans:
+        paths.clear()
         report = is_complete_simplicial(fan)
         assert report == reference_is_complete_simplicial(fan)
         kinds.update(d.kind for d in report.defects)
+        # perturbed renumbers the rays, which sends a fan to the census
+        assert paths == ["flip" if product_departure(fan) is None and 0 not in fan.cone_dets else "census"]
+        taken.update(paths)
     assert kinds == {"same_side", "dangling", "degenerate", "crowded"}
+    assert taken == {"flip", "census"}
 
 
 def test_project_fan_equals_truncated_build():
@@ -355,167 +414,24 @@ def test_bundle_join_reports_missing_fiber_ray():
     assert JoinDefect(2, "pair_coverage", "cone 0 has 2 rays") in report.defects
 
 
-def _reference_check_top_split(fan: Fan, report: BundleJoinReport) -> None:
-    m = len(fan.dims)
-    n_m = fan.dims[-1]
-    base_n = fan.n - n_m
-    report.splits_checked.append(m)
-
-    # (a) stage-m rays live in the last block and form the one-factor fan there
-    for ray in fan.rays:
-        head, tail = ray.vector[:base_n], ray.vector[base_n:]
-        if ray.label.stage == m:
-            if any(head):
-                report.defects.append(
-                    JoinDefect(m, "fiber_support", f"ray {ray.label} leaks into lower blocks")
-                )
-            if tail != perm_ray_vector(n_m, ray.label.subset):
-                report.defects.append(
-                    JoinDefect(m, "fiber_vector", f"ray {ray.label} is not the one-factor ray")
-                )
-        elif not any(head):
-            report.defects.append(
-                JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
-            )
-    fiber_parts = {
-        frozenset(lbl.subset for lbl in cone_labels(fan, ci) if lbl.stage == m)
-        for ci in range(len(fan.maxcones))
-    }
-    one_factor = perm_fan(n_m)
-    expected_parts = {
-        frozenset(lbl.subset for lbl in cone_labels(one_factor, ci))
-        for ci in range(len(one_factor.maxcones))
-    }
-    if fiber_parts != expected_parts:
-        report.defects.append(
-            JoinDefect(m, "fiber_cones", "stage slices do not match the one-factor fan")
-        )
-
-    # (b) each base cone is the unimodular projection of a unique lift
-    lifts: dict[tuple, frozenset[RayLabel]] = {}
-    for ci, pt in enumerate(fan.perm_tuples):
-        prefix = pt[: m - 1]
-        lift = frozenset(lbl for lbl in cone_labels(fan, ci) if lbl.stage < m)
-        if prefix in lifts:
-            if lifts[prefix] != lift:
-                report.defects.append(
-                    JoinDefect(m, "lift_mismatch", f"prefix {prefix} has two different lifts")
-                )
-        else:
-            lifts[prefix] = lift
-    index = ray_index(fan)
-    for prefix, lift in sorted(lifts.items()):
-        if len(lift) != base_n:
-            report.defects.append(
-                JoinDefect(m, "lift_degenerate", f"lift over {prefix} has {len(lift)} rays")
-            )
-            continue
-        d = _det_rows(
-            [list(fan.rays[index[lbl]].vector[:base_n]) for lbl in sorted(lift)]
-        )
-        if d not in (1, -1):
-            report.defects.append(
-                JoinDefect(
-                    m,
-                    "lift_degenerate",
-                    f"lift over {prefix} projects with determinant {d}",
-                )
-            )
-
-    # (c) cones are exactly the joins: one lift plus one fiber cone apiece
-    pairs = set()
-    for ci, pt in enumerate(fan.perm_tuples):
-        labels = cone_labels(fan, ci)
-        fiber_key = frozenset(lbl.subset for lbl in labels if lbl.stage == m)
-        pairs.add((pt[: m - 1], fiber_key))
-        if len(labels) != fan.n:
-            report.defects.append(
-                JoinDefect(m, "pair_coverage", f"cone {ci} has {len(labels)} rays")
-            )
-    # the projected base fan has one cone per prefix
-    want = len(lifts) * len(expected_parts)
-    if len(fan.maxcones) != want or len(pairs) != want:
-        report.defects.append(
-            JoinDefect(
-                m,
-                "pair_coverage",
-                f"{len(fan.maxcones)} cones over {len(pairs)} distinct "
-                f"(base, fiber) pairs, expected {want}",
-            )
-        )
-
-
-def reference_verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
-    """The bundle check on ray labels: the library's own form before it
-    moved to ray indices and subset masks, with the label lookups in
-    conftest."""
-    if fan.dims != t.dims:
-        raise ValueError(f"fan dims {fan.dims} do not match tower dims {t.dims}")
-    report = BundleJoinReport()
-    cur = fan
-    while len(cur.dims) > 1:
-        _reference_check_top_split(cur, report)
-        cur = project_fan(cur, len(cur.dims) - 1)
-    return report
-
-
-def cone_faulted(fan: Fan, rng: random.Random, renumber: bool) -> Fan:
-    """Swap two cones' ray tuples, drop a ray from a cone, replace a cone's
-    top-stage ray by any ray (one already in the cone included), drop or
-    duplicate a cone, flip or double a ray, swap a top-stage ray's vector
-    with another ray's, or none of these; then, if asked, renumber the
-    rays at random."""
-    kinds = ("swap", "drop_ray", "top_ray", "drop", "duplicate", "flip", "move", "none")
-    kind = rng.choice(kinds)
-    rays, cones, perms = list(fan.rays), list(fan.maxcones), list(fan.perm_tuples)
-    c, d = rng.randrange(len(cones)), rng.randrange(len(cones))
-    top = [i for i, ray in enumerate(rays) if ray.label.stage == len(fan.dims)]
-    if kind == "swap":
-        cones[c], cones[d] = cones[d], cones[c]
-    elif kind == "drop_ray":
-        k = rng.randrange(len(cones[c]))
-        cones[c] = cones[c][:k] + cones[c][k + 1 :]
-    elif kind == "top_ray":
-        old = rng.choice([r for r in cones[c] if r in top])
-        new = rng.choice(cones[c] if rng.random() < 0.5 else range(len(rays)))
-        cones[c] = tuple(new if r == old else r for r in cones[c])
-    elif kind == "drop":
-        del cones[c], perms[c]
-    elif kind == "duplicate":
-        cones.append(cones[c])
-        perms.append(perms[c])
-    elif kind == "flip":
-        i, f = rng.randrange(len(rays)), rng.choice((-1, 2))
-        rays[i] = Ray(rays[i].label, tuple(f * x for x in rays[i].vector))
-    elif kind == "move":
-        i, j = rng.choice(top), rng.randrange(len(rays))
-        rays[i], rays[j] = Ray(rays[i].label, rays[j].vector), Ray(rays[j].label, rays[i].vector)
-    order = list(range(len(rays)))
-    if renumber:
-        rng.shuffle(order)
-    new_index = {old: new for new, old in enumerate(order)}
-    return dataclasses.replace(
-        fan,
-        rays=tuple(rays[old] for old in order),
-        maxcones=tuple(tuple(sorted(new_index[r] for r in cone)) for cone in cones),
-        perm_tuples=tuple(perms),
-    )
-
-
-def test_bundle_join_matches_label_reference():
+def test_bundle_join_matches_label_reference(paths):
     towers = [two_stage_tower(), three_stage_tower()]
     towers += [random_tower(seed) for seed in POPULATION_SEEDS]
     towers = [t for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
     assert len(towers) == 2 + 89
     rng = random.Random(6)
-    kinds = set()
+    kinds, taken = set(), set()
     for t in towers:
         fan = build_fan(t)
         cases = [fan] + [cone_faulted(fan, rng, renumber) for renumber in (False, True) * 4]
         for case in cases:
+            paths.clear()
             report = verify_bundle_join(case, t)
             assert report == reference_verify_bundle_join(case, t)
             kinds.update(d.kind for d in report.defects)
+            # the top split of a cone fault or a renumbering splits sets
+            assert paths[:1] == (["slices" if product_departure(case) is None else "sets"] if t.m > 1 else [])
+            taken.update(paths[:1])
     assert kinds == {
         "fiber_support",
         "fiber_vector",
@@ -525,6 +441,36 @@ def test_bundle_join_matches_label_reference():
         "lift_degenerate",
         "pair_coverage",
     }
+    assert taken == {"slices", "sets"}
+
+
+def test_ray_faults_take_the_flip_and_slice_paths(paths):
+    # a fault in the ray vectors keeps build_fan's combinatorics, so the
+    # checks take the new paths, and must still give the references' reports
+    towers = [two_stage_tower(), three_stage_tower()]
+    towers += [random_tower(seed) for seed in POPULATION_SEEDS[:40]]
+    towers = [t for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
+    rng = random.Random(12)
+    found: dict[str, set[str]] = {"flip": set(), "census": set(), "slices": set()}
+    for t in towers:
+        fan = build_fan(t)
+        for kind in RAY_FAULTS + ("scale",):
+            case = ray_faulted(fan, rng, kind, renumber=False)
+            assert product_departure(case) is None
+            paths.clear()
+            report = is_complete_simplicial(case)
+            assert report == reference_is_complete_simplicial(case)
+            # a degenerate cone sends the fan to the census
+            assert paths == ["census" if 0 in case.cone_dets else "flip"]
+            found[paths[0]].update(d.kind for d in report.defects)
+            paths.clear()
+            joins = verify_bundle_join(case, t)
+            assert joins == reference_verify_bundle_join(case, t)
+            assert paths == ["slices"] * (t.m - 1)
+            found["slices"].update(d.kind for d in joins.defects)
+    assert found["flip"] == {"same_side"}
+    assert "degenerate" in found["census"]
+    assert found["slices"] == {"fiber_support", "fiber_vector", "base_support", "lift_degenerate"}
 
 
 def test_full_pipeline_on_random_towers():

@@ -35,6 +35,7 @@ from flagbott.orbitfan import (
     all_rays,
     build_fan,
     derive_rays_from_weights,
+    product_departure,
     ray_generator,
     verify_oracle,
     verify_pairing_identity,
@@ -494,6 +495,61 @@ def test_verify_oracle_rejects_cones_that_are_not_build_fans():
         with pytest.raises(ValueError, match=f"^fan cone {ci} is not build_fan's"):
             verify_oracle(case, t)
     assert verify_oracle(fan, t).ok
+
+
+def test_product_departure_is_none_on_build_fans_fans():
+    towers = [two_stage_tower(), three_stage_tower()]
+    towers += [random_tower(seed) for seed in POPULATION_SEEDS[:20]]
+    for t in towers:
+        fan = build_fan(t)
+        assert product_departure(fan) is None
+        # ray vectors are not part of the test
+        assert product_departure(ray_faulted(fan, random.Random(0), "flip", renumber=False)) is None
+    for n in (1, 2, 3, 4):
+        assert product_departure(perm_fan(n)) is None
+
+
+def test_product_departure_names_the_first_cone_off_build_fans_order():
+    fan = build_fan(three_stage_tower())
+    cones, perms = list(fan.maxcones), list(fan.perm_tuples)
+    cones[3], cones[7] = cones[7], cones[3]
+    perms[5], perms[9] = perms[9], perms[5]
+    rays = list(fan.rays)
+    rays[0] = Ray(RayLabel(1, sub(3, 3)), rays[0].vector)
+    cases = [
+        (dataclasses.replace(fan, maxcones=tuple(cones)), 3),
+        (dataclasses.replace(fan, perm_tuples=tuple(perms)), 5),
+        # list lengths or ray labels that differ depart at cone 0
+        (dataclasses.replace(fan, perm_tuples=fan.perm_tuples[:-1]), 0),
+        (dataclasses.replace(fan, perm_tuples=fan.perm_tuples + fan.perm_tuples[:1]), 0),
+        (dataclasses.replace(fan, maxcones=fan.maxcones[:-1], perm_tuples=fan.perm_tuples[:-1]), 0),
+        (dataclasses.replace(fan, maxcones=fan.maxcones + fan.maxcones[:1]), 0),
+        (dataclasses.replace(fan, rays=tuple(rays)), 0),
+        (ray_faulted(fan, random.Random(1), "flip", renumber=True), 0),
+    ]
+    for case, ci in cases:
+        assert product_departure(case) == ci
+
+
+def test_product_departure_is_the_oracles_cone_order_test():
+    # with build_fan's ray labels and cone count, the index test names the
+    # cone that verify_oracle's label test names
+    t = three_stage_tower()
+    fan = build_fan(t)
+    rng = random.Random(4)
+    assert product_departure(fan) is None and verify_oracle(fan, t).ok
+    named = set()
+    for _ in range(40):
+        cones, perms = list(fan.maxcones), list(fan.perm_tuples)
+        for faulted in rng.sample((cones, perms), rng.randint(1, 2)):
+            c, d = rng.sample(range(72), 2)
+            faulted[c], faulted[d] = faulted[d], faulted[c]
+        case = dataclasses.replace(fan, maxcones=tuple(cones), perm_tuples=tuple(perms))
+        ci = product_departure(case)
+        with pytest.raises(ValueError, match=f"^fan cone {ci} is not build_fan's cone {ci}$"):
+            verify_oracle(case, t)
+        named.add(ci)
+    assert len(named) > 10
 
 
 def test_pairing_identity_on_goldens():

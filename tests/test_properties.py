@@ -3,8 +3,9 @@ bijection, the determinant and adjugate identities, the prefix-shared
 determinants against Bareiss, the weight recurrence against its
 chain-sum form, the paper's theorem on drawn towers, the prefix-tree
 oracle against the per-cone one, the bitmask wall census against
-explicit wall normals, and the stage-by-stage cone join against whole
-tuples of stage cones."""
+explicit wall normals, the flip and slice paths against the references
+on a fan with a ray fault, and the stage-by-stage cone join against
+whole tuples of stage cones."""
 
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from conftest import (  # noqa: E402
     ray_faulted,
     reference_is_complete_simplicial,
     reference_maxcones,
+    reference_verify_bundle_join,
     reference_oracle,
     weights_chain_sum,
     x_matrix_chain_sum,
@@ -32,7 +34,14 @@ from conftest import (  # noqa: E402
 from flagbott.cli import SpecError, load_tower  # noqa: E402
 from flagbott.exactlin import IntMatrix, _det_rows, _dets, adjugate_det, det, mat_mul  # noqa: E402
 from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
-from flagbott.orbitfan import build_fan, derive_rays_from_weights, verify_oracle, weights_at, x_matrix  # noqa: E402
+from flagbott.orbitfan import (  # noqa: E402
+    build_fan,
+    derive_rays_from_weights,
+    product_departure,
+    verify_oracle,
+    weights_at,
+    x_matrix,
+)
 from flagbott.tower import FlagBottTower, validate  # noqa: E402
 
 SETTINGS = hypothesis.settings(
@@ -201,6 +210,28 @@ def test_prefix_oracle_equals_per_cone_oracle_on_a_faulted_fan(t, kind, renumber
 def test_bitmask_census_equals_wall_normals_on_a_perturbed_fan(t, seed):
     fan = perturbed(build_fan(t), random.Random(seed))
     assert is_complete_simplicial(fan) == reference_is_complete_simplicial(fan)
+
+
+@hypothesis.settings(SETTINGS, max_examples=15)
+@hypothesis.given(
+    towers(st.lists(st.integers(1, 3), min_size=1, max_size=4).filter(lambda d: cone_count(d) <= 576), 10**6),
+    st.sampled_from(RAY_FAULTS + ("scale",)),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+def test_flip_and_slice_paths_equal_the_references_on_a_faulted_fan(paths, t, kind, renumber, seed):
+    base = build_fan(t)
+    fan = ray_faulted(base, random.Random(seed), kind, renumber)
+    # a ray fault keeps build_fan's combinatorics; only renumbering leaves them
+    kept = [ray.label for ray in fan.rays] == [ray.label for ray in base.rays]
+    assert renumber or kept
+    assert (product_departure(fan) is None) == kept
+    paths.clear()
+    assert is_complete_simplicial(fan) == reference_is_complete_simplicial(fan)
+    assert paths == ["flip" if kept and 0 not in fan.cone_dets else "census"]
+    paths.clear()
+    assert verify_bundle_join(fan, t) == reference_verify_bundle_join(fan, t)
+    assert paths[:1] == (["slices" if kept else "sets"] if t.m > 1 else [])
 
 
 @hypothesis.settings(SETTINGS, max_examples=10)
