@@ -36,14 +36,14 @@ which decides connectivity; only crowded walls need a second pass, to
 list their cones.  A wall is spelled out as a tuple of ray indices only
 when it has a defect to report.
 
-Fans of build_fan's type need no census.  orbitfan.product_departure
-decides in one lazy pass whether a fan has build_fan's ray labels,
-cones and permutation tuples for its dims.  In perm_fan(n) the cones of
-permutations v and v' share a wall exactly when v' is v with the entries
-at positions a and a+1 swapped, which changes one subset of the chain:
-the cones are the chambers of the Coxeter complex of S_(n+1), and the
-fan of build_fan's type is the product of these complexes, one per
-stage.  A Coxeter complex is a thin, connected chamber complex: each
+Fans of build_fan's type need no census.  Fan.product_departure
+decides in one lazy pass, kept with the fan, whether a fan has
+build_fan's ray labels, cones and permutation tuples for its dims.  In
+perm_fan(n) the cones of permutations v and v' share a wall exactly
+when v' is v with the entries at positions a and a+1 swapped, which
+changes one subset of the chain: the cones are the chambers of the
+Coxeter complex of S_(n+1), and the fan of build_fan's type is the
+product of these complexes, one per stage.  A Coxeter complex is a thin, connected chamber complex: each
 wall lies in exactly two chambers, and the chamber graph is the Cayley
 graph of the adjacent transpositions (Abramenko-Brown, Buildings,
 GTM 248, ch. 1-3; Bjorner-Brenti, Combinatorics of Coxeter Groups,
@@ -51,9 +51,13 @@ GTM 231, ch. 3).  A product of them, a wall being a wall of one stage's
 chamber, is again thin and connected.  With no zero determinant the
 census would find N * n / 2 walls, each in exactly two cones, none
 dangling or crowded, and a connected graph, so only same_side can fire.
-The flip path decides it by the sign rule on each flip pair: a table per
-stage lists, for each of the (n_p + 1)! permutations, its later
-neighbours with the cone index step and the parity (k1 + k2) & 1, and
+The flip path decides it by the sign rule on each flip pair, where
+k1 = k2: a cone lists S_1 < ... < S_n in that order, since the masks
+grow along the chain, and swapping the values at positions a and a+1
+changes S_(n-a) alone, which sits at position n-a-1 in both cones.  So
+same_side holds iff d1 and d2 have the same sign.  A table per stage
+lists, for each of the (n_p + 1)! permutations, its later neighbours
+with the cone index step and the position of the changed subset, and
 one walk over the cones reads the signs of Fan.cone_dets.  The bundle
 check on such a fan reads each lift as a slice: the stage-m rays have
 the highest indices, so the lift over a prefix is cone[:-n_m] of its
@@ -76,10 +80,9 @@ from itertools import product
 from math import factorial
 
 from .exactlin import _det_rows
-from .fans import Fan, Ray
+from .fans import Fan, Ray, permutation_cones
 from .fans import NotSimplicial  # noqa: F401  is_smooth and is_complete_simplicial raise it
-from .orbitfan import product_departure
-from .permfan import perm_fan, perm_ray_vector
+from .permfan import perm_ray_vector
 from .tower import FlagBottTower
 
 
@@ -125,24 +128,20 @@ class CompletenessReport:
         return not self.defects and self.connected
 
 
-def _flip_table(n: int, stride: int, lo: int) -> list[list[tuple[int, int, int]]]:
-    # for each permutation index i of perm_fan(n): one entry per adjacent
-    # transposition that leads to a later index i' -- the cone index step
-    # (i' - i) * stride, the parity (k1 + k2) & 1 of the opposite rays'
-    # positions, and k1 shifted by lo, the stage's first position in a cone
-    f = perm_fan(n)
-    perms = [v for (v,) in f.perm_tuples]
+def _flip_table(n: int, stride: int, lo: int) -> list[list[tuple[int, int]]]:
+    # for each permutation index i of the stage: one entry per swap at a,
+    # a+1 that leads to a later index i' -- the cone index step
+    # (i' - i) * stride, and lo (the stage's first position in a cone)
+    # plus n - a - 1, the position of the changed subset S_(n-a)
+    perms, _ = permutation_cones(n)
     index = {v: i for i, v in enumerate(perms)}
     table = []
-    for i, (v, cone) in enumerate(zip(perms, f.maxcones)):
+    for i, v in enumerate(perms):
         entries = []
         for a in range(n):
             j = index[v[:a] + (v[a + 1], v[a]) + v[a + 2 :]]
             if i < j:
-                other = f.maxcones[j]
-                (r1,), (r2,) = set(cone) - set(other), set(other) - set(cone)
-                k1, k2 = cone.index(r1), other.index(r2)
-                entries.append(((j - i) * stride, (k1 + k2) & 1, lo + k1))
+                entries.append(((j - i) * stride, lo + n - a - 1))
         table.append(entries)
     return table
 
@@ -162,9 +161,9 @@ def _flip_defects(fan: Fan) -> list[WallDefect]:
     for ci, idx in enumerate(product(*(range(len(table)) for table in tables))):
         s = positive[ci]
         for table, i in zip(tables, idx):
-            for step, parity, k in table[i]:
-                # the sign rule: same_side iff (-1)**(k1 + k2) * d1 * d2 > 0
-                if s ^ positive[ci + step] == parity:
+            for step, k in table[i]:
+                # the sign rule with k1 = k2: same_side iff d1 * d2 > 0
+                if s == positive[ci + step]:
                     found.append((cones[ci][:k] + cones[ci][k + 1 :], ci, ci + step))
     detail = "opposite rays do not straddle the wall hyperplane"
     return [WallDefect("same_side", wall, (c1, c2), detail) for wall, c1, c2 in sorted(found)]
@@ -230,7 +229,8 @@ def _census(fan: Fan) -> CompletenessReport:
         for hits in crowd.values():
             wall_defects.append(spell("crowded", hits, f"wall lies in {len(hits)} cones"))
     defects += sorted(wall_defects, key=lambda defect: defect.wall)
-    connected = len({root(c) for c in range(len(cones))}) <= 1
+    # a fan with no cones has support {0}, not R^n
+    connected = len({root(c) for c in range(len(cones))}) == 1
     return CompletenessReport(len(cones), len(census), defects, connected)
 
 
@@ -239,7 +239,7 @@ def is_complete_simplicial(fan: Fan) -> CompletenessReport:
     graph for a fan of build_fan's type with no zero determinant, by the
     wall census for any other (see the module docstring)."""
     cones, dets = fan.maxcones, fan.cone_dets
-    if 0 in dets or product_departure(fan) is not None:
+    if 0 in dets or fan.product_departure is not None:
         return _census(fan)
     return CompletenessReport(len(cones), len(cones) * fan.n // 2, _flip_defects(fan), True)
 
@@ -340,14 +340,14 @@ def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
             report.defects.append(
                 JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
             )
-    if product_departure(fan) is None:
+    if fan.product_departure is None:
         _split_by_slices(fan, report)
     else:
         _split_by_sets(fan, report)
 
 
 def _split_by_slices(fan: Fan, report: BundleJoinReport) -> None:
-    # build_fan's type: the fibers are perm_fan(n_m)'s cones, the
+    # build_fan's type: the fibers are permutation_cones(n_m)'s cones, the
     # (n_m + 1)! cones over a prefix are consecutive and share its lift
     # cone[:-n_m], and the cones are exactly the joins; only the lift
     # determinants of (b) can fail
@@ -381,8 +381,8 @@ def _split_by_sets(fan: Fan, report: BundleJoinReport) -> None:
         size = len(fiber) + len(lift)
         if size != fan.n:
             coverage.append(JoinDefect(m, "pair_coverage", f"cone {ci} has {size} rays"))
-    # perm_fan's ray of subset mask s has index s - 1
-    expected_parts = {frozenset(r + 1 for r in cone) for cone in perm_fan(n_m).maxcones}
+    # permutation_cones' ray of subset mask s has index s - 1
+    expected_parts = {frozenset(r + 1 for r in cone) for cone in permutation_cones(n_m)[1]}
     if fiber_parts != expected_parts:
         report.defects.append(
             JoinDefect(m, "fiber_cones", "stage slices do not match the one-factor fan")

@@ -6,11 +6,14 @@ each maximal cone remembers the tuple of permutations that produced it.
 Subsets of {1,...,g} are bitmasks (bit i-1 is element i), which makes
 complements, inclusion tests, and deterministic ordering cheap.  Code that
 walks the cones of a fan works on ray indices and subset masks, not on
-sets of labels.  A fan computes its cone determinants once, on first use.
+sets of labels.  permutation_cones holds the chain rule that turns a
+permutation into its cone.  A fan computes its cone determinants and its
+departure from build_fan's order once each, on first use.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -82,6 +85,40 @@ class NotSimplicial(ValueError):
     """A maximal cone does not have exactly n rays."""
 
 
+def permutation_cones(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+    """The permutations v of {1, ..., n+1}, in itertools.permutations
+    order, and the cone of each in perm_fan(n): the chain S_1 < ... < S_n,
+    S_p the last p values of v, as ray indices mask - 1.  The masks grow
+    along the chain, so each cone is ascending."""
+    perms = list(itertools.permutations(range(1, n + 2)))
+    # S_1 < ... < S_n as bitmasks, adding v(n+1), v(n), ..., v(2) in turn
+    cones = [tuple(mask - 1 for mask in itertools.accumulate(1 << (e - 1) for e in reversed(v[1:]))) for v in perms]
+    return perms, cones
+
+
+def _cone_count(dims: tuple[int, ...], cap: int) -> int:
+    # the product of the (n_ell + 1)!, formed factor by factor so that a
+    # huge stage dimension stops at the first partial product over cap,
+    # never in a factorial
+    total = 1
+    for n_ell in dims:
+        for k in range(2, n_ell + 2):
+            total *= k
+            if total > cap:
+                return total
+    return total
+
+
+def _stage_cones(dims: tuple[int, ...]) -> tuple[list[list[tuple[int, ...]]], list[list[tuple[int, ...]]]]:
+    # each stage's cones, shifted past the earlier stages' rays as build_fan
+    # lists them, so that a join in itertools.product order stays
+    # ascending; and each stage's permutations
+    chains = [permutation_cones(n_ell) for n_ell in dims]
+    offsets = itertools.accumulate((2 ** (n_ell + 1) - 2 for n_ell in dims), initial=0)
+    stage_cones = [[tuple(i + off for i in c) for c in cones] for (_, cones), off in zip(chains, offsets)]
+    return stage_cones, [perms for perms, _ in chains]
+
+
 @dataclass(frozen=True)
 class Fan:
     """Simplicial fan with labeled rays and permutation-indexed maximal cones.
@@ -116,3 +153,24 @@ class Fan:
             if cone != tuple(sorted(cone)):
                 raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
         return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays]))
+
+    @cached_property
+    def product_departure(self) -> int | None:
+        """Where the fan departs from build_fan's fan of its dims, ray
+        vectors aside: None when its ray labels, cones and permutation
+        tuples are build_fan's, in build_fan's order; else the first cone
+        whose rays or permutation tuple differ, or 0 when the ray labels or
+        a list's length already differ.  The cones are compared one by one
+        against a lazy join of the stage cones."""
+        count = len(self.maxcones)
+        if len(self.rays) != sum(2 ** (n + 1) - 2 for n in self.dims) or len(self.perm_tuples) != count:
+            return 0
+        labels = (RayLabel(ell, Subset(n + 1, s)) for ell, n in enumerate(self.dims, 1) for s in range(1, 2 ** (n + 1) - 1))
+        if any(ray.label != label for ray, label in zip(self.rays, labels)) or _cone_count(self.dims, count) != count:
+            return 0
+        stage_cones, stage_perms = _stage_cones(self.dims)
+        joins = zip(itertools.product(*stage_perms), itertools.product(*stage_cones))
+        for ci, (pt, cone, (want_pt, parts)) in enumerate(zip(self.perm_tuples, self.maxcones, joins)):
+            if pt != want_pt or cone != sum(parts, ()):
+                return ci
+        return None

@@ -102,8 +102,8 @@ import operator
 from dataclasses import dataclass
 
 from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
-from .fans import Fan, PermTuple, Ray, RayLabel, Subset
-from .permfan import check_permutation, perm_fan, perm_ray_vector, proper_subsets
+from .fans import Fan, PermTuple, Ray, RayLabel, Subset, _cone_count, _stage_cones, permutation_cones
+from .permfan import check_permutation, perm_ray_vector, proper_subsets
 from .tower import FlagBottTower, InvalidStagePair, validate
 
 __all__ = [
@@ -118,7 +118,6 @@ __all__ = [
     "all_rays",
     "build_fan",
     "derive_rays_from_weights",
-    "product_departure",
     "ray_generator",
     "verify_oracle",
     "verify_pairing_identity",
@@ -206,32 +205,6 @@ def all_rays(t: FlagBottTower) -> list[Ray]:
     ]
 
 
-def _cone_count(dims: tuple[int, ...], cap: int) -> int:
-    # the product of the (n_ell + 1)!, formed factor by factor so that a
-    # huge stage dimension stops at the first partial product over cap,
-    # never in a factorial
-    total = 1
-    for n_ell in dims:
-        for k in range(2, n_ell + 2):
-            total *= k
-            if total > cap:
-                return total
-    return total
-
-
-def _stage_cones(dims: tuple[int, ...]) -> tuple[list[list[tuple[int, ...]]], list[list[tuple[int, ...]]]]:
-    # all_rays lists stage ell's rays in perm_fan(n_ell)'s order after the
-    # earlier stages' rays, so the stage's cones are perm_fan's shifted by
-    # that offset; joined stage by stage, in itertools.product order, a
-    # cone stays ascending.  Returns each stage's cones and permutations.
-    stage_fans = [perm_fan(n_ell) for n_ell in dims]
-    offsets = itertools.accumulate((len(f.rays) for f in stage_fans), initial=0)
-    stage_cones = [
-        [tuple(i + off for i in c) for c in f.maxcones] for f, off in zip(stage_fans, offsets)
-    ]
-    return stage_cones, [[v for (v,) in f.perm_tuples] for f in stage_fans]
-
-
 def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     """The whole fan: all rays plus all tuples-of-permutations cones.
 
@@ -247,31 +220,6 @@ def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     for stage in stage_cones:
         cones = [c + s for c in cones for s in stage]
     return Fan(t.dims, rays, tuple(cones), tuple(itertools.product(*stage_perms)))
-
-
-def product_departure(fan: Fan) -> int | None:
-    """Where fan departs from build_fan's fan of its dims, ray vectors aside.
-
-    None when the rays carry build_fan's labels in build_fan's order and
-    the cones and permutation tuples are build_fan's, in its
-    itertools.product order.  Otherwise the index of the first cone whose
-    rays or permutation tuple differ, or 0 when the ray labels or the
-    length of either list already differ.  The cones are compared one by
-    one against a lazy join of the stage cones; no second cone list is
-    built.
-    """
-    count = len(fan.maxcones)
-    if len(fan.rays) != sum(2 ** (n + 1) - 2 for n in fan.dims) or len(fan.perm_tuples) != count:
-        return 0
-    labels = (RayLabel(ell, s) for ell, n_ell in enumerate(fan.dims, start=1) for s in proper_subsets(n_ell + 1))
-    if any(ray.label != label for ray, label in zip(fan.rays, labels)) or _cone_count(fan.dims, count) != count:
-        return 0
-    stage_cones, stage_perms = _stage_cones(fan.dims)
-    joins = zip(itertools.product(*stage_perms), itertools.product(*stage_cones))
-    for ci, (pt, cone, (want_pt, parts)) in enumerate(zip(fan.perm_tuples, fan.maxcones, joins)):
-        if pt != want_pt or cone != sum(parts, ()):
-            return ci
-    return None
 
 
 def _y_rows(t: FlagBottTower, prefix: PermTuple) -> dict[int, list[list[int]]]:
@@ -389,9 +337,10 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     The weight route never reads the ray formula: it reads the twist
     recurrence and the ray vectors that fan holds, by label.  The cones
     of fan must be build_fan's, in its order; raises ValueError, naming
-    the first cone that is not.  product_departure settles that in one
-    pass when the rays are numbered as build_fan numbers them; a fan it
-    does not pass has its cones compared with build_fan's by ray label.
+    the first cone that is not.  Fan.product_departure settles that in
+    one pass when the rays are numbered as build_fan numbers them; a fan
+    it does not pass has its cones compared with build_fan's by ray
+    label.  Both read the stage cones off fans.permutation_cones.
     """
     _require_valid(t)
     if fan.dims != t.dims:
@@ -403,11 +352,9 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     perms, indices, chains, broken, diagonal_ok = [], [], [], [], []
     lo = 0
     for ell, n_ell in enumerate(t.dims, start=1):
-        stage_perms = list(itertools.permutations(range(1, n_ell + 2)))
-        stage_indices = [
-            tuple(by_label[ell, mask] for mask in itertools.accumulate(1 << (e - 1) for e in reversed(v[1:])))
-            for v in stage_perms
-        ]
+        # permutation_cones' ray index i is the ray of subset mask i + 1
+        stage_perms, cones = permutation_cones(n_ell)
+        stage_indices = [tuple(by_label[ell, i + 1] for i in c) for c in cones]
         stage_chains = [[fan.rays[i].vector for i in c] for c in stage_indices]
         units = _units(n_ell)
         perms.append(stage_perms)
@@ -423,7 +370,7 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
         lo += n_ell
     # the walk numbers the cones as build_fan does: by itertools.product;
     # rays numbered otherwise than build_fan's are compared by label
-    if product_departure(fan) is not None:
+    if fan.product_departure is not None:
         expected = zip(itertools.product(*perms), itertools.product(*indices))
         for ci, (pt, cone, want) in enumerate(itertools.zip_longest(fan.perm_tuples, fan.maxcones, expected)):
             if want is None or pt != want[0] or cone != tuple(sorted(sum(want[1], ()))):

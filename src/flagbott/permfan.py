@@ -10,18 +10,18 @@ ray:
 and every permutation v of {1,...,n+1} gives a maximal cone spanned by the
 rays of its chain S_1 < ... < S_n, where S_p collects the last p values of
 the one-line notation: S_p = {v(n+2-p), ..., v(n+1)}.  In perm_fan the
-rays are listed by ascending bitmask, so the ray of S has index mask - 1
-and a cone is formed straight from the prefix masks of its chain.
+rays are listed by ascending bitmask, so the ray of S has index mask - 1,
+and the cones are fans.permutation_cones(n): each formed straight from
+the growing masks of its chain, in itertools.permutations order.
 
 Permutations are plain tuples in one-line notation with values 1..n+1.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator
 
-from .fans import Fan, PermTuple, Ray, RayLabel, Subset
+from .fans import Fan, Ray, RayLabel, Subset, permutation_cones
 
 __all__ = [
     "Subset",
@@ -77,11 +77,5 @@ def perm_fan(n: int) -> Fan:
     if n < 1:
         raise InvalidDimension(f"dimension must be positive, got {n}")
     rays = tuple(Ray(RayLabel(1, s), perm_ray_vector(n, s)) for s in proper_subsets(n + 1))
-    maxcones: list[tuple[int, ...]] = []
-    perm_tuples: list[PermTuple] = []
-    for v in itertools.permutations(range(1, n + 2)):
-        # S_1 < ... < S_n as bitmasks, adding v(n+1), v(n), ..., v(2) in turn
-        masks = itertools.accumulate(1 << (e - 1) for e in reversed(v[1:]))
-        maxcones.append(tuple(sorted(mask - 1 for mask in masks)))
-        perm_tuples.append((v,))
-    return Fan((n,), rays, tuple(maxcones), tuple(perm_tuples))
+    perms, cones = permutation_cones(n)
+    return Fan((n,), rays, tuple(cones), tuple((v,) for v in perms))

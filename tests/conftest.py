@@ -7,7 +7,8 @@ labels, a fan's cones joined from whole stage cones, label lookups on a
 fan, tower truncation, the chain-sum form of the accumulated twist
 matrices, the weight oracle cone by cone with the ray faults it is
 checked on, the completeness test with explicit wall normals with the
-fan faults it is checked on, the bundle check on ray labels with the
+fan faults it is checked on, the flip table read off set differences of
+neighbouring cones, the bundle check on ray labels with the
 cone faults it is checked on, and the `paths` fixture, which records the
 path each completeness check and bundle split takes.
 """
@@ -352,7 +353,8 @@ def reference_is_complete_simplicial(fan: Fan) -> CompletenessReport:
             a, b = hits[0][0], hits[1][0]
             neighbors[a].add(b)
             neighbors[b].add(a)
-    connected = True
+    # a fan with no cones has support {0}, not R^n
+    connected = False
     if fan.maxcones:
         seen = {0}
         stack = [0]
@@ -364,6 +366,29 @@ def reference_is_complete_simplicial(fan: Fan) -> CompletenessReport:
                     stack.append(nb)
         connected = len(seen) == len(fan.maxcones)
     return CompletenessReport(len(fan.maxcones), len(census), defects, connected)
+
+
+def reference_flip_table(n: int, stride: int, lo: int) -> list[list[tuple[int, int, int]]]:
+    """The flip table of perm_fan(n) read off the cones: for each
+    permutation index i, one entry per adjacent transposition that leads to
+    a later index i' -- the cone index step (i' - i) * stride, the parity
+    (k1 + k2) & 1 of the opposite rays' positions, found by set difference,
+    and k1 shifted by lo."""
+    f = perm_fan(n)
+    perms = [v for (v,) in f.perm_tuples]
+    index = {v: i for i, v in enumerate(perms)}
+    table = []
+    for i, (v, cone) in enumerate(zip(perms, f.maxcones)):
+        entries = []
+        for a in range(n):
+            j = index[v[:a] + (v[a + 1], v[a]) + v[a + 2 :]]
+            if i < j:
+                other = f.maxcones[j]
+                (r1,), (r2,) = set(cone) - set(other), set(other) - set(cone)
+                k1, k2 = cone.index(r1), other.index(r2)
+                entries.append(((j - i) * stride, (k1 + k2) & 1, lo + k1))
+        table.append(entries)
+    return table
 
 
 def perturbed(fan: Fan, rng: random.Random) -> Fan:

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from conftest import ray_index, seeded_doc
-from flagbott import cli, exactlin, orbitfan
+from flagbott import cli, exactlin, fans, orbitfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel, Subset
 from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identity
@@ -175,6 +175,21 @@ def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
     assert main(["verify", spec_path, "--complete"]) == 0
     assert capsys.readouterr().out == "complete: ok (18 walls)\n"
     assert calls == [12, 12]
+
+
+def test_verify_runs_the_product_order_pass_once_per_fan(tmp_path, capsys, monkeypatch):
+    # the stage cones are joined once by build_fan, then once per distinct
+    # fan whose order a check reads: the full fan (completeness, oracle and
+    # the split at 3) and its projection to two stages (the split at 2)
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps(THREE_STAGE_DOC))
+    calls = []
+    stage_cones = fans._stage_cones
+    for module in (fans, orbitfan):
+        monkeypatch.setattr(module, "_stage_cones", lambda dims: calls.append(dims) or stage_cones(dims))
+    assert main(["verify", str(spec)]) == 0
+    assert capsys.readouterr().out.count(": ok (") == 5
+    assert calls == [(2, 2, 1), (2, 2, 1), (2, 2)]
 
 
 def test_verify_single_check(spec_path, capsys):

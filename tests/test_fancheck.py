@@ -18,6 +18,7 @@ from conftest import (
     random_tower,
     ray_faulted,
     ray_index,
+    reference_flip_table,
     reference_is_complete_simplicial,
     reference_verify_bundle_join,
     seeded_doc,
@@ -25,9 +26,11 @@ from conftest import (
     truncated,
     two_stage_tower,
 )
+from flagbott import fancheck
 from flagbott.cli import load_tower
 from flagbott.fancheck import (
     BundleJoinReport,
+    CompletenessReport,
     JoinDefect,
     NotSimplicial,
     WallDefect,
@@ -37,7 +40,7 @@ from flagbott.fancheck import (
     verify_bundle_join,
 )
 from flagbott.fans import Fan, Ray, RayLabel, Subset
-from flagbott.orbitfan import build_fan, product_departure
+from flagbott.orbitfan import build_fan
 from flagbott.permfan import perm_fan
 from flagbott.tower import FlagBottTower
 
@@ -87,6 +90,27 @@ def test_is_complete_permutohedral():
         assert report.cones_checked == len(fan.maxcones)
         # every wall is shared by two cones
         assert report.walls_checked == len(fan.maxcones) * n // 2
+
+
+def test_fan_with_no_cones_is_not_complete():
+    # its support is {0}: no wall is unpaired, but no component covers R^n
+    empty = dataclasses.replace(perm_fan(2), maxcones=(), perm_tuples=())
+    report = is_complete_simplicial(empty)
+    assert report == CompletenessReport(0, 0, [], False)
+    assert not report.ok
+    assert report == reference_is_complete_simplicial(empty)
+
+
+def test_flip_table_positions_equal_the_set_differences():
+    # the swap at a, a+1 changes S_(n-a) alone, at position n - a - 1 of
+    # both cones, so the opposite rays' positions agree and k1 + k2 is even
+    for n in range(1, 7):
+        for stride, lo in ((1, 0), (5, 3)):
+            reference = reference_flip_table(n, stride, lo)
+            assert {parity for entries in reference for _, parity, _ in entries} == {0}
+            assert fancheck._flip_table(n, stride, lo) == [
+                [(step, k) for step, _, k in entries] for entries in reference
+            ]
 
 
 def test_is_complete_rejects_nonsimplicial():
@@ -154,7 +178,7 @@ def test_degenerate_cone_sends_a_fan_of_build_fans_type_to_the_census(paths):
     # through both are degenerate, though the combinatorics are build_fan's
     fan = build_fan(two_stage_tower())
     case = dataclasses.replace(fan, rays=fan.rays[:2] + (Ray(fan.rays[2].label, fan.rays[0].vector),) + fan.rays[3:])
-    assert product_departure(case) is None
+    assert case.product_departure is None
     report = is_complete_simplicial(case)
     assert report == reference_is_complete_simplicial(case)
     assert paths == ["census"]
@@ -240,7 +264,7 @@ def test_census_memory_per_wall(tmp_path):
     swapped = with_cones(fan, [1, 0, *range(2, len(fan.maxcones))])
     swapped.cone_dets  # computed once per fan, outside the census
     report, peak = traced_peak(lambda: is_complete_simplicial(swapped))
-    assert product_departure(swapped) == 0
+    assert swapped.product_departure == 0
     assert report.ok
     assert report.walls_checked == 5184
     assert peak / report.walls_checked < 200
@@ -292,7 +316,7 @@ def test_sign_rule_matches_adjugate_normals(paths):
         assert report == reference_is_complete_simplicial(fan)
         kinds.update(d.kind for d in report.defects)
         # perturbed renumbers the rays, which sends a fan to the census
-        assert paths == ["flip" if product_departure(fan) is None and 0 not in fan.cone_dets else "census"]
+        assert paths == ["flip" if fan.product_departure is None and 0 not in fan.cone_dets else "census"]
         taken.update(paths)
     assert kinds == {"same_side", "dangling", "degenerate", "crowded"}
     assert taken == {"flip", "census"}
@@ -430,7 +454,7 @@ def test_bundle_join_matches_label_reference(paths):
             assert report == reference_verify_bundle_join(case, t)
             kinds.update(d.kind for d in report.defects)
             # the top split of a cone fault or a renumbering splits sets
-            assert paths[:1] == (["slices" if product_departure(case) is None else "sets"] if t.m > 1 else [])
+            assert paths[:1] == (["slices" if case.product_departure is None else "sets"] if t.m > 1 else [])
             taken.update(paths[:1])
     assert kinds == {
         "fiber_support",
@@ -456,7 +480,7 @@ def test_ray_faults_take_the_flip_and_slice_paths(paths):
         fan = build_fan(t)
         for kind in RAY_FAULTS + ("scale",):
             case = ray_faulted(fan, rng, kind, renumber=False)
-            assert product_departure(case) is None
+            assert case.product_departure is None
             paths.clear()
             report = is_complete_simplicial(case)
             assert report == reference_is_complete_simplicial(case)

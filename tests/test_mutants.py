@@ -29,31 +29,31 @@ FANCHECK = "tests/test_fancheck.py::"
 ORBITFAN = "tests/test_orbitfan.py::"
 
 MUTANTS = {
-    # the flip path's parity flipped in the last stage only
-    "flip-parity": (
+    # the flip path's same-sign rule inverted in the last stage only
+    "flip-same-sign": (
         "fancheck",
-        "entries.append(((j - i) * stride, (k1 + k2) & 1, lo + k1))",
-        "entries.append(((j - i) * stride, (k1 + k2 + (stride == 1)) & 1, lo + k1))",
+        "if s == positive[ci + step]:",
+        "if (s == positive[ci + step]) != (table is tables[-1]):",
         [FANCHECK + "test_is_complete_goldens"],
     ),
     # every fan on the flip path, whatever its cones
     "flip-fallback": (
         "fancheck",
-        "if 0 in dets or product_departure(fan) is not None:",
+        "if 0 in dets or fan.product_departure is not None:",
         "if False:",
         [FANCHECK + "test_incomplete_fan_has_dangling_walls", FANCHECK + "test_crowded_wall_reported"],
     ),
     # a degenerate cone of build_fan's type on the flip path
     "flip-zero-det": (
         "fancheck",
-        "if 0 in dets or product_departure(fan) is not None:",
-        "if product_departure(fan) is not None:",
+        "if 0 in dets or fan.product_departure is not None:",
+        "if fan.product_departure is not None:",
         [FANCHECK + "test_degenerate_cone_sends_a_fan_of_build_fans_type_to_the_census"],
     ),
     # every bundle split by slices, whatever its cones
     "slice-fallback": (
         "fancheck",
-        "if product_departure(fan) is None:\n        _split_by_slices(fan, report)",
+        "if fan.product_departure is None:\n        _split_by_slices(fan, report)",
         "if True:\n        _split_by_slices(fan, report)",
         [FANCHECK + "test_bundle_join_reports_two_lifts", FANCHECK + "test_bundle_join_reports_missing_fiber_ray"],
     ),
@@ -70,6 +70,13 @@ MUTANTS = {
         "if d and mask ^ bits[r] in crowd:",
         "if mask ^ bits[r] in crowd:",
         [FANCHECK + "test_degenerate_cone_is_not_a_cone_of_a_crowded_wall"],
+    ),
+    # the cached product-order test blind to the permutation tuples
+    "departure-perm-tuples": (
+        "fans",
+        "if pt != want_pt or cone != sum(parts, ()):",
+        "if cone != sum(parts, ()):",
+        [ORBITFAN + "test_product_departure_names_the_first_cone_off_build_fans_order"],
     ),
     # cones whose ray indices descend reach the wall test
     "cone-order": (

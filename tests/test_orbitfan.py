@@ -35,7 +35,6 @@ from flagbott.orbitfan import (
     all_rays,
     build_fan,
     derive_rays_from_weights,
-    product_departure,
     ray_generator,
     verify_oracle,
     verify_pairing_identity,
@@ -502,11 +501,11 @@ def test_product_departure_is_none_on_build_fans_fans():
     towers += [random_tower(seed) for seed in POPULATION_SEEDS[:20]]
     for t in towers:
         fan = build_fan(t)
-        assert product_departure(fan) is None
+        assert fan.product_departure is None
         # ray vectors are not part of the test
-        assert product_departure(ray_faulted(fan, random.Random(0), "flip", renumber=False)) is None
+        assert ray_faulted(fan, random.Random(0), "flip", renumber=False).product_departure is None
     for n in (1, 2, 3, 4):
-        assert product_departure(perm_fan(n)) is None
+        assert perm_fan(n).product_departure is None
 
 
 def test_product_departure_names_the_first_cone_off_build_fans_order():
@@ -528,7 +527,7 @@ def test_product_departure_names_the_first_cone_off_build_fans_order():
         (ray_faulted(fan, random.Random(1), "flip", renumber=True), 0),
     ]
     for case, ci in cases:
-        assert product_departure(case) == ci
+        assert case.product_departure == ci
 
 
 def test_product_departure_is_the_oracles_cone_order_test():
@@ -537,7 +536,7 @@ def test_product_departure_is_the_oracles_cone_order_test():
     t = three_stage_tower()
     fan = build_fan(t)
     rng = random.Random(4)
-    assert product_departure(fan) is None and verify_oracle(fan, t).ok
+    assert fan.product_departure is None and verify_oracle(fan, t).ok
     named = set()
     for _ in range(40):
         cones, perms = list(fan.maxcones), list(fan.perm_tuples)
@@ -545,7 +544,7 @@ def test_product_departure_is_the_oracles_cone_order_test():
             c, d = rng.sample(range(72), 2)
             faulted[c], faulted[d] = faulted[d], faulted[c]
         case = dataclasses.replace(fan, maxcones=tuple(cones), perm_tuples=tuple(perms))
-        ci = product_departure(case)
+        ci = case.product_departure
         with pytest.raises(ValueError, match=f"^fan cone {ci} is not build_fan's cone {ci}$"):
             verify_oracle(case, t)
         named.add(ci)

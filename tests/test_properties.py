@@ -37,7 +37,6 @@ from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_j
 from flagbott.orbitfan import (  # noqa: E402
     build_fan,
     derive_rays_from_weights,
-    product_departure,
     verify_oracle,
     weights_at,
     x_matrix,
@@ -225,7 +224,7 @@ def test_flip_and_slice_paths_equal_the_references_on_a_faulted_fan(paths, t, ki
     # a ray fault keeps build_fan's combinatorics; only renumbering leaves them
     kept = [ray.label for ray in fan.rays] == [ray.label for ray in base.rays]
     assert renumber or kept
-    assert (product_departure(fan) is None) == kept
+    assert (fan.product_departure is None) == kept
     paths.clear()
     assert is_complete_simplicial(fan) == reference_is_complete_simplicial(fan)
     assert paths == ["flip" if kept and 0 not in fan.cone_dets else "census"]
