@@ -62,8 +62,8 @@ computes it from that prefix.  Let R_j[k], k = 1..n_j+1, be row k of the
 block row [Y_(j,1) ... Y_(j,j-1)  I  0 ... 0], projected; _stage_rows
 computes these rows.  Then row i of [X_(j,1) ... B_j ...] is R_j[v_j(i)],
 and weight (j, i) is R_j[v_j(i+1)] - R_j[v_j(i)], which vanishes on the
-blocks above j.  weights_at and the test (c) below read these rows, and
-x_matrix reindexes the rows of Y_(j,ell) by v_j.  Split
+blocks above j.  weights_at, the test (c) below and the pairing check
+read these rows; x_matrix reindexes the rows of Y_(j,ell) by v_j.  Split
 the rows of W by weight stage and the columns of U by ray stage, so that
 block (j, ell) of W U pairs the stage-j weights with the stage-ell rays.
 
@@ -93,6 +93,12 @@ is still a permutation matrix.  Each cone holding such a ray is decided
 on its own, by forming W U.  The rays are read by label, stage by stage,
 so ray vectors and numbering may be anything; the cones must be
 build_fan's.
+
+The pairing check.  By linearity, weight (j, i) pairs with a ray u as
+R_j[v_j(i+1)] . u - R_j[v_j(i)] . u, so verify_pairing_identity takes one
+dot per row of R_j.  At the witness of (ell, s) every stage below ell is
+the identity, so R_j for j <= ell is computed once per call.  The check
+still reads the ray formula and the twist recurrence independently.
 """
 
 from __future__ import annotations
@@ -173,11 +179,7 @@ def ray_generator(t: FlagBottTower, ell: int, s: Subset) -> tuple[int, ...]:
     last_in = (n_ell + 1) in s
     for p in range(ell + 1, t.m + 1):
         a = t.twist(p, ell)
-        for k in range(a.rows):
-            if last_in:
-                blocks[p - 1][k] = sum(a[k, c] for c in range(d))
-            else:
-                blocks[p - 1][k] = -sum(a[k, c] for c in range(d, n_ell + 1))
+        blocks[p - 1] = [sum(row[:d]) if last_in else -sum(row[d:]) for row in map(a.row, range(a.rows))]
     # re-represent modulo the trivially acting directions: zeroing the last
     # coordinate of block p counter-adjusts every higher block by the row
     # sums of its twist matrix against stage p
@@ -187,8 +189,7 @@ def ray_generator(t: FlagBottTower, ell: int, s: Subset) -> tuple[int, ...]:
             blocks[p - 1] = [x - c for x in blocks[p - 1]]
             for q in range(p + 1, t.m + 1):
                 a = t.twist(q, p)
-                for k in range(a.rows):
-                    blocks[q - 1][k] += c * sum(a.row(k))
+                blocks[q - 1] = [x + c * sum(a.row(k)) for k, x in enumerate(blocks[q - 1])]
     vec: list[int] = []
     for b in blocks:
         vec.extend(b[:-1])
@@ -473,25 +474,27 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
     """Check every ray against every weight at its witness fixed point.
 
     At the witness of (ell, s) the pairing of weight (j, i) with the ray
-    generator must be 1 when j = ell and i = n_ell + 1 - |s|, else 0.
+    generator must be 1 when j = ell and i = n_ell + 1 - |s|, else 0,
+    read off the rows R_j as the module docstring's pairing check shows.
     """
     _require_valid(t)
-    labels = [(j, i) for j, n_j in enumerate(t.dims, start=1) for i in range(1, n_j + 1)]
+    identities = tuple(tuple(range(1, n_p + 2)) for n_p in t.dims)
+    identity_rows = [_stage_rows(t, identities[: j - 1]) for j in range(1, t.m + 1)]
     violations = []
-    rays_checked = 0
-    pairings_checked = 0
+    rays_checked = pairings_checked = 0
     for ell, n_ell in enumerate(t.dims, start=1):
         for s in proper_subsets(n_ell + 1):
             rays_checked += 1
             d = n_ell + 1 - len(s)
             u = ray_generator(t, ell, s)
-            ws = weights_at(t, witness_perm_tuple(t, ell, s))
-            for (j, i), w in zip(labels, ws):
-                pairings_checked += 1
-                expected = 1 if (j == ell and i == d) else 0
-                actual = sum(a * b for a, b in zip(w, u))
-                if actual != expected:
-                    violations.append(
-                        PairingViolation(ell, s, j, i, expected, actual)
-                    )
+            v = witness_perm_tuple(t, ell, s)
+            for j, vj in enumerate(v, start=1):
+                rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1])
+                dots = [sum(map(operator.mul, row, u)) for row in rows]
+                for i, (vh, vi) in enumerate(zip(vj, vj[1:]), start=1):
+                    pairings_checked += 1
+                    expected = 1 if (j == ell and i == d) else 0
+                    actual = dots[vi - 1] - dots[vh - 1]
+                    if actual != expected:
+                        violations.append(PairingViolation(ell, s, j, i, expected, actual))
     return PairingReport(rays_checked, pairings_checked, violations)

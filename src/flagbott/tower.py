@@ -73,7 +73,7 @@ def validate(t: FlagBottTower) -> list[str]:
     if not t.dims:
         defects.append("tower has no stages")
     for ell, n_ell in enumerate(t.dims, start=1):
-        if not isinstance(n_ell, int) or n_ell < 1:
+        if type(n_ell) is not int or n_ell < 1:
             defects.append(f"stage {ell} dimension must be a positive integer, got {n_ell!r}")
     if defects:
         return defects
@@ -91,6 +91,8 @@ def validate(t: FlagBottTower) -> list[str]:
                 f"matrix for stage pair ({j}, {ell}) has shape "
                 f"{a.rows}x{a.cols}, expected {want[0]}x{want[1]}"
             )
+        if any(type(e) is bool for e in a.entries):
+            defects.append(f"matrix for stage pair ({j}, {ell}) holds a bool; entries must be int")
     return defects
 
 

@@ -5,12 +5,13 @@ helpers that build expected values independently of the library's
 pipeline: the chain of a permutation and its inverse, chain-tuple cone
 labels, a fan's cones joined from whole stage cones, label lookups on a
 fan, tower truncation, the chain-sum form of the accumulated twist
-matrices, the weight oracle cone by cone with the ray faults it is
-checked on, the completeness test with explicit wall normals with the
-fan faults it is checked on, the flip table read off set differences of
-neighbouring cones, the bundle check on ray labels with the
-cone faults it is checked on, and the `paths` fixture, which records the
-path each completeness check and bundle split takes.
+matrices, the pairing check on the chain-sum weights, the weight oracle
+cone by cone with the ray faults it is checked on, the completeness test
+with explicit wall normals with the fan faults it is checked on, the flip
+table read off set differences of neighbouring cones, the bundle check on
+ray labels with the cone faults it is checked on, and the `paths`
+fixture, which records the path each completeness check and bundle split
+takes.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from collections import defaultdict
 
 import pytest
 
-from flagbott import fancheck
+from flagbott import fancheck, orbitfan
 from flagbott.exactlin import IntMatrix, _det_rows, adjugate_det, mat_mul
 from flagbott.fancheck import BundleJoinReport, CompletenessReport, JoinDefect, WallDefect, project_fan
 from flagbott.fans import Fan, NotSimplicial, PermTuple, Ray, RayLabel, Subset
@@ -30,6 +31,8 @@ from flagbott.orbitfan import (
     ORACLE_SHOWN,
     OracleFailure,
     OracleReport,
+    PairingReport,
+    PairingViolation,
     derive_rays_from_weights,
 )
 from flagbott.permfan import check_permutation, perm_fan, perm_ray_vector
@@ -206,6 +209,31 @@ def weights_chain_sum(t: FlagBottTower, v) -> tuple[tuple[int, ...], ...]:
         rows = [[e for b in blocks for e in b.row(i)[:-1]] + [0] * sum(t.dims[j:]) for i in range(n_j + 1)]
         weights += [tuple(b - a for a, b in zip(r, s)) for r, s in zip(rows, rows[1:])]
     return tuple(weights)
+
+
+def reference_pairing_identity(t: FlagBottTower) -> PairingReport:
+    """The pairing check on the weights of weights_chain_sum, which never
+    reads the rows R_j.  The witness of ray (ell, s) is built here: stage
+    ell lists the complement of s ascending, then s ascending, and every
+    other stage is the identity.  The ray is read from
+    orbitfan.ray_generator at call time, so a monkeypatched generator
+    reaches this check and the library's alike."""
+    labels = [(j, i) for j, n_j in enumerate(t.dims, start=1) for i in range(1, n_j + 1)]
+    violations = []
+    rays = 0
+    for ell, n_ell in enumerate(t.dims, start=1):
+        for mask in range(1, 2 ** (n_ell + 1) - 1):
+            s = Subset(n_ell + 1, mask)
+            rays += 1
+            v = [tuple(range(1, n_p + 2)) for n_p in t.dims]
+            v[ell - 1] = tuple(k for k in v[ell - 1] if k not in s) + tuple(k for k in v[ell - 1] if k in s)
+            u = orbitfan.ray_generator(t, ell, s)
+            for (j, i), w in zip(labels, weights_chain_sum(t, tuple(v))):
+                expected = int(j == ell and i == n_ell + 1 - len(s))
+                actual = sum(a * b for a, b in zip(w, u))
+                if actual != expected:
+                    violations.append(PairingViolation(ell, s, j, i, expected, actual))
+    return PairingReport(rays, rays * t.n, violations)
 
 
 def reference_oracle(fan: Fan, t: FlagBottTower, derive=derive_rays_from_weights) -> OracleReport:

@@ -106,6 +106,21 @@ MUTANTS = {
         "for row in rows[1:]}) == 1 for u in rays)",
         [ORBITFAN + "test_verify_oracle_off_diagonal_failure"],
     ),
+    # the pairing check blind to the witness's own prefix: R_j at the
+    # identity prefix for every stage
+    "pairing-identity-prefix": (
+        "orbitfan",
+        "rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1])",
+        "rows = identity_rows[j - 1]",
+        [ORBITFAN + "test_pairing_identity_on_goldens", ORBITFAN + "test_pairing_identity_equals_the_reference"],
+    ),
+    # the pairing check taking each weight with the wrong sign
+    "pairing-difference": (
+        "orbitfan",
+        "actual = dots[vi - 1] - dots[vh - 1]",
+        "actual = dots[vh - 1] - dots[vi - 1]",
+        [ORBITFAN + "test_pairing_identity_on_goldens", ORBITFAN + "test_pairing_identity_equals_the_reference"],
+    ),
 }
 
 

@@ -20,6 +20,7 @@ from conftest import (
     ray_faulted,
     ray_index,
     reference_oracle,
+    reference_pairing_identity,
     three_stage_tower,
     two_stage_tower,
     x_matrix_chain_sum,
@@ -559,12 +560,12 @@ def test_pairing_identity_on_goldens():
         assert report.pairings_checked == report.rays_checked * t.n
 
 
+# entries in the last row and column exercise the kernel normalization
+NONZERO_LAST_ROWS = FlagBottTower((3, 1), {(2, 1): IntMatrix.from_rows([[1, 0, -4, 2], [-3, 3, 1, -3]])})
+
+
 def test_pairing_identity_with_nonzero_last_rows():
-    # entries in the last row and column exercise the kernel normalization
-    t = FlagBottTower(
-        (3, 1),
-        {(2, 1): IntMatrix.from_rows([[1, 0, -4, 2], [-3, 3, 1, -3]])},
-    )
+    t = NONZERO_LAST_ROWS
     report = verify_pairing_identity(t)
     assert report.ok
     fan = build_fan(t)
@@ -576,3 +577,37 @@ def test_pairing_identity_with_nonzero_last_rows():
 def test_pairing_identity_random_towers():
     for seed in range(40):
         assert verify_pairing_identity(random_tower(seed)).ok
+
+
+def test_pairing_identity_equals_the_reference():
+    towers = [two_stage_tower(), three_stage_tower(), NONZERO_LAST_ROWS]
+    for t in towers + [random_tower(seed) for seed in POPULATION_SEEDS]:
+        report = verify_pairing_identity(t)
+        assert report == reference_pairing_identity(t)
+        assert report.ok
+
+
+@pytest.mark.parametrize("kind", ["bump", "negate", "swap_across"])
+def test_pairing_identity_equals_the_reference_on_a_faulted_generator(kind, monkeypatch):
+    # bump: +-1 on one entry of one ray; negate: one ray; swap_across: the
+    # vectors of two rays of different stages
+    towers = [two_stage_tower(), three_stage_tower(), NONZERO_LAST_ROWS]
+    towers += [t for t in map(random_tower, POPULATION_SEEDS[:30]) if t.m > 1]
+    for seed, t in enumerate(towers):
+        rng = random.Random(seed)
+        rays = {(ray.label.stage, ray.label.subset): ray.vector for ray in all_rays(t)}
+        a = rng.choice(list(rays))
+        faulty = dict(rays)
+        if kind == "bump":
+            k = rng.randrange(t.n)
+            faulty[a] = tuple(c + rng.choice((-1, 1)) * (i == k) for i, c in enumerate(rays[a]))
+        elif kind == "negate":
+            faulty[a] = tuple(-c for c in rays[a])
+        else:
+            b = rng.choice([x for x in rays if x[0] != a[0]])
+            faulty[a], faulty[b] = rays[b], rays[a]
+        monkeypatch.setattr(orbitfan, "ray_generator", lambda t, ell, s: faulty[ell, s])
+        report = verify_pairing_identity(t)
+        assert report == reference_pairing_identity(t)
+        assert not report.ok
+        monkeypatch.undo()

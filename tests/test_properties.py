@@ -1,11 +1,12 @@
 """Property tests: the loader's error contract, the chain/permutation
 bijection, the determinant and adjugate identities, the prefix-shared
 determinants against Bareiss, the weight recurrence against its
-chain-sum form, the paper's theorem on drawn towers, the prefix-tree
-oracle against the per-cone one, the bitmask wall census against
-explicit wall normals, the flip and slice paths against the references
-on a fan with a ray fault, and the stage-by-stage cone join against
-whole tuples of stage cones."""
+chain-sum form, the pairing check against its chain-sum reference, the
+paper's theorem on drawn towers, the prefix-tree oracle against the
+per-cone one, the bitmask wall census against explicit wall normals,
+the flip and slice paths against the references on a fan with a ray
+fault, and the stage-by-stage cone join against whole tuples of stage
+cones."""
 
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from conftest import (  # noqa: E402
     reference_maxcones,
     reference_verify_bundle_join,
     reference_oracle,
+    reference_pairing_identity,
     weights_chain_sum,
     x_matrix_chain_sum,
 )
@@ -38,6 +40,7 @@ from flagbott.orbitfan import (  # noqa: E402
     build_fan,
     derive_rays_from_weights,
     verify_oracle,
+    verify_pairing_identity,
     weights_at,
     x_matrix,
 )
@@ -172,6 +175,15 @@ def test_x_matrix_equals_chain_sum(tower_and_v):
         for ell in range(1, j):
             assert x_matrix(t, v, j, ell) == x_matrix_chain_sum(t, v, j, ell)
     assert weights_at(t, v) == weights_chain_sum(t, v)
+
+
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(towers(st.lists(st.integers(1, 3), min_size=1, max_size=3), 10**6))
+def test_pairing_identity_equals_the_reference_on_a_drawn_tower(t):
+    # last rows are drawn like the others, so the kernel normalization runs
+    report = verify_pairing_identity(t)
+    assert report == reference_pairing_identity(t)
+    assert report.ok
 
 
 def cone_count(dims) -> int:

@@ -62,6 +62,13 @@ def test_validate_reports_missing_and_extra_keys():
     assert validate(FlagBottTower(dims=(0, 1), twists={(2, 1): IntMatrix.zero(2, 1)})) != []
 
 
+def test_validate_reports_bools():
+    # bools are ints to isinstance; a JSON true must not pass for a 1
+    assert validate(FlagBottTower((True,), {})) == ["stage 1 dimension must be a positive integer, got True"]
+    t = FlagBottTower((2, 1), {(2, 1): IntMatrix.from_rows([[True, 0, 0], [0, 0, 0]])})
+    assert validate(t) == ["matrix for stage pair (2, 1) holds a bool; entries must be int"]
+
+
 def test_truncated():
     t = three_stage_tower()
     t2 = truncated(t, 2)
