@@ -33,20 +33,16 @@ import argparse
 import json
 import os
 import sys
+from importlib import import_module
 from pathlib import Path
+from typing import TYPE_CHECKING
 
+# each command imports the fan modules it runs, when it runs
 from .exactlin import IntMatrix
-from .fans import Fan, Ray
-from .fancheck import is_complete_simplicial, is_smooth, verify_bundle_join
-from .orbitfan import (
-    DEFAULT_CONE_CAP,
-    EnumerationTooLarge,
-    all_rays,
-    build_fan,
-    verify_oracle,
-    verify_pairing_identity,
-)
-from .tower import FlagBottTower, SamplingExhausted, sample_generic, validate
+from .tower import DEFAULT_CONE_CAP, EnumerationTooLarge, FlagBottTower, SamplingExhausted, sample_generic, validate
+
+if TYPE_CHECKING:
+    from .fans import Fan, Ray
 
 
 class SpecError(Exception):
@@ -165,8 +161,10 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
+    from . import orbitfan
+
     tower = load_tower(args.spec)
-    fan = build_fan(tower, cone_cap=_cone_cap())
+    fan = orbitfan.build_fan(tower, cone_cap=_cone_cap())
     print(f"rays: {len(fan.rays)}, maxcones: {len(fan.maxcones)}")
     if args.out:
         _write_text(args.out, format_fan(fan))
@@ -174,47 +172,58 @@ def _cmd_build(args: argparse.Namespace) -> int:
 
 
 def _cmd_rays(args: argparse.Namespace) -> int:
+    from . import orbitfan
+
     tower = load_tower(args.spec)
     _check_cap("rays", [n + 1 for n in tower.dims], 2)
-    for ray in all_rays(tower):
+    for ray in orbitfan.all_rays(tower):
         print(_ray_line(ray))
     return 0
 
 
 def _cmd_export(args: argparse.Namespace) -> int:
+    from . import orbitfan
+
     tower = load_tower(args.spec)
-    fan = build_fan(tower, cone_cap=_cone_cap())
+    fan = orbitfan.build_fan(tower, cone_cap=_cone_cap())
     _write_text(args.out, format_fan(fan))
     return 0
 
 
-# verify's checks, in flag and output order: (name, reads the fan, run,
-# --help text, note when ok, note on failure).  Each run looks its check
-# up by name when called, so that a function rebound in this module, as a
-# tracer does, is the one that runs.
+# verify's checks, in flag and output order: (name, reads the fan, the
+# module that defines the check, run, --help text, note when ok, note on
+# failure).  _cmd_verify imports that module when the check runs, and run
+# calls the check through it, the namespace in which a tracer rebinds it.
 _CHECKS = (
-    ("smooth", True, lambda fan, tower: is_smooth(fan), "cone determinants are +-1",
+    ("smooth", True, "fancheck", lambda fancheck, fan, tower: fancheck.is_smooth(fan),
+     "cone determinants are +-1",
      lambda r: f"{r.cones_checked} cones", lambda r: f"{len(r.failures)} of {r.cones_checked} cones fail"),
-    ("complete", True, lambda fan, tower: is_complete_simplicial(fan), "wall pairing covers R^n",
+    ("complete", True, "fancheck", lambda fancheck, fan, tower: fancheck.is_complete_simplicial(fan),
+     "wall pairing covers R^n",
      lambda r: f"{r.walls_checked} walls", lambda r: f"{len(r.defects)} wall defects, connected={r.connected}"),
-    ("pairing", False, lambda fan, tower: verify_pairing_identity(tower), "weights pair correctly with rays",
+    ("pairing", False, "orbitfan", lambda orbitfan, fan, tower: orbitfan.verify_pairing_identity(tower),
+     "weights pair correctly with rays",
      lambda r: f"{r.pairings_checked} pairings", lambda r: f"{len(r.violations)} violations"),
-    ("oracle", True, lambda fan, tower: verify_oracle(fan, tower), "weight-derived rays match the formula",
+    ("oracle", True, "orbitfan", lambda orbitfan, fan, tower: orbitfan.verify_oracle(fan, tower),
+     "weight-derived rays match the formula",
      lambda r: f"{r.cones_checked} cones agree", lambda r: f"{r.disagreeing} of {r.cones_checked} cones disagree"),
-    ("bundle", True, lambda fan, tower: verify_bundle_join(fan, tower), "iterated bundle structure holds",
+    ("bundle", True, "fancheck", lambda fancheck, fan, tower: fancheck.verify_bundle_join(fan, tower),
+     "iterated bundle structure holds",
      lambda r: f"splits {','.join(map(str, r.splits_checked)) or 'none'}", lambda r: f"{len(r.defects)} defects"),
 )
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
+    from . import orbitfan
+
     tower = load_tower(args.spec)
     chosen = [check for check in _CHECKS if getattr(args, check[0])] or _CHECKS
-    fan = build_fan(tower, cone_cap=_cone_cap()) if any(reads_fan for _, reads_fan, *_ in chosen) else None
+    fan = orbitfan.build_fan(tower, cone_cap=_cone_cap()) if any(reads_fan for _, reads_fan, *_ in chosen) else None
     if any(name == "pairing" for name, *_ in chosen):
         _check_cap("rays", [n + 1 for n in tower.dims], 2)
     failed = False
-    for name, _, run, _, ok_note, fail_note in chosen:
-        rep = run(fan, tower)
+    for name, _, module, run, _, ok_note, fail_note in chosen:
+        rep = run(import_module(f".{module}", __package__), fan, tower)
         note = ok_note(rep) if rep.ok else fail_note(rep)
         print(f"{name}: {'ok' if rep.ok else 'FAIL'} ({note})")
         failed = failed or not rep.ok
@@ -252,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run structural checks (all by default)")
     p.add_argument("spec")
-    for name, _, _, help_text, _, _ in _CHECKS:
+    for name, _, _, _, help_text, _, _ in _CHECKS:
         p.add_argument(f"--{name}", action="store_true", help=help_text)
     p.set_defaults(func=_cmd_verify)
 

@@ -110,7 +110,7 @@ from dataclasses import dataclass
 from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
 from .fans import Fan, PermTuple, Ray, RayLabel, Subset, _cone_count, _stage_cones, permutation_cones
 from .permfan import check_permutation, perm_ray_vector, proper_subsets
-from .tower import FlagBottTower, InvalidStagePair, validate
+from .tower import DEFAULT_CONE_CAP, EnumerationTooLarge, FlagBottTower, InvalidStagePair, validate
 
 __all__ = [
     "DEFAULT_CONE_CAP",
@@ -131,22 +131,6 @@ __all__ = [
     "witness_perm_tuple",
     "x_matrix",
 ]
-
-DEFAULT_CONE_CAP = 1_000_000
-
-
-class EnumerationTooLarge(RuntimeError):
-    """The tower has more maximal cones than the enumeration cap allows.
-
-    count is a lower bound on the number of maximal cones, the first
-    partial product of the count that passed the cap.
-    """
-
-    def __init__(self, count: int, cap: int):
-        super().__init__(f"fan has at least {count} maximal cones, over the cap of {cap}")
-        self.count = count
-        self.cap = cap
-
 
 class OracleFailure(RuntimeError):
     """The weight-based reconstruction contradicts itself or the ray formula."""

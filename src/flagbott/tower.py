@@ -25,6 +25,10 @@ from typing import Mapping
 from .exactlin import DimensionMismatch, IntMatrix, _det_rows
 
 MAX_ATTEMPTS = 10_000  # candidates sample_generic draws before giving up
+# The enumeration cap (of build_fan's cones, and of the rays and flag minors
+# cli counts) and EnumerationTooLarge live here, so that cli reads them
+# without loading the fan modules; orbitfan re-exports both.
+DEFAULT_CONE_CAP = 1_000_000
 
 
 class InvalidIndices(ValueError):
@@ -37,6 +41,19 @@ class InvalidStagePair(ValueError):
 
 class SamplingExhausted(RuntimeError):
     """Random search for a generic point hit the retry cap."""
+
+
+class EnumerationTooLarge(RuntimeError):
+    """The tower has more maximal cones than the enumeration cap allows.
+
+    count is a lower bound on the number of maximal cones, the first
+    partial product of the count that passed the cap.
+    """
+
+    def __init__(self, count: int, cap: int):
+        super().__init__(f"fan has at least {count} maximal cones, over the cap of {cap}")
+        self.count = count
+        self.cap = cap
 
 
 @dataclass(frozen=True)

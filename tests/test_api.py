@@ -5,6 +5,8 @@ module-level function in src/flagbott must be referenced by src/ code
 outside its own body, or be named on the allowlist below.  A function
 that only tests call belongs in tests/ as a test oracle, or nowhere.
 Every exact decision runs on integers, so no module imports fractions.
+The package binds its public names on first use, each to the object its
+defining submodule holds.
 """
 
 from __future__ import annotations
@@ -12,11 +14,28 @@ from __future__ import annotations
 import ast
 import importlib
 import pkgutil
+import sys
 from pathlib import Path
+
+import pytest
 
 import flagbott
 
 SRC = Path(flagbott.__file__).parent
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+# the 28 names the package bound when it imported every submodule, by module
+PACKAGE_NAMES = {
+    "exactlin": ["IntMatrix", "NotUnimodular", "det", "mat_mul", "unimodular_inverse"],
+    "fans": ["Fan", "Ray", "RayLabel", "Subset"],
+    "fancheck": ["is_complete_simplicial", "is_smooth", "project_fan", "verify_bundle_join"],
+    "orbitfan": [
+        "all_rays", "build_fan", "derive_rays_from_weights", "ray_generator",
+        "verify_oracle", "verify_pairing_identity", "weights_at", "x_matrix",
+    ],
+    "permfan": ["perm_fan", "perm_ray_vector"],
+    "tower": ["FlagBottTower", "is_generic_matrix", "plucker", "sample_generic", "validate"],
+}
 
 # Public functions kept without a src/ caller, each for a stated reason.
 ALLOWLIST = {
@@ -95,3 +114,25 @@ def test_src_imports_no_fractions():
             if any(m.split(".")[0] == "fractions" for m in modules):
                 importers.append(path.name)
     assert importers == []
+
+
+def test_package_names_are_the_defining_modules_objects():
+    names = [name for names in PACKAGE_NAMES.values() for name in names]
+    assert len(names) == 28
+    assert sorted(flagbott.__all__) == sorted(names)
+    for module, names in PACKAGE_NAMES.items():
+        mod = importlib.import_module(f"flagbott.{module}")
+        for name in names:
+            assert getattr(flagbott, name) is getattr(mod, name), name
+    from flagbott import fancheck
+
+    assert fancheck is sys.modules["flagbott.fancheck"]
+    with pytest.raises(AttributeError):
+        flagbott.no_such_name
+
+
+def test_readme_library_example_runs():
+    section = README.read_text().split("\n## Library\n", 1)[1]
+    example = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert example.startswith("from flagbott import (")
+    exec(compile(example, str(README), "exec"), {})

@@ -13,7 +13,7 @@ import sys
 import pytest
 
 from conftest import ray_index, seeded_doc
-from flagbott import cli, exactlin, fans, orbitfan
+from flagbott import exactlin, fans, orbitfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel, Subset
 from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identity
@@ -326,7 +326,7 @@ def test_verify_oracle_fails_on_flipped_ray(spec_path, capsys, monkeypatch):
     rays = list(fan.rays)
     rays[r] = Ray(rays[r].label, tuple(-c for c in rays[r].vector))
     flipped = dataclasses.replace(fan, rays=tuple(rays))
-    monkeypatch.setattr(cli, "build_fan", lambda t, cone_cap: flipped)
+    monkeypatch.setattr(orbitfan, "build_fan", lambda t, cone_cap: flipped)
     k = sum(r in cone for cone in fan.maxcones)
     assert 0 < k < len(fan.maxcones)
     assert main(["verify", "--oracle", spec_path]) == 1
@@ -390,6 +390,35 @@ def test_module_entry_point(spec_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "rays: 8, maxcones: 12\n"
+
+
+def loaded_modules(*argv: str) -> set[str]:
+    """The flagbott modules a fresh `python <argv>` child imports.  The
+    child runs with -v, which reports each module as it loads; -X importtime
+    misses a submodule that `from . import name` loads."""
+    proc = subprocess.run([sys.executable, "-v", *argv], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    lines = proc.stderr.splitlines()
+    return {line.split("'")[1].removeprefix("flagbott.") for line in lines if line.startswith("import 'flagbott.")}
+
+
+def test_each_command_loads_only_the_modules_it_runs(spec_path, tmp_path):
+    no_fan = {"cli", "exactlin", "tower"}
+    fan = no_fan | {"fans", "permfan", "orbitfan"}
+    load = "import sys; from flagbott.cli import load_tower; load_tower(sys.argv[1])"
+    m = ("-m", "flagbott")
+    commands = {
+        "import flagbott": (("-c", "import flagbott"), set()),
+        "load_tower": (("-c", load, spec_path), no_fan),
+        "sample-generic": ((*m, "sample-generic", "--n", "3", "--bound", "5", "--seed", "7"), no_fan),
+        "rays": ((*m, "rays", spec_path), fan),
+        "build": ((*m, "build", spec_path), fan),
+        "export": ((*m, "export", spec_path, "--out", str(tmp_path / "fan.txt")), fan),
+        "verify --pairing": ((*m, "verify", "--pairing", spec_path), fan),
+        "verify": ((*m, "verify", spec_path), fan | {"fancheck"}),
+    }
+    got = {what: loaded_modules(*argv) for what, (argv, _) in commands.items()}
+    assert got == {what: want for what, (_, want) in commands.items()}
 
 
 @pytest.fixture
