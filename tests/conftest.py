@@ -2,16 +2,16 @@
 
 The two golden towers, seeded random-tower samplers, and reference
 helpers that build expected values independently of the library's
-pipeline: the chain of a permutation and its inverse, chain-tuple cone
-labels, a fan's cones joined from whole stage cones, label lookups on a
-fan, tower truncation, the chain-sum form of the accumulated twist
-matrices, the pairing check on the chain-sum weights, the weight oracle
-cone by cone with the ray faults it is checked on, the completeness test
-with explicit wall normals with the fan faults it is checked on, the flip
-table read off set differences of neighbouring cones, the bundle check on
-ray labels with the cone faults it is checked on, and the `paths`
-fixture, which records the path each completeness check and bundle split
-takes.
+pipeline: the export text cone by cone, the chain of a permutation and
+its inverse, chain-tuple cone labels, a fan's cones joined from whole
+stage cones, label lookups on a fan, tower truncation, the chain-sum
+form of the accumulated twist matrices, the pairing check on the
+chain-sum weights, the weight oracle cone by cone with the ray faults it
+is checked on, the completeness test with explicit wall normals with the
+fan faults it is checked on, the flip table read off set differences of
+neighbouring cones, the bundle check on ray labels with the cone faults
+it is checked on, and the `paths` fixture, which records the path each
+completeness check and bundle split takes.
 """
 
 from __future__ import annotations
@@ -96,6 +96,17 @@ def seeded_doc(dims: tuple[int, ...], seed: int) -> dict:
                 for _ in range(dims[j - 1] + 1)
             ]
     return {"dims": list(dims), "A": twists}
+
+
+def reference_format_fan(fan: Fan) -> str:
+    """The export text line by line: each ray's line, then each cone's
+    indices joined on their own, whatever the cones around it share."""
+    lines = ["FANBOTT 1", "dims " + " ".join(str(d) for d in fan.dims), f"RAYS {len(fan.rays)}"]
+    lines += (f"{r.label.stage} {r.label.subset} : {' '.join(map(str, r.vector))}" for r in fan.rays)
+    lines.append(f"MAXCONES {len(fan.maxcones)}")
+    names = list(map(str, range(len(fan.rays))))
+    lines += (" ".join(map(names.__getitem__, cone)) for cone in fan.maxcones)
+    return "\n".join(lines) + "\n"
 
 
 def reference_maxcones(t: FlagBottTower) -> tuple[tuple[int, ...], ...]:

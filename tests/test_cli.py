@@ -9,10 +9,19 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import pytest
 
-from conftest import ray_index, seeded_doc
+from conftest import (
+    POPULATION_SEEDS,
+    random_tower,
+    ray_index,
+    reference_format_fan,
+    seeded_doc,
+    three_stage_tower,
+    two_stage_tower,
+)
 from flagbott import exactlin, fans, orbitfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel, Subset
@@ -34,6 +43,7 @@ EXPORT_SHA256 = [
     (TWO_STAGE_DOC, "ee314ea32b3739d5c4182616351199c711ca9223ac7d406ab10183ca3b431887"),
     (THREE_STAGE_DOC, "d2ebbe554c95598ab6b5790f1d8dc8d5e1909800b5e15465ca8c019d7183c786"),
     (seeded_doc((2, 2, 2, 2), 1), "3d23f6f267e57ff2d3d96150d26c7d5eba88a7ec5a8c0ae226ad8bbdd935eee9"),
+    (seeded_doc((3, 3, 3), 1), "01633dc98bcf748f23830336132d3e303e80757be3d1f0fbf80ac9478cd0d53d"),
 ]
 
 
@@ -229,13 +239,54 @@ def test_export_and_format(spec_path, tmp_path, capsys):
     assert text.endswith("\n")
 
 
-@pytest.mark.parametrize("doc, digest", EXPORT_SHA256, ids=["two-stage", "three-stage", "2222-seed1"])
+@pytest.mark.parametrize("doc, digest", EXPORT_SHA256, ids=["two-stage", "three-stage", "2222-seed1", "333-seed1"])
 def test_export_bytes_are_pinned(tmp_path, doc, digest):
     spec = tmp_path / "tower.json"
     spec.write_text(json.dumps(doc))
     out = tmp_path / "fan.txt"
     assert main(["export", str(spec), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _edited_fans(fan: fans.Fan) -> list[fans.Fan]:
+    """The fan with its cones reordered, repeated, dropped and cut, so
+    that runs and tails are shared other than in build_fan's order."""
+    cones = fan.maxcones
+    head = sum(fan.dims[:-1])
+    return [
+        dataclasses.replace(fan, maxcones=cones[::-1]),
+        dataclasses.replace(fan, maxcones=cones[:2] + cones[1:] + cones[:1]),
+        dataclasses.replace(fan, maxcones=cones[1::3]),
+        dataclasses.replace(fan, maxcones=((cones[-1][0],) * len(cones[-1]),) + cones[1:]),
+        dataclasses.replace(fan, maxcones=cones[:1] + (cones[1][: max(head - 1, 0)],) + cones[1:]),
+        dataclasses.replace(fan, maxcones=cones[:1] + ((), ()) + cones[1:]),
+        dataclasses.replace(fan, maxcones=()),
+    ]
+
+
+def test_format_fan_equals_the_reference():
+    towers = [two_stage_tower(), three_stage_tower(), FlagBottTower((3,), {}), *map(random_tower, POPULATION_SEEDS)]
+    small = [fan for fan in map(build_fan, towers) if len(fan.maxcones) <= 576]
+    assert len(small) > 50
+    for fan in small:
+        for f in [fan, *_edited_fans(fan)]:
+            assert format_fan(f) == reference_format_fan(f)
+    empty = fans.Fan(dims=(), rays=(), maxcones=((),), perm_tuples=((),))
+    assert format_fan(empty) == reference_format_fan(empty) == "FANBOTT 1\ndims \nRAYS 0\nMAXCONES 1\n\n"
+
+
+def test_format_fan_peak_memory_on_333(tmp_path):
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps(seeded_doc((3, 3, 3), 1)))
+    fan = build_fan(load_tower(str(spec)))
+    tracemalloc.start()
+    try:
+        format_fan(fan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one line string per cone peaks at 1.8 MB; one block per run at 1.1 MB
+    assert peak < 1.4e6, peak
 
 
 def test_build_out_matches_export(spec_path, tmp_path, capsys):

@@ -124,6 +124,14 @@ MUTANTS = {
         "actual = dots[vh - 1] - dots[vi - 1]",
         [ORBITFAN + "test_pairing_identity_on_goldens", ORBITFAN + "test_pairing_identity_equals_the_reference"],
     ),
+    # runs keyed by their first k - 1 indices, so that two heads that
+    # differ in their k-th index share one text, which lacks that index
+    "format-head-run": (
+        "cli",
+        "groupby(fan.maxcones, itemgetter(slice(0, k)))",
+        "groupby(fan.maxcones, itemgetter(slice(0, k - 1)))",
+        [CLI + "test_format_fan_equals_the_reference"],
+    ),
     # every command loading fancheck, as when cli imported it at the top
     "eager-fancheck": (
         "cli",

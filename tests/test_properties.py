@@ -5,11 +5,13 @@ chain-sum form, the pairing check against its chain-sum reference, the
 paper's theorem on drawn towers, the prefix-tree oracle against the
 per-cone one, the bitmask wall census against explicit wall normals,
 the flip and slice paths against the references on a fan with a ray
-fault, and the stage-by-stage cone join against whole tuples of stage
+fault, the stage-by-stage cone join against whole tuples of stage
+cones, and the export text against its cone-by-cone reference on drawn
 cones."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import random
 from math import factorial, prod
@@ -25,6 +27,7 @@ from conftest import (  # noqa: E402
     permutation_of_chain,
     perturbed,
     ray_faulted,
+    reference_format_fan,
     reference_is_complete_simplicial,
     reference_maxcones,
     reference_verify_bundle_join,
@@ -33,7 +36,7 @@ from conftest import (  # noqa: E402
     weights_chain_sum,
     x_matrix_chain_sum,
 )
-from flagbott.cli import SpecError, load_tower  # noqa: E402
+from flagbott.cli import SpecError, format_fan, load_tower  # noqa: E402
 from flagbott.exactlin import IntMatrix, _det_rows, _dets, adjugate_det, det, mat_mul  # noqa: E402
 from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
 from flagbott.orbitfan import (  # noqa: E402
@@ -251,3 +254,16 @@ def test_flip_and_slice_paths_equal_the_references_on_a_faulted_fan(paths, t, ki
 )
 def test_build_fan_joins_stage_cones_in_product_order(t):
     assert build_fan(t).maxcones == reference_maxcones(t)
+
+
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(towers(small_dims, 5), st.data())
+def test_format_fan_equals_the_reference_on_drawn_cones(t, data):
+    fan = build_fan(t)
+    assert format_fan(fan) == reference_format_fan(fan)
+    # cones drawn from the fan's, in any order, repeated and cut short
+    index = st.integers(0, len(fan.maxcones) - 1)
+    cone = st.tuples(index, st.integers(0, fan.n)).map(lambda p: fan.maxcones[p[0]][: p[1]])
+    cones = data.draw(st.lists(index.map(fan.maxcones.__getitem__) | cone, max_size=40))
+    drawn = dataclasses.replace(fan, maxcones=tuple(cones))
+    assert format_fan(drawn) == reference_format_fan(drawn)
