@@ -9,12 +9,12 @@ Two determinant routines, each the faster one on its own workload, and
 both fraction-free: every intermediate entry is a minor of the input, so
 every division is exact.
 
-  _det_rows  Bareiss elimination of one matrix.  It serves det, the flag
-             minors of the genericity test and the bundle check's lifts.
-  _dets      a batch of matrices that share rows, as the maximal cones of
-             a fan share rays.  It eliminates one row at a time, so a run
-             of matrices with the same leading rows reduces them once.  On
-             one matrix it is 1.5 to 3 times slower than _det_rows.
+  _det_rows  Bareiss elimination of one matrix, for det and the flag
+             minors of the genericity test.
+  _dets      a batch of matrices that share rows: a fan's maximal cones,
+             or the bundle check's lifts.  It eliminates one row at a
+             time, so a run of matrices with the same leading rows reduces
+             them once.  On one matrix it is 1.5 to 3 times slower.
 
 Inverses and adjugates use the fraction-free Gauss-Jordan variant
 (Montante's method), with the same exact divisions.

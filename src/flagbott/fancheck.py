@@ -59,18 +59,19 @@ same_side holds iff d1 and d2 have the same sign.  A table per stage
 lists, for each of the (n_p + 1)! permutations, its later neighbours
 with the cone index step and the position of the changed subset, and
 one walk over the cones reads the signs of Fan.cone_dets.  The bundle
-check on such a fan reads each lift as a slice: the stage-m rays have
-the highest indices, so the lift over a prefix is cone[:-n_m] of its
-first cone, and the fibers and joins are build_fan's by construction.
+check reads each lift off the projected fan, as the base cone over its
+prefix, and takes their determinants in one prefix-shared pass of
+exactlin._dets; on a fan of build_fan's type the fibers and joins are
+build_fan's by construction, so that pass is the whole split.
 
 The fallback rule.  is_complete_simplicial takes the flip path only
 when product_departure is None and no cone determinant is 0; every other
 fan -- cones reordered, duplicated or dropped, rays renumbered or
 relabelled, a degenerate cone -- goes to the census.  Each stage split
-of verify_bundle_join takes the slice path only when product_departure
-of the fan at that split is None, and otherwise splits each cone into
-sets.  Either way the report is the one the census or the set split
-gives.
+of verify_bundle_join also splits each cone into sets, for its fibers,
+mismatched lifts and coverage, exactly when product_departure of the fan
+at that split is not None.  Either way the report is the one the census
+or the set split gives.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from math import factorial
 
-from .exactlin import _det_rows
+from . import exactlin
 from .fans import Fan, Ray, permutation_cones
 from .fans import NotSimplicial  # noqa: F401  is_smooth and is_complete_simplicial raise it
 from .permfan import perm_ray_vector
@@ -271,7 +272,7 @@ def project_fan(fan: Fan, stages: int) -> Fan:
             continue
         seen.add(prefix)
         maxcones.append(
-            tuple(sorted(remap[r] for r in cone if fan.rays[r].label.stage <= stages))
+            tuple(sorted(remap[r] for r in cone if r in remap))
         )
         perm_tuples.append(prefix)
     return Fan(dims, rays, tuple(maxcones), tuple(perm_tuples))
@@ -295,30 +296,28 @@ class BundleJoinReport:
         return not self.defects
 
 
-def _check_lifts(fan: Fan, lifts: dict[tuple, tuple[int, ...] | frozenset[int]], report: BundleJoinReport) -> None:
-    # (b) for each prefix, in order: its lift has base_n rays, which
-    # project to the base with determinant +-1
-    m, base_n = len(fan.dims), fan.n - fan.dims[-1]
-    for prefix, lift in sorted(lifts.items()):
-        if len(lift) != base_n:
-            report.defects.append(
-                JoinDefect(m, "lift_degenerate", f"lift over {prefix} has {len(lift)} rays")
-            )
+def _check_lifts(base: Fan, report: BundleJoinReport) -> None:
+    # (b) for each prefix, in order: its lift, the base cone over it, has
+    # base.n distinct rays, which project to the base with determinant +-1;
+    # the rows are ranked in label order, so that renumbering the rays
+    # keeps the sign, and the determinants are taken in one pass
+    m, n = len(base.dims) + 1, base.n
+    order = sorted(range(len(base.rays)), key=lambda r: base.rays[r].label)
+    rank = {r: i for i, r in enumerate(order)}
+    lifts = sorted(zip(base.perm_tuples, (tuple(sorted({rank[r] for r in cone})) for cone in base.maxcones)))
+    square = [lift for _, lift in lifts if len(lift) == n]
+    dets = iter(exactlin._dets(square, [base.rays[r].vector for r in order]))
+    for prefix, lift in lifts:
+        if len(lift) != n:
+            detail = f"lift over {prefix} has {len(lift)} rays"
+        elif (d := next(dets)) not in (1, -1):
+            detail = f"lift over {prefix} projects with determinant {d}"
+        else:
             continue
-        # rows in label order, so that renumbering the rays keeps the sign
-        rows = sorted(lift, key=lambda r: fan.rays[r].label)
-        d = _det_rows([list(fan.rays[r].vector[:base_n]) for r in rows])
-        if d not in (1, -1):
-            report.defects.append(
-                JoinDefect(
-                    m,
-                    "lift_degenerate",
-                    f"lift over {prefix} projects with determinant {d}",
-                )
-            )
+        report.defects.append(JoinDefect(m, "lift_degenerate", detail))
 
 
-def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
+def _check_top_split(fan: Fan, base: Fan, report: BundleJoinReport) -> None:
     m = len(fan.dims)
     n_m = fan.dims[-1]
     base_n = fan.n - n_m
@@ -340,24 +339,14 @@ def _check_top_split(fan: Fan, report: BundleJoinReport) -> None:
             report.defects.append(
                 JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
             )
+    # build_fan's type: only the lift determinants of (b) can fail
     if fan.product_departure is None:
-        _split_by_slices(fan, report)
+        _check_lifts(base, report)
     else:
-        _split_by_sets(fan, report)
+        _split_by_sets(fan, base, report)
 
 
-def _split_by_slices(fan: Fan, report: BundleJoinReport) -> None:
-    # build_fan's type: the fibers are permutation_cones(n_m)'s cones, the
-    # (n_m + 1)! cones over a prefix are consecutive and share its lift
-    # cone[:-n_m], and the cones are exactly the joins; only the lift
-    # determinants of (b) can fail
-    n_m = fan.dims[-1]
-    k = factorial(n_m + 1)
-    lifts = {pt[:-1]: cone[:-n_m] for cone, pt in zip(fan.maxcones[::k], fan.perm_tuples[::k])}
-    _check_lifts(fan, lifts, report)
-
-
-def _split_by_sets(fan: Fan, report: BundleJoinReport) -> None:
+def _split_by_sets(fan: Fan, base: Fan, report: BundleJoinReport) -> None:
     # any other fan: one pass over the cones splits each into its fiber
     # (stage-m subset masks) and its lift (lower-stage ray indices)
     m = len(fan.dims)
@@ -390,12 +379,12 @@ def _split_by_sets(fan: Fan, report: BundleJoinReport) -> None:
 
     # (b) each base cone is the unimodular projection of a unique lift
     report.defects.extend(mismatches)
-    _check_lifts(fan, lifts, report)
+    _check_lifts(base, report)
 
     # (c) cones are exactly the joins: one lift plus one fiber cone apiece
     report.defects.extend(coverage)
     # the projected base fan has one cone per prefix
-    want = len(lifts) * len(expected_parts)
+    want = len(base.maxcones) * len(expected_parts)
     if len(fan.maxcones) != want or len(pairs) != want:
         report.defects.append(
             JoinDefect(
@@ -422,6 +411,7 @@ def verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
     report = BundleJoinReport()
     cur = fan
     while len(cur.dims) > 1:
-        _check_top_split(cur, report)
-        cur = project_fan(cur, len(cur.dims) - 1)
+        base = project_fan(cur, len(cur.dims) - 1)
+        _check_top_split(cur, base, report)
+        cur = base
     return report

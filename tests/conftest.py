@@ -11,7 +11,8 @@ is checked on, the completeness test with explicit wall normals with the
 fan faults it is checked on, the flip table read off set differences of
 neighbouring cones, the bundle check on ray labels with the cone faults
 it is checked on, and the `paths` fixture, which records the path each
-completeness check and bundle split takes.
+completeness check and bundle split takes, with the paths each bundle
+split should take.
 """
 
 from __future__ import annotations
@@ -323,12 +324,24 @@ def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
 @pytest.fixture
 def paths(monkeypatch) -> list[str]:
     """The paths the checks take, in order: "flip" or "census" for each
-    is_complete_simplicial, "slices" or "sets" for each bundle split."""
+    is_complete_simplicial; for each bundle split, "sets" when it splits
+    the cones into sets, and "lifts" when it checks the lifts."""
     ran: list[str] = []
-    for name, path in (("_flip_defects", "flip"), ("_census", "census"), ("_split_by_slices", "slices"), ("_split_by_sets", "sets")):
+    for name, path in (("_flip_defects", "flip"), ("_census", "census"), ("_split_by_sets", "sets"), ("_check_lifts", "lifts")):
         run = getattr(fancheck, name)
         monkeypatch.setattr(fancheck, name, lambda *args, run=run, path=path: ran.append(path) or run(*args))
     return ran
+
+
+def bundle_paths(fan: Fan) -> list[str]:
+    """The paths verify_bundle_join should take on the fan: at each split,
+    the set pass exactly when the fan at that split is not of build_fan's
+    type, then the lift check."""
+    want: list[str] = []
+    while len(fan.dims) > 1:
+        want += ["lifts"] if fan.product_departure is None else ["sets", "lifts"]
+        fan = project_fan(fan, len(fan.dims) - 1)
+    return want
 
 
 def _reference_cone_matrix(fan: Fan, ci: int) -> IntMatrix:

@@ -181,10 +181,11 @@ def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
         "oracle: ok (12 cones agree)\n"
         "bundle: ok (splits 2)\n"
     )
-    assert calls == [12]
+    # the cones, then the lifts of the split at 2
+    assert calls == [12, 6]
     assert main(["verify", spec_path, "--complete"]) == 0
     assert capsys.readouterr().out == "complete: ok (18 walls)\n"
-    assert calls == [12, 12]
+    assert calls == [12, 6, 12]
 
 
 def test_verify_runs_the_product_order_pass_once_per_fan(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ import pytest
 from conftest import (
     POPULATION_SEEDS,
     RAY_FAULTS,
+    bundle_paths,
     cone_faulted,
     perturbed,
     random_tower,
@@ -454,7 +455,7 @@ def test_bundle_join_matches_label_reference(paths):
             assert report == reference_verify_bundle_join(case, t)
             kinds.update(d.kind for d in report.defects)
             # the top split of a cone fault or a renumbering splits sets
-            assert paths[:1] == (["slices" if case.product_departure is None else "sets"] if t.m > 1 else [])
+            assert paths == bundle_paths(case)
             taken.update(paths[:1])
     assert kinds == {
         "fiber_support",
@@ -465,7 +466,7 @@ def test_bundle_join_matches_label_reference(paths):
         "lift_degenerate",
         "pair_coverage",
     }
-    assert taken == {"slices", "sets"}
+    assert taken == {"lifts", "sets"}
 
 
 def test_ray_faults_take_the_flip_and_slice_paths(paths):
@@ -475,7 +476,7 @@ def test_ray_faults_take_the_flip_and_slice_paths(paths):
     towers += [random_tower(seed) for seed in POPULATION_SEEDS[:40]]
     towers = [t for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
     rng = random.Random(12)
-    found: dict[str, set[str]] = {"flip": set(), "census": set(), "slices": set()}
+    found: dict[str, set[str]] = {"flip": set(), "census": set(), "lifts": set()}
     for t in towers:
         fan = build_fan(t)
         for kind in RAY_FAULTS + ("scale",):
@@ -490,11 +491,27 @@ def test_ray_faults_take_the_flip_and_slice_paths(paths):
             paths.clear()
             joins = verify_bundle_join(case, t)
             assert joins == reference_verify_bundle_join(case, t)
-            assert paths == ["slices"] * (t.m - 1)
-            found["slices"].update(d.kind for d in joins.defects)
+            assert paths == ["lifts"] * (t.m - 1)
+            found["lifts"].update(d.kind for d in joins.defects)
     assert found["flip"] == {"same_side"}
     assert "degenerate" in found["census"]
-    assert found["slices"] == {"fiber_support", "fiber_vector", "base_support", "lift_degenerate"}
+    assert found["lifts"] == {"fiber_support", "fiber_vector", "base_support", "lift_degenerate"}
+
+
+def test_lift_pass_equals_the_reference_where_lifts_share_heads(tmp_path):
+    # the split at 3 of the seed-1 (3,3,3) fan reads 576 lifts in one
+    # prefix-shared pass; a scaled ray gives lift determinants +-2, and a
+    # copied ray, on a renumbered fan, singular prefixes of determinant 0
+    t, fan = seeded_fan(tmp_path, (3, 3, 3))
+    assert len(project_fan(fan, 2).maxcones) == 576
+    assert verify_bundle_join(fan, t) == reference_verify_bundle_join(fan, t) == BundleJoinReport([3, 2], [])
+    details = set()
+    for kind, renumber, seed in (("scale", False, 1), ("copy", True, 2)):
+        case = ray_faulted(fan, random.Random(seed), kind, renumber)
+        report = verify_bundle_join(case, t)
+        assert report == reference_verify_bundle_join(case, t)
+        details.update(d.detail.split(" projects ")[-1] for d in report.defects if d.kind == "lift_degenerate")
+    assert {"with determinant 0", "with determinant 2"} <= details
 
 
 def test_full_pipeline_on_random_towers():

@@ -53,12 +53,27 @@ MUTANTS = {
         "if fan.product_departure is not None:",
         [FANCHECK + "test_degenerate_cone_sends_a_fan_of_build_fans_type_to_the_census"],
     ),
-    # every bundle split by slices, whatever its cones
+    # every bundle split by its lifts alone, whatever its cones
     "slice-fallback": (
         "fancheck",
-        "if fan.product_departure is None:\n        _split_by_slices(fan, report)",
-        "if True:\n        _split_by_slices(fan, report)",
+        "if fan.product_departure is None:\n        _check_lifts(base, report)",
+        "if True:\n        _check_lifts(base, report)",
         [FANCHECK + "test_bundle_join_reports_two_lifts", FANCHECK + "test_bundle_join_reports_missing_fiber_ray"],
+    ),
+    # the lift rows ranked by ray index, not label, so that renumbering
+    # the rays can change a determinant's sign
+    "lift-label-order": (
+        "fancheck",
+        "order = sorted(range(len(base.rays)), key=lambda r: base.rays[r].label)",
+        "order = list(range(len(base.rays)))",
+        [FANCHECK + "test_bundle_join_matches_label_reference"],
+    ),
+    # a lift counted with its repeated rays
+    "lift-distinct-rays": (
+        "fancheck",
+        "{rank[r] for r in cone}",
+        "[rank[r] for r in cone]",
+        [FANCHECK + "test_bundle_join_matches_label_reference"],
     ),
     # the census's sign rule without the parity of the opposite positions
     "census-parity": (

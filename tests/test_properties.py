@@ -4,8 +4,8 @@ determinants against Bareiss, the weight recurrence against its
 chain-sum form, the pairing check against its chain-sum reference, the
 paper's theorem on drawn towers, the prefix-tree oracle against the
 per-cone one, the bitmask wall census against explicit wall normals,
-the flip and slice paths against the references on a fan with a ray
-fault, the stage-by-stage cone join against whole tuples of stage
+the flip path and the lift check against the references on a fan with
+a ray fault, the stage-by-stage cone join against whole tuples of stage
 cones, and the export text against its cone-by-cone reference on drawn
 cones."""
 
@@ -23,6 +23,7 @@ st = pytest.importorskip("hypothesis.strategies")
 
 from conftest import (  # noqa: E402
     RAY_FAULTS,
+    bundle_paths,
     chain_of_permutation,
     permutation_of_chain,
     perturbed,
@@ -245,7 +246,7 @@ def test_flip_and_slice_paths_equal_the_references_on_a_faulted_fan(paths, t, ki
     assert paths == ["flip" if kept and 0 not in fan.cone_dets else "census"]
     paths.clear()
     assert verify_bundle_join(fan, t) == reference_verify_bundle_join(fan, t)
-    assert paths[:1] == (["slices" if kept else "sets"] if t.m > 1 else [])
+    assert paths == bundle_paths(fan)
 
 
 @hypothesis.settings(SETTINGS, max_examples=10)
