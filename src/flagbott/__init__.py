@@ -15,7 +15,7 @@ _MODULES = {
     "fans": ("Fan", "Ray", "RayLabel", "Subset"),
     "fancheck": ("is_complete_simplicial", "is_smooth", "project_fan", "verify_bundle_join"),
     "orbitfan": ("all_rays", "build_fan", "derive_rays_from_weights", "ray_generator",
-                 "verify_oracle", "verify_pairing_identity", "weights_at", "x_matrix"),
+                 "verify_oracle", "verify_pairing_identity", "weights_at"),
     "permfan": ("perm_fan", "perm_ray_vector"),
     "tower": ("FlagBottTower", "is_generic_matrix", "plucker", "sample_generic", "validate"),
 }

@@ -67,16 +67,6 @@ class IntMatrix:
             raise DimensionMismatch("ragged rows")
         return cls(r, c, tuple(e for row in rows for e in row))
 
-    @classmethod
-    def zero(cls, rows: int, cols: int) -> IntMatrix:
-        return cls(rows, cols, (0,) * (rows * cols))
-
-    def __getitem__(self, ik: tuple[int, int]) -> int:
-        i, k = ik
-        if not (0 <= i < self.rows and 0 <= k < self.cols):
-            raise IndexError(f"({i}, {k}) out of range for {self.rows}x{self.cols}")
-        return self.entries[i * self.cols + k]
-
     def row(self, i: int) -> tuple[int, ...]:
         if not 0 <= i < self.rows:
             raise IndexError(i)
@@ -92,10 +82,6 @@ class IntMatrix:
 
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-
-def identity(k: int) -> IntMatrix:
-    return IntMatrix(k, k, tuple(1 if i == j else 0 for i in range(k) for j in range(k)))
 
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
@@ -213,7 +199,7 @@ def adjugate_det(m: IntMatrix) -> tuple[IntMatrix, int]:
         raise DimensionMismatch(f"adjugate of {m.rows}x{m.cols}")
     n = m.rows
     if n == 0:
-        return identity(0), 1
+        return IntMatrix(0, 0, ()), 1
     # Fraction-free Gauss-Jordan on [m | I].  Row swaps act on whole
     # augmented rows, so the right block ends as det(P m) * inverse(m)
     # and the left block as det(P m) * I, P the pivoting permutation.
@@ -228,7 +214,7 @@ def adjugate_det(m: IntMatrix) -> tuple[IntMatrix, int]:
                     swap_sign = -swap_sign
                     break
             else:
-                return IntMatrix.zero(n, n), 0
+                return IntMatrix(n, n, (0,) * (n * n)), 0
         pivot = aug[p][p]
         ap = aug[p]
         for i in range(n):

@@ -82,7 +82,6 @@ from math import factorial
 
 from . import exactlin
 from .fans import Fan, Ray, permutation_cones
-from .fans import NotSimplicial  # noqa: F401  is_smooth and is_complete_simplicial raise it
 from .permfan import perm_ray_vector
 from .tower import FlagBottTower
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 from . import exactlin
 
@@ -35,15 +34,6 @@ class Subset:
             raise ValueError(f"ground set size must be positive, got {self.ground}")
         if not 0 <= self.mask < (1 << self.ground):
             raise ValueError(f"mask {self.mask:#b} out of range for ground {self.ground}")
-
-    @classmethod
-    def of(cls, ground: int, members: Iterable[int]) -> Subset:
-        mask = 0
-        for e in members:
-            if not 1 <= e <= ground:
-                raise ValueError(f"element {e} outside ground set of size {ground}")
-            mask |= 1 << (e - 1)
-        return cls(ground, mask)
 
     def members(self) -> tuple[int, ...]:
         return tuple(e for e in range(1, self.ground + 1) if self.mask >> (e - 1) & 1)
@@ -144,14 +134,16 @@ class Fan:
         cone order; the determinant is transpose-invariant.
 
         The wall test reads a ray's position in its cone, so a cone whose
-        ray indices descend anywhere raises ValueError; a repeated index
-        is left to its zero determinant."""
+        ray indices descend anywhere, or leave range(len(rays)), raises
+        ValueError; a repeated index is left to its zero determinant."""
         n = self.n
         for ci, cone in enumerate(self.maxcones):
             if len(cone) != n:
                 raise NotSimplicial(f"cone {ci} has {len(cone)} rays in dimension {n}")
             if cone != tuple(sorted(cone)):
                 raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
+            if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
+                raise ValueError(f"cone {ci} names a ray outside 0..{len(self.rays) - 1}: {cone}")
         return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays]))
 
     @cached_property

@@ -63,9 +63,9 @@ block row [Y_(j,1) ... Y_(j,j-1)  I  0 ... 0], projected; _stage_rows
 computes these rows.  Then row i of [X_(j,1) ... B_j ...] is R_j[v_j(i)],
 and weight (j, i) is R_j[v_j(i+1)] - R_j[v_j(i)], which vanishes on the
 blocks above j.  weights_at, the test (c) below and the pairing check
-read these rows; x_matrix reindexes the rows of Y_(j,ell) by v_j.  Split
-the rows of W by weight stage and the columns of U by ray stage, so that
-block (j, ell) of W U pairs the stage-j weights with the stage-ell rays.
+read these rows.  Split the rows of W by weight stage and the columns of
+U by ray stage, so that block (j, ell) of W U pairs the stage-j weights
+with the stage-ell rays.
 
 (a) Suppose every stage-ell ray of the cone vanishes on the blocks below
     ell.  Then block (j, ell) is zero for j < ell: W U is block lower
@@ -105,17 +105,17 @@ from __future__ import annotations
 
 import itertools
 import operator
+from collections import Counter
 from dataclasses import dataclass
 
 from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
 from .fans import Fan, PermTuple, Ray, RayLabel, Subset, _cone_count, _stage_cones, permutation_cones
 from .permfan import check_permutation, perm_ray_vector, proper_subsets
-from .tower import DEFAULT_CONE_CAP, EnumerationTooLarge, FlagBottTower, InvalidStagePair, validate
+from .tower import DEFAULT_CONE_CAP, EnumerationTooLarge, FlagBottTower, validate
 
 __all__ = [
     "DEFAULT_CONE_CAP",
     "EnumerationTooLarge",
-    "InvalidStagePair",
     "ORACLE_SHOWN",
     "OracleFailure",
     "OracleReport",
@@ -128,8 +128,6 @@ __all__ = [
     "verify_oracle",
     "verify_pairing_identity",
     "weights_at",
-    "witness_perm_tuple",
-    "x_matrix",
 ]
 
 class OracleFailure(RuntimeError):
@@ -245,15 +243,6 @@ def _stage_rows(t: FlagBottTower, prefix: PermTuple) -> list[list[int]]:
     return rows
 
 
-def x_matrix(t: FlagBottTower, v: PermTuple, j: int, ell: int) -> IntMatrix:
-    """Accumulated twist matrix X_(j,ell) at the fixed point of v."""
-    _check_perm_tuple(t, v)
-    if not 1 <= ell < j <= t.m:
-        raise InvalidStagePair(f"need 1 <= ell < j <= {t.m}, got ({j}, {ell})")
-    ys = _y_rows(t, v[: j - 1])[ell]
-    return IntMatrix.from_rows([ys[vi - 1] for vi in v[j - 1]])
-
-
 def weights_at(t: FlagBottTower, v: PermTuple) -> tuple[tuple[int, ...], ...]:
     """All n isotropy weights at the fixed point indexed by v, in
     stage-major order: weight (j, i) is R_j[v_j(i+1)] - R_j[v_j(i)]."""
@@ -320,17 +309,20 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     tree that the module docstring proves exact.
 
     The weight route never reads the ray formula: it reads the twist
-    recurrence and the ray vectors that fan holds, by label.  The cones
-    of fan must be build_fan's, in its order; raises ValueError, naming
-    the first cone that is not.  Fan.product_departure settles that in
-    one pass when the rays are numbered as build_fan numbers them; a fan
-    it does not pass has its cones compared with build_fan's by ray
-    label.  Both read the stage cones off fans.permutation_cones.
+    recurrence and the ray vectors that fan holds, by label.  The cones of
+    fan must be build_fan's, in its order; raises ValueError, naming the
+    first cone that is not, or cone 0 on a missing or repeated ray label.
+    Fan.product_departure settles that in one pass when the rays are
+    numbered as build_fan numbers them; a fan it does not pass has its cones
+    compared with build_fan's by ray label, both off fans.permutation_cones.
     """
     _require_valid(t)
     if fan.dims != t.dims:
         raise ValueError(f"fan dims {fan.dims} differ from tower dims {t.dims}")
     m = t.m
+    labels = Counter((ray.label.stage, ray.label.subset.mask) for ray in fan.rays)
+    if any(labels[ell, s] != 1 for ell, n_ell in enumerate(t.dims, start=1) for s in range(1, 2 ** (n_ell + 1) - 1)):
+        raise ValueError("fan cone 0 is not build_fan's cone 0")
     by_label = {(ray.label.stage, ray.label.subset.mask): i for i, ray in enumerate(fan.rays)}
     # per stage and permutation: its chain's ray indices and vectors,
     # whether one of them breaks (a), and whether (b) holds
@@ -415,22 +407,12 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     return OracleReport(size[0], disagreeing, first)
 
 
-def witness_perm_tuple(t: FlagBottTower, ell: int, s: Subset) -> PermTuple:
-    """A permutation tuple whose cone contains the ray (ell, s): stage ell
-    lists the complement of s ascending then s ascending, other stages are
-    identities."""
-    if not 1 <= ell <= t.m:
-        raise ValueError(f"stage must be in 1..{t.m}, got {ell}")
-    n_ell = t.dims[ell - 1]
-    if s.ground != n_ell + 1 or not s.is_proper_nonempty():
-        raise ValueError(f"subset {s} cannot label a ray at stage {ell}")
-    perms = []
-    for p, n_p in enumerate(t.dims, start=1):
-        if p == ell:
-            perms.append(s.complement().members() + s.members())
-        else:
-            perms.append(tuple(range(1, n_p + 2)))
-    return tuple(perms)
+def _witness(t: FlagBottTower, ell: int, s: Subset) -> PermTuple:
+    # a cone holding the ray (ell, s): stage ell lists the complement of s, then s
+    return tuple(
+        s.complement().members() + s.members() if p == ell else tuple(range(1, n_p + 2))
+        for p, n_p in enumerate(t.dims, start=1)
+    )
 
 
 @dataclass(frozen=True)
@@ -471,7 +453,7 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
             rays_checked += 1
             d = n_ell + 1 - len(s)
             u = ray_generator(t, ell, s)
-            v = witness_perm_tuple(t, ell, s)
+            v = _witness(t, ell, s)
             for j, vj in enumerate(v, start=1):
                 rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1])
                 dots = [sum(map(operator.mul, row, u)) for row in rows]

@@ -1,11 +1,12 @@
 """Shared fixtures and test oracles.
 
-The two golden towers, seeded random-tower samplers, and reference
-helpers that build expected values independently of the library's
-pipeline: the export text cone by cone, the chain of a permutation and
-its inverse, chain-tuple cone labels, a fan's cones joined from whole
-stage cones, label lookups on a fan, tower truncation, the chain-sum
-form of the accumulated twist matrices, the pairing check on the
+The two golden towers, seeded random-tower samplers, the identity
+matrix, a subset from its members, and reference helpers that build
+expected values independently of the library's pipeline: the export text
+cone by cone, the chain of a permutation and its inverse, chain-tuple
+cone labels, a fan's cones joined from whole stage cones, label lookups
+on a fan, tower truncation, the accumulated twist matrices read off the
+library's rows Y_(j,ell) and their chain-sum form, the pairing check on the
 chain-sum weights, the weight oracle cone by cone with the ray faults it
 is checked on, the completeness test with explicit wall normals with the
 fan faults it is checked on, the flip table read off set differences of
@@ -41,6 +42,15 @@ from flagbott.tower import FlagBottTower
 
 Chain = tuple[Subset, ...]  # S_1 < S_2 < ... < S_{g-1} of {1, ..., g}, |S_p| = p
 ChainTuple = tuple[Chain, ...]
+
+
+def identity(k: int) -> IntMatrix:
+    return IntMatrix(k, k, tuple(int(i == j) for i in range(k) for j in range(k)))
+
+
+def subset(ground: int, members) -> Subset:
+    """The subset of {1, ..., ground} with the given members."""
+    return Subset(ground, sum({1 << (e - 1) for e in members}))
 
 
 def two_stage_tower() -> FlagBottTower:
@@ -130,7 +140,7 @@ def chain_of_permutation(v: tuple[int, ...]) -> Chain:
     """Chain of a permutation: S_p holds the last p values of one-line v."""
     check_permutation(v)
     g = len(v)
-    return tuple(Subset.of(g, v[g - p :]) for p in range(1, g))
+    return tuple(subset(g, v[g - p :]) for p in range(1, g))
 
 
 def permutation_of_chain(c: Chain) -> tuple[int, ...]:
@@ -192,6 +202,14 @@ def truncated(t: FlagBottTower, stages: int) -> FlagBottTower:
 def perm_row_matrix(v: tuple[int, ...]) -> IntMatrix:
     """The 0/1 matrix B whose row i is the standard basis vector at v(i)."""
     return IntMatrix.from_rows([[int(c == vi) for c in range(1, len(v) + 1)] for vi in v])
+
+
+def x_matrix(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:
+    """Accumulated twist matrix X_(j,ell) at the fixed point of v, as the
+    library computes it: X_(j,ell) = B_j Y_(j,ell), so it is
+    orbitfan._y_rows's Y_(j,ell) with its rows reindexed by v_j."""
+    ys = orbitfan._y_rows(t, v[: j - 1])[ell]
+    return IntMatrix.from_rows([ys[vi - 1] for vi in v[j - 1]])
 
 
 def x_matrix_chain_sum(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:

@@ -17,6 +17,7 @@ from conftest import (
     POPULATION_SEEDS,
     cone_labels,
     random_tower,
+    subset,
     three_stage_tower,
     truncated,
     two_stage_tower,
@@ -29,7 +30,6 @@ from flagbott.fancheck import (
     project_fan,
     verify_bundle_join,
 )
-from flagbott.fans import Subset
 from flagbott.orbitfan import (
     OracleReport,
     all_rays,
@@ -152,11 +152,11 @@ def test_criterion_01_two_stage_golden(capsys):
 
 def det_example(t: FlagBottTower) -> int:
     cols = [
-        ray_generator(t, 1, Subset.of(3, [2])),
-        ray_generator(t, 1, Subset.of(3, [2, 3])),
-        ray_generator(t, 2, Subset.of(3, [2])),
-        ray_generator(t, 2, Subset.of(3, [1, 2])),
-        ray_generator(t, 3, Subset.of(2, [2])),
+        ray_generator(t, 1, subset(3, [2])),
+        ray_generator(t, 1, subset(3, [2, 3])),
+        ray_generator(t, 2, subset(3, [2])),
+        ray_generator(t, 2, subset(3, [1, 2])),
+        ray_generator(t, 3, subset(2, [2])),
     ]
     return det(IntMatrix.from_rows(list(zip(*cols))))
 
@@ -285,7 +285,7 @@ def test_criterion_08_reductions(capsys):
         zero = FlagBottTower(
             dims,
             {
-                (j, ell): IntMatrix.zero(dims[j - 1] + 1, dims[ell - 1] + 1)
+                (j, ell): IntMatrix.from_rows([[0] * (dims[ell - 1] + 1)] * (dims[j - 1] + 1))
                 for j in range(2, 4)
                 for ell in range(1, j)
             },

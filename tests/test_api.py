@@ -2,8 +2,10 @@
 
 Every name a module lists in __all__ must resolve, and every public
 module-level function in src/flagbott must be referenced by src/ code
-outside its own body, or be named on the allowlist below.  A function
-that only tests call belongs in tests/ as a test oracle, or nowhere.
+outside its own body, or be named on the allowlist below; so must every
+public method of a class defined there, read as an attribute.  A function
+or method that only tests call belongs in tests/ as a test oracle, or
+nowhere.
 Every exact decision runs on integers, so no module imports fractions.
 The package binds its public names on first use, each to the object its
 defining submodule holds.
@@ -24,20 +26,21 @@ import flagbott
 SRC = Path(flagbott.__file__).parent
 README = Path(__file__).resolve().parent.parent / "README.md"
 
-# the 28 names the package bound when it imported every submodule, by module
+# the 27 names the package bound when it imported every submodule, by module
 PACKAGE_NAMES = {
     "exactlin": ["IntMatrix", "NotUnimodular", "det", "mat_mul", "unimodular_inverse"],
     "fans": ["Fan", "Ray", "RayLabel", "Subset"],
     "fancheck": ["is_complete_simplicial", "is_smooth", "project_fan", "verify_bundle_join"],
     "orbitfan": [
         "all_rays", "build_fan", "derive_rays_from_weights", "ray_generator",
-        "verify_oracle", "verify_pairing_identity", "weights_at", "x_matrix",
+        "verify_oracle", "verify_pairing_identity", "weights_at",
     ],
     "permfan": ["perm_fan", "perm_ray_vector"],
     "tower": ["FlagBottTower", "is_generic_matrix", "plucker", "sample_generic", "validate"],
 }
 
-# Public functions kept without a src/ caller, each for a stated reason.
+# Public functions and methods (module.Class.method) kept without a src/
+# caller, each for a stated reason.
 ALLOWLIST = {
     # README's Library section: its example imports, and det, the exact
     # determinant its module list names
@@ -65,8 +68,6 @@ ALLOWLIST = {
     "exactlin.unimodular_inverse",
     # the per-cone reference of verify_oracle, traced by perfbench
     "orbitfan.derive_rays_from_weights",
-    # the tested entry point of the weight recurrence
-    "orbitfan.x_matrix",
 }
 
 
@@ -79,26 +80,50 @@ def test_all_names_resolve():
         assert missing == [], f"flagbott.{info.name}.__all__ names missing attributes"
 
 
-def test_public_functions_have_src_callers():
-    defined = set()
-    uses: list[tuple[str | None, str]] = []  # (enclosing public function, name read)
+def src_definitions_and_reads() -> tuple[set[str], set[str], list[tuple[str | None, str, bool]]]:
+    """The public module-level functions of src/ (module.name), the public
+    non-dunder methods of its classes (module.Class.name), and every name
+    src/ reads: (the function or method whose body reads it, the name,
+    whether it is read as an attribute)."""
+    functions, methods = set(), set()
+    reads = []
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
-            owner = None
-            if isinstance(stmt, ast.FunctionDef):
-                owner = f"{path.stem}.{stmt.name}"
-                if not stmt.name.startswith("_"):
-                    defined.add(owner)
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    uses.append((owner, node.id))
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    uses.append((owner, node.attr))
+            if isinstance(stmt, ast.ClassDef):
+                scopes = [(item, f"{path.stem}.{stmt.name}.", methods) for item in stmt.body]
+            else:
+                scopes = [(stmt, f"{path.stem}.", functions)]
+            for scope, prefix, public in scopes:
+                owner = None
+                if isinstance(scope, ast.FunctionDef):
+                    owner = prefix + scope.name
+                    if not scope.name.startswith("_"):
+                        public.add(owner)
+                for node in ast.walk(scope):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        reads.append((owner, node.id, False))
+                    elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                        reads.append((owner, node.attr, True))
+    return functions, methods, reads
+
+
+def test_public_functions_have_src_callers():
+    functions, methods, reads = src_definitions_and_reads()
     uncalled = {
-        q for q in defined if not any(name == q.split(".")[1] and owner != q for owner, name in uses)
+        q for q in functions if not any(name == q.split(".")[1] and owner != q for owner, name, _ in reads)
     }
     assert sorted(uncalled - ALLOWLIST) == []
-    assert sorted(ALLOWLIST - defined) == [], "allowlist names a function that is gone"
+    assert sorted(ALLOWLIST - functions - methods) == [], "allowlist names a function that is gone"
+
+
+def test_public_methods_have_src_callers():
+    _, methods, reads = src_definitions_and_reads()
+    unread = {
+        q
+        for q in methods
+        if not any(attribute and name == q.split(".")[2] and owner != q for owner, name, attribute in reads)
+    }
+    assert sorted(unread - ALLOWLIST) == []
 
 
 def test_src_imports_no_fractions():
@@ -118,7 +143,7 @@ def test_src_imports_no_fractions():
 
 def test_package_names_are_the_defining_modules_objects():
     names = [name for names in PACKAGE_NAMES.values() for name in names]
-    assert len(names) == 28
+    assert len(names) == 27
     assert sorted(flagbott.__all__) == sorted(names)
     for module, names in PACKAGE_NAMES.items():
         mod = importlib.import_module(f"flagbott.{module}")

@@ -19,12 +19,13 @@ from conftest import (
     ray_index,
     reference_format_fan,
     seeded_doc,
+    subset,
     three_stage_tower,
     two_stage_tower,
 )
 from flagbott import exactlin, fans, orbitfan
 from flagbott.cli import format_fan, load_tower, main
-from flagbott.fans import Ray, RayLabel, Subset
+from flagbott.fans import Ray, RayLabel
 from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identity
 from flagbott.tower import FlagBottTower
 
@@ -356,7 +357,7 @@ def test_cap_bounds_rays_and_minors(tmp_path, capsys, monkeypatch):
 
 def test_verify_pairing_fails_on_perturbed_ray(spec_path, capsys, monkeypatch):
     t = load_tower(spec_path)
-    bad = (2, Subset.of(2, (1,)))
+    bad = (2, subset(2, (1,)))
     true_generator = orbitfan.ray_generator
 
     def perturbed(t, ell, s):
@@ -374,7 +375,7 @@ def test_verify_pairing_fails_on_perturbed_ray(spec_path, capsys, monkeypatch):
 
 def test_verify_oracle_fails_on_flipped_ray(spec_path, capsys, monkeypatch):
     fan = build_fan(load_tower(spec_path))
-    r = ray_index(fan)[RayLabel(1, Subset.of(3, (1,)))]
+    r = ray_index(fan)[RayLabel(1, subset(3, (1,)))]
     rays = list(fan.rays)
     rays[r] = Ray(rays[r].label, tuple(-c for c in rays[r].vector))
     flipped = dataclasses.replace(fan, rays=tuple(rays))

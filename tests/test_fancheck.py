@@ -23,6 +23,7 @@ from conftest import (
     reference_is_complete_simplicial,
     reference_verify_bundle_join,
     seeded_doc,
+    subset,
     three_stage_tower,
     truncated,
     two_stage_tower,
@@ -33,14 +34,13 @@ from flagbott.fancheck import (
     BundleJoinReport,
     CompletenessReport,
     JoinDefect,
-    NotSimplicial,
     WallDefect,
     is_complete_simplicial,
     is_smooth,
     project_fan,
     verify_bundle_join,
 )
-from flagbott.fans import Fan, Ray, RayLabel, Subset
+from flagbott.fans import Fan, NotSimplicial, Ray, RayLabel, Subset
 from flagbott.orbitfan import build_fan
 from flagbott.permfan import perm_fan
 from flagbott.tower import FlagBottTower
@@ -140,6 +140,18 @@ def test_cone_dets_reject_a_cone_out_of_order():
     resorted = dataclasses.replace(faulty, maxcones=(tuple(sorted(reversed_cone)),) + fan.maxcones[1:])
     assert is_smooth(resorted).ok
     assert is_complete_simplicial(resorted).ok
+
+
+def test_cone_dets_reject_a_ray_index_out_of_range():
+    # read by negative indexing, -5 is ray 3, which would leave cone 0 as
+    # it is and the fan smooth and complete; 8 is past the last ray
+    fan = build_fan(two_stage_tower())
+    assert fan.maxcones[0] == (3, 5, 7) and len(fan.rays) == 8
+    for cone in ((-5, 5, 7), (0, 2, 8)):
+        faulty = dataclasses.replace(fan, maxcones=(cone,) + fan.maxcones[1:])
+        for check in (is_smooth, is_complete_simplicial):
+            with pytest.raises(ValueError, match=r"^cone 0 names a ray outside 0\.\.7: "):
+                check(faulty)
 
 
 def test_is_complete_goldens():
@@ -365,7 +377,7 @@ def test_bundle_join_detects_fiber_leak():
     t = two_stage_tower()
     fan = build_fan(t)
     bad_rays = list(fan.rays)
-    i = ray_index(fan)[RayLabel(2, Subset.of(2, [1]))]
+    i = ray_index(fan)[RayLabel(2, subset(2, [1]))]
     bad_rays[i] = dataclasses.replace(bad_rays[i], vector=(1, 0, 1))
     doctored = dataclasses.replace(fan, rays=tuple(bad_rays))
     report = verify_bundle_join(doctored, t)
@@ -377,7 +389,7 @@ def test_bundle_join_detects_base_collapse():
     t = two_stage_tower()
     fan = build_fan(t)
     bad_rays = list(fan.rays)
-    i = ray_index(fan)[RayLabel(1, Subset.of(3, [1]))]
+    i = ray_index(fan)[RayLabel(1, subset(3, [1]))]
     bad_rays[i] = dataclasses.replace(bad_rays[i], vector=(0, 0, 5))
     doctored = dataclasses.replace(fan, rays=tuple(bad_rays))
     report = verify_bundle_join(doctored, t)
@@ -391,7 +403,7 @@ def test_bundle_join_detects_wrong_fiber_vector():
     t = two_stage_tower()
     fan = build_fan(t)
     bad_rays = list(fan.rays)
-    i = ray_index(fan)[RayLabel(2, Subset.of(2, [2]))]
+    i = ray_index(fan)[RayLabel(2, subset(2, [2]))]
     bad_rays[i] = dataclasses.replace(bad_rays[i], vector=(0, 0, -2))
     doctored = dataclasses.replace(fan, rays=tuple(bad_rays))
     report = verify_bundle_join(doctored, t)

@@ -103,6 +103,14 @@ MUTANTS = {
         "if False:",
         [FANCHECK + "test_cone_dets_reject_a_cone_out_of_order"],
     ),
+    # a ray index below 0 read from the end of the rays, one past the
+    # end left to _dets
+    "cone-range": (
+        "fans",
+        "if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):",
+        "if False:",
+        [FANCHECK + "test_cone_dets_reject_a_ray_index_out_of_range"],
+    ),
     # M B_ell gathering columns by v_ell where it must scatter them
     "gather-for-scatter": (
         "orbitfan",
@@ -116,6 +124,13 @@ MUTANTS = {
         "        if k < t.dims[j - 1]:\n            row[offset + k] = 1",
         "        if k < t.dims[j - 1] - 1:\n            row[offset + k] = 1",
         [ORBITFAN + "test_weights_at_identity_two_stage"],
+    ),
+    # the oracle looking rays up by a label that is missing or repeated
+    "oracle-labels": (
+        "orbitfan",
+        "if any(labels[ell, s] != 1 for",
+        "if False and any(labels[ell, s] != 1 for",
+        [ORBITFAN + "test_verify_oracle_rejects_a_fan_without_each_of_build_fans_labels_once"],
     ),
     # test (c) of the oracle blind to row R_j[1]
     "prefix-agrees-row": (

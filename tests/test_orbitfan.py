@@ -14,6 +14,7 @@ from conftest import (
     RAY_FAULTS,
     chain_tuple_of_perm_tuple,
     cone_labels,
+    identity,
     maximal_cone,
     perm_tuple_of_chain_tuple,
     random_tower,
@@ -21,12 +22,14 @@ from conftest import (
     ray_index,
     reference_oracle,
     reference_pairing_identity,
+    subset,
     three_stage_tower,
     two_stage_tower,
+    x_matrix,
     x_matrix_chain_sum,
 )
 from flagbott import orbitfan
-from flagbott.exactlin import IntMatrix, identity, mat_mul
+from flagbott.exactlin import IntMatrix, mat_mul
 from flagbott.fans import Fan, Ray, RayLabel, Subset
 from flagbott.orbitfan import (
     ORACLE_SHOWN,
@@ -40,15 +43,13 @@ from flagbott.orbitfan import (
     verify_oracle,
     verify_pairing_identity,
     weights_at,
-    witness_perm_tuple,
-    x_matrix,
 )
 from flagbott.permfan import perm_fan, proper_subsets
 from flagbott.tower import FlagBottTower
 
 
 def sub(ground: int, *members: int) -> Subset:
-    return Subset.of(ground, members)
+    return subset(ground, members)
 
 
 TWO_STAGE_RAYS = {
@@ -317,19 +318,15 @@ def test_weights_reject_bad_perm_tuples():
 
 def test_witness_perm_tuple_layout():
     t = three_stage_tower()
-    v = witness_perm_tuple(t, 2, sub(3, 1, 3))
+    v = orbitfan._witness(t, 2, sub(3, 1, 3))
     assert v == ((1, 2, 3), (2, 1, 3), (1, 2))
-    with pytest.raises(ValueError):
-        witness_perm_tuple(t, 4, sub(3, 1))
-    with pytest.raises(ValueError):
-        witness_perm_tuple(t, 1, sub(4, 1))
 
 
 def test_witness_cone_contains_its_ray():
     t = three_stage_tower()
     for ell, n_ell in enumerate(t.dims, start=1):
         for s in proper_subsets(n_ell + 1):
-            v = witness_perm_tuple(t, ell, s)
+            v = orbitfan._witness(t, ell, s)
             chain = chain_tuple_of_perm_tuple(v)[ell - 1]
             assert s in set(chain)
 
@@ -495,6 +492,20 @@ def test_verify_oracle_rejects_cones_that_are_not_build_fans():
         with pytest.raises(ValueError, match=f"^fan cone {ci} is not build_fan's"):
             verify_oracle(case, t)
     assert verify_oracle(fan, t).ok
+
+
+def test_verify_oracle_rejects_a_fan_without_each_of_build_fans_labels_once():
+    # a missing label, and a label repeated in place of (1, {1}), are
+    # refused at cone 0, as product_departure names them, before any ray
+    # is looked up by label
+    t = two_stage_tower()
+    fan = build_fan(t)
+    rays = list(fan.rays)
+    rays[0] = Ray(RayLabel(1, sub(3, 1, 2)), rays[0].vector)
+    for case in (dataclasses.replace(fan, rays=fan.rays[:-1]), dataclasses.replace(fan, rays=tuple(rays))):
+        assert case.product_departure == 0
+        with pytest.raises(ValueError, match="^fan cone 0 is not build_fan's cone 0$"):
+            verify_oracle(case, t)
 
 
 def test_product_departure_is_none_on_build_fans_fans():

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from conftest import chain_of_permutation, cone_labels, permutation_of_chain, ray_index
+from conftest import chain_of_permutation, cone_labels, permutation_of_chain, ray_index, subset
 from flagbott.fans import RayLabel
 from flagbott.permfan import (
     InvalidDimension,
@@ -21,22 +21,24 @@ from flagbott.permfan import (
 
 
 def test_subset_basics():
-    s = Subset.of(4, [1, 3])
+    s = subset(4, [1, 3])
     assert s.members() == (1, 3)
     assert 1 in s and 2 not in s and 3 in s
     assert len(s) == 2
-    assert s.complement() == Subset.of(4, [2, 4])
+    assert s.complement() == subset(4, [2, 4])
     assert s.is_proper_nonempty()
-    assert not Subset.of(3, []).is_proper_nonempty()
-    assert not Subset.of(3, [1, 2, 3]).is_proper_nonempty()
+    assert not subset(3, []).is_proper_nonempty()
+    assert not subset(3, [1, 2, 3]).is_proper_nonempty()
     assert str(s) == "{1,3}"
 
 
 def test_subset_rejects_out_of_ground():
     with pytest.raises(ValueError):
-        Subset.of(3, [0])
+        Subset(0, 0)
     with pytest.raises(ValueError):
-        Subset.of(3, [4])
+        Subset(3, 0b1000)
+    with pytest.raises(ValueError):
+        Subset(3, -1)
 
 
 def test_proper_subsets_count_and_order():
@@ -66,16 +68,16 @@ def test_perm_ray_vector_figure_values():
         (1, 3): (0, -1),
     }
     for members, vec in cases.items():
-        assert perm_ray_vector(n, Subset.of(n + 1, members)) == vec
+        assert perm_ray_vector(n, subset(n + 1, members)) == vec
 
 
 def test_perm_ray_vector_rejects_bad_labels():
     with pytest.raises(InvalidRayLabel):
-        perm_ray_vector(2, Subset.of(3, []))
+        perm_ray_vector(2, subset(3, []))
     with pytest.raises(InvalidRayLabel):
-        perm_ray_vector(2, Subset.of(3, [1, 2, 3]))
+        perm_ray_vector(2, subset(3, [1, 2, 3]))
     with pytest.raises(InvalidRayLabel):
-        perm_ray_vector(2, Subset.of(4, [1]))
+        perm_ray_vector(2, subset(4, [1]))
 
 
 def test_chain_permutation_bijection():

@@ -35,6 +35,7 @@ from conftest import (  # noqa: E402
     reference_oracle,
     reference_pairing_identity,
     weights_chain_sum,
+    x_matrix,
     x_matrix_chain_sum,
 )
 from flagbott.cli import SpecError, format_fan, load_tower  # noqa: E402
@@ -46,7 +47,6 @@ from flagbott.orbitfan import (  # noqa: E402
     verify_oracle,
     verify_pairing_identity,
     weights_at,
-    x_matrix,
 )
 from flagbott.tower import FlagBottTower, validate  # noqa: E402
 
