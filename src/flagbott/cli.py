@@ -199,7 +199,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
     tower = load_tower(args.spec)
     fan = orbitfan.build_fan(tower, cone_cap=_cone_cap())
     print(f"rays: {len(fan.rays)}, maxcones: {len(fan.maxcones)}")
-    if args.out:
+    if args.out is not None:
         _write_text(args.out, format_fan(fan))
     return 0
 

@@ -30,15 +30,17 @@ wall iff (-1)**(k1 + k2) * d1 * d2 < 0.
 The census keeps one int per wall, keyed by the wall's ray bitmask (the
 cone's mask with the opposite ray's bit cleared): its first hit
 h = ci * n + k (cone ci, opposite position k), and from its second hit
-the negative pair ~(h1 * span + h2).  A later hit marks the wall crowded.
-A paired wall that is not crowded joins its two cones in a union-find,
-which decides connectivity; only crowded walls need a second pass, to
-list their cones.  A wall is spelled out as a tuple of ray indices only
-when it has a defect to report.
+the negative pair ~(h1 * span + h2).  A third hit marks the wall
+crowded and lists its hits, the two decoded from its pair first, and
+each later hit joins that list, so the one pass lists a crowded wall's
+cones in cone order.  A paired wall that is not crowded joins its two
+cones in a union-find, which decides connectivity.  A wall is spelled
+out as a tuple of ray indices only when it has a defect to report.
 
-Fans of build_fan's type need no census.  Fan.product_departure
-decides in one lazy pass, kept with the fan, whether a fan has
-build_fan's ray labels, cones and permutation tuples for its dims.  In
+Fans of build_fan's type need no census.  A fan is known to be one by
+how it was made: Fan.is_join holds when its cones and permutation tuples
+are those that fans.stage_join made for its dims, and its ray labels
+are build_fan's, in build_fan's order.  In
 perm_fan(n) the cones of permutations v and v' share a wall exactly
 when v' is v with the entries at positions a and a+1 swapped, which
 changes one subset of the chain: the cones are the chambers of the
@@ -65,13 +67,14 @@ exactlin._dets; on a fan of build_fan's type the fibers and joins are
 build_fan's by construction, so that pass is the whole split.
 
 The fallback rule.  is_complete_simplicial takes the flip path only
-when product_departure is None and no cone determinant is 0; every other
-fan -- cones reordered, duplicated or dropped, rays renumbered or
-relabelled, a degenerate cone -- goes to the census.  Each stage split
-of verify_bundle_join also splits each cone into sets, for its fibers,
-mismatched lifts and coverage, exactly when product_departure of the fan
-at that split is not None.  Either way the report is the one the census
-or the set split gives.
+when Fan.is_join holds and no cone determinant is 0; every other fan --
+cones reordered, duplicated or dropped, rays renumbered or relabelled,
+a degenerate cone, or cones built otherwise than by stage_join, even
+when they equal build_fan's -- goes to the census.  Each stage split of
+verify_bundle_join also splits each cone into sets, for its fibers,
+mismatched lifts and coverage, exactly when the fan at that split is
+not a join; project_fan maps a join to the join of its first stages.
+Either way the report is the one the census or the set split gives.
 """
 
 from __future__ import annotations
@@ -81,7 +84,7 @@ from itertools import product
 from math import factorial
 
 from . import exactlin
-from .fans import Fan, Ray, permutation_cones
+from .fans import Fan, Ray, permutation_cones, stage_join
 from .permfan import perm_ray_vector
 from .tower import FlagBottTower
 
@@ -175,7 +178,7 @@ def _census(fan: Fan) -> CompletenessReport:
     bits = [1 << r for r in range(len(fan.rays))]
     span = len(cones) * n  # hit ci * n + k: cone ci, opposite position k
     census: dict[int, int] = {}  # wall bitmask -> first hit, or ~(h1 * span + h2)
-    crowded: set[int] = set()
+    crowd: dict[int, list[int]] = {}  # crowded wall bitmask -> its hits
     defects: list[WallDefect] = []
     for ci, (cone, d) in enumerate(zip(cones, dets)):
         if d == 0:
@@ -189,7 +192,7 @@ def _census(fan: Fan) -> CompletenessReport:
             wall = mask ^ bits[r]
             first = census.setdefault(wall, h)
             if first < 0:
-                crowded.add(wall)
+                crowd.setdefault(wall, [*divmod(~first, span)]).append(h)
             elif first != h:
                 census[wall] = ~(first * span + h)
 
@@ -210,7 +213,7 @@ def _census(fan: Fan) -> CompletenessReport:
     for wall, v in census.items():
         if v >= 0:
             wall_defects.append(spell("dangling", [v], "wall lies in only one cone"))
-        elif wall not in crowded:
+        elif wall not in crowd:
             h1, h2 = divmod(~v, span)
             (c1, k1), (c2, k2) = divmod(h1, n), divmod(h2, n)
             parent[root(c1)] = root(c2)
@@ -218,16 +221,8 @@ def _census(fan: Fan) -> CompletenessReport:
             if (k1 + k2) & 1 != (dets[c1] * dets[c2] > 0):
                 detail = "opposite rays do not straddle the wall hyperplane"
                 wall_defects.append(spell("same_side", [h1, h2], detail))
-    if crowded:
-        # a second pass lists every hit of a crowded wall, in cone order
-        crowd: dict[int, list[int]] = {wall: [] for wall in crowded}
-        for ci, (cone, d) in enumerate(zip(cones, dets)):
-            mask = sum(bits[r] for r in cone)
-            for h, r in enumerate(cone, ci * n):
-                if d and mask ^ bits[r] in crowd:
-                    crowd[mask ^ bits[r]].append(h)
-        for hits in crowd.values():
-            wall_defects.append(spell("crowded", hits, f"wall lies in {len(hits)} cones"))
+    for hits in crowd.values():
+        wall_defects.append(spell("crowded", hits, f"wall lies in {len(hits)} cones"))
     defects += sorted(wall_defects, key=lambda defect: defect.wall)
     # a fan with no cones has support {0}, not R^n
     connected = len({root(c) for c in range(len(cones))}) == 1
@@ -239,7 +234,7 @@ def is_complete_simplicial(fan: Fan) -> CompletenessReport:
     graph for a fan of build_fan's type with no zero determinant, by the
     wall census for any other (see the module docstring)."""
     cones, dets = fan.maxcones, fan.cone_dets
-    if 0 in dets or fan.product_departure is not None:
+    if 0 in dets or not fan.is_join:
         return _census(fan)
     return CompletenessReport(len(cones), len(cones) * fan.n // 2, _flip_defects(fan), True)
 
@@ -248,7 +243,8 @@ def project_fan(fan: Fan, stages: int) -> Fan:
     """Image of the fan under dropping all blocks after the given stage.
 
     Rays of later stages are discarded, surviving ray vectors are
-    truncated, and cones with the same permutation prefix collapse to one.
+    truncated, and cones with the same permutation prefix collapse to one;
+    a join's image is the join of its first stages.
     """
     m = len(fan.dims)
     if not 1 <= stages <= m:
@@ -258,10 +254,12 @@ def project_fan(fan: Fan, stages: int) -> Fan:
     dims = fan.dims[:stages]
     nn = sum(dims)
     kept = [i for i, ray in enumerate(fan.rays) if ray.label.stage <= stages]
-    remap = {old: new for new, old in enumerate(kept)}
     rays = tuple(
         Ray(fan.rays[old].label, fan.rays[old].vector[:nn]) for old in kept
     )
+    if fan.is_join:  # the projected count divides the fan's, so no cap binds
+        return Fan(dims, rays, *stage_join(dims, len(fan.maxcones)))
+    remap = {old: new for new, old in enumerate(kept)}
     seen: set[tuple] = set()
     maxcones = []
     perm_tuples = []
@@ -339,7 +337,7 @@ def _check_top_split(fan: Fan, base: Fan, report: BundleJoinReport) -> None:
                 JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
             )
     # build_fan's type: only the lift determinants of (b) can fail
-    if fan.product_departure is None:
+    if fan.is_join:
         _check_lifts(base, report)
     else:
         _split_by_sets(fan, base, report)

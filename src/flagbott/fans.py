@@ -7,8 +7,8 @@ Subsets of {1,...,g} are bitmasks (bit i-1 is element i), which makes
 complements, inclusion tests, and deterministic ordering cheap.  Code that
 walks the cones of a fan works on ray indices and subset masks, not on
 sets of labels.  permutation_cones holds the chain rule that turns a
-permutation into its cone.  A fan computes its cone determinants and its
-departure from build_fan's order once each, on first use.
+permutation into its cone, and stage_join joins the stages' cones.  A fan
+computes its cone determinants, and whether it is such a join, once each.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import exactlin
+from .tower import EnumerationTooLarge
 
 PermTuple = tuple[tuple[int, ...], ...]
 
@@ -86,27 +87,33 @@ def permutation_cones(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
     return perms, cones
 
 
-def _cone_count(dims: tuple[int, ...], cap: int) -> int:
-    # the product of the (n_ell + 1)!, formed factor by factor so that a
-    # huge stage dimension stops at the first partial product over cap,
-    # never in a factorial
+class _Join(tuple):
+    """stage_join's cones, which know their dims and the perm_tuples made with them."""
+
+
+def stage_join(dims: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], ...], tuple[PermTuple, ...]]:
+    """build_fan's cones for dims and their permutation tuples: the stages'
+    permutation_cones, each shifted past the earlier stages' rays, joined in
+    itertools.product order, so that each cone stays ascending.  Raises
+    EnumerationTooLarge, before any cone is formed, over cap cones."""
+    # the cone count, the product of the (n_ell + 1)!, formed factor by
+    # factor so that a huge stage dimension stops at the first partial
+    # product over cap, never in a factorial
     total = 1
     for n_ell in dims:
         for k in range(2, n_ell + 2):
             total *= k
             if total > cap:
-                return total
-    return total
-
-
-def _stage_cones(dims: tuple[int, ...]) -> tuple[list[list[tuple[int, ...]]], list[list[tuple[int, ...]]]]:
-    # each stage's cones, shifted past the earlier stages' rays as build_fan
-    # lists them, so that a join in itertools.product order stays
-    # ascending; and each stage's permutations
+                raise EnumerationTooLarge(total, cap)
     chains = [permutation_cones(n_ell) for n_ell in dims]
     offsets = itertools.accumulate((2 ** (n_ell + 1) - 2 for n_ell in dims), initial=0)
-    stage_cones = [[tuple(i + off for i in c) for c in cones] for (_, cones), off in zip(chains, offsets)]
-    return stage_cones, [perms for perms, _ in chains]
+    cones: list[tuple[int, ...]] = [()]
+    for (_, stage), off in zip(chains, offsets):
+        shifted = [tuple(i + off for i in c) for c in stage]
+        cones = [c + s for c in cones for s in shifted]
+    joined = _Join(cones)
+    joined.dims, joined.perm_tuples = dims, tuple(itertools.product(*(perms for perms, _ in chains)))
+    return joined, joined.perm_tuples
 
 
 @dataclass(frozen=True)
@@ -147,22 +154,12 @@ class Fan:
         return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays]))
 
     @cached_property
-    def product_departure(self) -> int | None:
-        """Where the fan departs from build_fan's fan of its dims, ray
-        vectors aside: None when its ray labels, cones and permutation
-        tuples are build_fan's, in build_fan's order; else the first cone
-        whose rays or permutation tuple differ, or 0 when the ray labels or
-        a list's length already differ.  The cones are compared one by one
-        against a lazy join of the stage cones."""
-        count = len(self.maxcones)
-        if len(self.rays) != sum(2 ** (n + 1) - 2 for n in self.dims) or len(self.perm_tuples) != count:
-            return 0
-        labels = (RayLabel(ell, Subset(n + 1, s)) for ell, n in enumerate(self.dims, 1) for s in range(1, 2 ** (n + 1) - 1))
-        if any(ray.label != label for ray, label in zip(self.rays, labels)) or _cone_count(self.dims, count) != count:
-            return 0
-        stage_cones, stage_perms = _stage_cones(self.dims)
-        joins = zip(itertools.product(*stage_perms), itertools.product(*stage_cones))
-        for ci, (pt, cone, (want_pt, parts)) in enumerate(zip(self.perm_tuples, self.maxcones, joins)):
-            if pt != want_pt or cone != sum(parts, ()):
-                return ci
-        return None
+    def is_join(self) -> bool:
+        """Whether stage_join made the fan's cones and permutation tuples for
+        its dims, and its ray labels are build_fan's, in build_fan's order: a
+        fan built otherwise, even one equal to build_fan's, is not a join."""
+        cones = self.maxcones
+        if not (isinstance(cones, _Join) and cones.dims == self.dims and cones.perm_tuples is self.perm_tuples):
+            return False
+        labels = [RayLabel(ell, Subset(n + 1, s)) for ell, n in enumerate(self.dims, 1) for s in range(1, 2 ** (n + 1) - 1)]
+        return [ray.label for ray in self.rays] == labels

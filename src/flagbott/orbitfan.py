@@ -109,7 +109,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
-from .fans import Fan, PermTuple, Ray, RayLabel, Subset, _cone_count, _stage_cones, permutation_cones
+from .fans import Fan, PermTuple, Ray, RayLabel, Subset, permutation_cones, stage_join
 from .permfan import check_permutation, perm_ray_vector, proper_subsets
 from .tower import DEFAULT_CONE_CAP, EnumerationTooLarge, FlagBottTower, validate
 
@@ -194,15 +194,8 @@ def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     Raises EnumerationTooLarge if the cone count would exceed cone_cap.
     """
     _require_valid(t)
-    total = _cone_count(t.dims, cone_cap)
-    if total > cone_cap:
-        raise EnumerationTooLarge(total, cone_cap)
-    rays = tuple(all_rays(t))
-    stage_cones, stage_perms = _stage_cones(t.dims)
-    cones: list[tuple[int, ...]] = [()]
-    for stage in stage_cones:
-        cones = [c + s for c in cones for s in stage]
-    return Fan(t.dims, rays, tuple(cones), tuple(itertools.product(*stage_perms)))
+    cones, perm_tuples = stage_join(t.dims, cone_cap)
+    return Fan(t.dims, tuple(all_rays(t)), cones, perm_tuples)
 
 
 def _y_rows(t: FlagBottTower, prefix: PermTuple) -> dict[int, list[list[int]]]:
@@ -312,9 +305,9 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     recurrence and the ray vectors that fan holds, by label.  The cones of
     fan must be build_fan's, in its order; raises ValueError, naming the
     first cone that is not, or cone 0 on a missing or repeated ray label.
-    Fan.product_departure settles that in one pass when the rays are
-    numbered as build_fan numbers them; a fan it does not pass has its cones
-    compared with build_fan's by ray label, both off fans.permutation_cones.
+    A fan that Fan.is_join passes is build_fan's by construction; any other
+    has its cones compared with build_fan's by ray label, both off
+    fans.permutation_cones.
     """
     _require_valid(t)
     if fan.dims != t.dims:
@@ -346,8 +339,8 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
         )
         lo += n_ell
     # the walk numbers the cones as build_fan does: by itertools.product;
-    # rays numbered otherwise than build_fan's are compared by label
-    if fan.product_departure is not None:
+    # a fan not made by stage_join is compared by label
+    if not fan.is_join:
         expected = zip(itertools.product(*perms), itertools.product(*indices))
         for ci, (pt, cone, want) in enumerate(itertools.zip_longest(fan.perm_tuples, fan.maxcones, expected)):
             if want is None or pt != want[0] or cone != tuple(sorted(sum(want[1], ()))):

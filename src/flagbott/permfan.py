@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from .fans import Fan, Ray, RayLabel, Subset, permutation_cones
+from .fans import Fan, Ray, RayLabel, Subset, stage_join
+from .tower import DEFAULT_CONE_CAP
 
 __all__ = [
     "Subset",
@@ -73,9 +74,10 @@ def perm_ray_vector(n: int, s: Subset) -> tuple[int, ...]:
 
 
 def perm_fan(n: int) -> Fan:
-    """The full fan in Z^n: 2^{n+1} - 2 rays, (n+1)! maximal cones."""
+    """The full fan in Z^n: 2^{n+1} - 2 rays, (n+1)! maximal cones; raises
+    EnumerationTooLarge, before any ray is formed, over DEFAULT_CONE_CAP."""
     if n < 1:
         raise InvalidDimension(f"dimension must be positive, got {n}")
+    cones, perm_tuples = stage_join((n,), DEFAULT_CONE_CAP)
     rays = tuple(Ray(RayLabel(1, s), perm_ray_vector(n, s)) for s in proper_subsets(n + 1))
-    perms, cones = permutation_cones(n)
-    return Fan((n,), rays, tuple(cones), tuple((v,) for v in perms))
+    return Fan((n,), rays, cones, perm_tuples)

@@ -25,9 +25,9 @@ from typing import Mapping
 from .exactlin import DimensionMismatch, IntMatrix, _det_rows
 
 MAX_ATTEMPTS = 10_000  # candidates sample_generic draws before giving up
-# The enumeration cap (of build_fan's cones, and of the rays and flag minors
-# cli counts) and EnumerationTooLarge live here, so that cli reads them
-# without loading the fan modules; orbitfan re-exports both.
+# The enumeration cap (of build_fan's and perm_fan's cones, and of the rays
+# and flag minors cli counts) and EnumerationTooLarge live here, so that cli
+# reads them without loading the fan modules; orbitfan re-exports both.
 DEFAULT_CONE_CAP = 1_000_000
 
 

@@ -296,7 +296,9 @@ def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
     swap_across: swap the vectors of two rays of one stage, or of two
     stages (of one stage on a one-stage tower); copy: give a ray the
     vector of any ray, itself included; scale: multiply a ray by 2, 3 or
-    -2.  Without renumbering, every fault keeps build_fan's combinatorics.
+    -2.  Without renumbering, every fault keeps build_fan's combinatorics,
+    and the fan keeps its cone and permutation-tuple objects, so that a
+    join stays a join; so does a renumbering drawn as the identity.
     """
     rays = list(fan.rays)
     m = len(fan.dims)
@@ -331,6 +333,8 @@ def ray_faulted(fan: Fan, rng: random.Random, kind: str, renumber: bool) -> Fan:
     order = list(range(len(rays)))
     if renumber:
         rng.shuffle(order)
+    if order == sorted(order):
+        return dataclasses.replace(fan, rays=tuple(rays))
     new_index = {old: new for new, old in enumerate(order)}
     return dataclasses.replace(
         fan,
@@ -353,11 +357,11 @@ def paths(monkeypatch) -> list[str]:
 
 def bundle_paths(fan: Fan) -> list[str]:
     """The paths verify_bundle_join should take on the fan: at each split,
-    the set pass exactly when the fan at that split is not of build_fan's
-    type, then the lift check."""
+    the set pass exactly when the fan at that split is not a join, then
+    the lift check."""
     want: list[str] = []
     while len(fan.dims) > 1:
-        want += ["lifts"] if fan.product_departure is None else ["sets", "lifts"]
+        want += ["lifts"] if fan.is_join else ["sets", "lifts"]
         fan = project_fan(fan, len(fan.dims) - 1)
     return want
 
@@ -605,7 +609,9 @@ def cone_faulted(fan: Fan, rng: random.Random, renumber: bool) -> Fan:
     top-stage ray by any ray (one already in the cone included), drop or
     duplicate a cone, flip or double a ray, swap a top-stage ray's vector
     with another ray's, or none of these; then, if asked, renumber the
-    rays at random."""
+    rays at random.  A fault in the ray vectors alone, with the rays in
+    their order, keeps the fan's cone and permutation-tuple objects, so
+    that a join stays a join."""
     kinds = ("swap", "drop_ray", "top_ray", "drop", "duplicate", "flip", "move", "none")
     kind = rng.choice(kinds)
     rays, cones, perms = list(fan.rays), list(fan.maxcones), list(fan.perm_tuples)
@@ -634,6 +640,8 @@ def cone_faulted(fan: Fan, rng: random.Random, renumber: bool) -> Fan:
     order = list(range(len(rays)))
     if renumber:
         rng.shuffle(order)
+    if order == sorted(order) and kind in ("flip", "move", "none"):
+        return dataclasses.replace(fan, rays=tuple(rays))
     new_index = {old: new for new, old in enumerate(order)}
     return dataclasses.replace(
         fan,

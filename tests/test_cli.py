@@ -23,7 +23,7 @@ from conftest import (
     three_stage_tower,
     two_stage_tower,
 )
-from flagbott import exactlin, fans, orbitfan
+from flagbott import exactlin, fancheck, fans, orbitfan, permfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel
 from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identity
@@ -190,18 +190,18 @@ def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
 
 
 def test_verify_runs_the_product_order_pass_once_per_fan(tmp_path, capsys, monkeypatch):
-    # the stage cones are joined once by build_fan, then once per distinct
-    # fan whose order a check reads: the full fan (completeness, oracle and
-    # the split at 3) and its projection to two stages (the split at 2)
+    # the stage cones are joined once per fan: by build_fan, and by
+    # project_fan for each base, the projections to two stages and to one;
+    # no check joins them again to test a fan's order
     spec = tmp_path / "tower.json"
     spec.write_text(json.dumps(THREE_STAGE_DOC))
     calls = []
-    stage_cones = fans._stage_cones
-    for module in (fans, orbitfan):
-        monkeypatch.setattr(module, "_stage_cones", lambda dims: calls.append(dims) or stage_cones(dims))
+    for module in (orbitfan, fancheck, permfan):
+        join = module.stage_join
+        monkeypatch.setattr(module, "stage_join", lambda dims, cap, join=join: calls.append(dims) or join(dims, cap))
     assert main(["verify", str(spec)]) == 0
     assert capsys.readouterr().out.count(": ok (") == 5
-    assert calls == [(2, 2, 1), (2, 2, 1), (2, 2)]
+    assert calls == [(2, 2, 1), (2, 2), (2,)]
 
 
 def test_verify_single_check(spec_path, capsys):
@@ -424,10 +424,11 @@ def test_sample_generic_integer_arguments_are_malformed(capsys):
 
 
 def test_unwritable_out_is_malformed(spec_path, tmp_path, capsys):
-    path = str(tmp_path / "missing" / "fan.txt")
-    for argv in (["export", spec_path, "--out", path], ["build", spec_path, "--out", path]):
-        assert main(argv) == 2
-        assert capsys.readouterr().err == f"{path}: No such file or directory\n"
+    # an empty --out= names no file either, for build as for export
+    for path in (str(tmp_path / "missing" / "fan.txt"), ""):
+        for argv in (["export", spec_path, f"--out={path}"], ["build", spec_path, f"--out={path}"]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"{path}: No such file or directory\n"
 
 
 def test_verify_exit_code_on_runtime_failure(spec_path, capsys, monkeypatch):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
 import tracemalloc
 from math import factorial, prod
@@ -30,6 +32,7 @@ from conftest import (
 )
 from flagbott import fancheck
 from flagbott.cli import load_tower
+from flagbott.exactlin import IntMatrix
 from flagbott.fancheck import (
     BundleJoinReport,
     CompletenessReport,
@@ -41,7 +44,7 @@ from flagbott.fancheck import (
     verify_bundle_join,
 )
 from flagbott.fans import Fan, NotSimplicial, Ray, RayLabel, Subset
-from flagbott.orbitfan import build_fan
+from flagbott.orbitfan import build_fan, verify_oracle
 from flagbott.permfan import perm_fan
 from flagbott.tower import FlagBottTower
 
@@ -191,7 +194,7 @@ def test_degenerate_cone_sends_a_fan_of_build_fans_type_to_the_census(paths):
     # through both are degenerate, though the combinatorics are build_fan's
     fan = build_fan(two_stage_tower())
     case = dataclasses.replace(fan, rays=fan.rays[:2] + (Ray(fan.rays[2].label, fan.rays[0].vector),) + fan.rays[3:])
-    assert case.product_departure is None
+    assert case.is_join
     report = is_complete_simplicial(case)
     assert report == reference_is_complete_simplicial(case)
     assert paths == ["census"]
@@ -277,7 +280,7 @@ def test_census_memory_per_wall(tmp_path):
     swapped = with_cones(fan, [1, 0, *range(2, len(fan.maxcones))])
     swapped.cone_dets  # computed once per fan, outside the census
     report, peak = traced_peak(lambda: is_complete_simplicial(swapped))
-    assert swapped.product_departure == 0
+    assert not swapped.is_join
     assert report.ok
     assert report.walls_checked == 5184
     assert peak / report.walls_checked < 200
@@ -328,8 +331,8 @@ def test_sign_rule_matches_adjugate_normals(paths):
         report = is_complete_simplicial(fan)
         assert report == reference_is_complete_simplicial(fan)
         kinds.update(d.kind for d in report.defects)
-        # perturbed renumbers the rays, which sends a fan to the census
-        assert paths == ["flip" if fan.product_departure is None and 0 not in fan.cone_dets else "census"]
+        # perturbed rebuilds the cones, which sends a fan to the census
+        assert paths == ["flip" if fan.is_join and 0 not in fan.cone_dets else "census"]
         taken.update(paths)
     assert kinds == {"same_side", "dangling", "degenerate", "crowded"}
     assert taken == {"flip", "census"}
@@ -338,8 +341,12 @@ def test_sign_rule_matches_adjugate_normals(paths):
 def test_project_fan_equals_truncated_build():
     t = three_stage_tower()
     fan = build_fan(t)
+    # a join projects to the join of its first stages; a copy of it that is
+    # not a join, cone by cone, to the same fan
+    rebuilt = dataclasses.replace(fan, maxcones=tuple(fan.maxcones))
     for stages in (1, 2):
-        assert project_fan(fan, stages) == build_fan(truncated(t, stages))
+        assert project_fan(fan, stages).is_join
+        assert project_fan(fan, stages) == project_fan(rebuilt, stages) == build_fan(truncated(t, stages))
     assert project_fan(fan, 3) is fan
     with pytest.raises(ValueError):
         project_fan(fan, 0)
@@ -493,7 +500,7 @@ def test_ray_faults_take_the_flip_and_slice_paths(paths):
         fan = build_fan(t)
         for kind in RAY_FAULTS + ("scale",):
             case = ray_faulted(fan, rng, kind, renumber=False)
-            assert case.product_departure is None
+            assert case.is_join
             paths.clear()
             report = is_complete_simplicial(case)
             assert report == reference_is_complete_simplicial(case)
@@ -508,6 +515,44 @@ def test_ray_faults_take_the_flip_and_slice_paths(paths):
     assert found["flip"] == {"same_side"}
     assert "degenerate" in found["census"]
     assert found["lifts"] == {"fiber_support", "fiber_vector", "base_support", "lift_degenerate"}
+
+
+def test_a_fan_is_a_join_by_how_it_was_made(paths):
+    # copies keep the cone and permutation-tuple objects, so a join stays a
+    # join and takes the flip path and the lift check; cones or permutation
+    # tuples built anew, other dims or renumbered rays are not a join, and
+    # take the census and the set split.  Each check's report equals the
+    # equal fan's where one is given, else the references'.
+    t = three_stage_tower()
+    fan = build_fan(t)
+    flipped = ray_faulted(fan, random.Random(2), "flip", renumber=False)
+    # dims (1, 2, 2) have as many rays and cones as (2, 2, 1)
+    zero = {(2, 1): (3, 2), (3, 1): (3, 2), (3, 2): (3, 3)}
+    other_t = FlagBottTower((1, 2, 2), {key: IntMatrix.from_rows([[0] * c] * r) for key, (r, c) in zero.items()})
+    other = build_fan(other_t)
+    cases = [
+        (pickle.loads(pickle.dumps(fan)), t, True, fan),
+        (copy.deepcopy(fan), t, True, fan),
+        (dataclasses.replace(fan, rays=flipped.rays), t, True, None),
+        (dataclasses.replace(fan, maxcones=tuple(fan.maxcones)), t, False, fan),
+        (dataclasses.replace(fan, perm_tuples=tuple(list(fan.perm_tuples))), t, False, fan),
+        (dataclasses.replace(fan, maxcones=fan.maxcones[:-1], perm_tuples=fan.perm_tuples[:-1]), t, False, None),
+        (dataclasses.replace(fan, maxcones=fan.maxcones + fan.maxcones[:1], perm_tuples=fan.perm_tuples + fan.perm_tuples[:1]), t, False, None),
+        (dataclasses.replace(other, maxcones=fan.maxcones, perm_tuples=fan.perm_tuples), other_t, False, None),
+        (ray_faulted(flipped, random.Random(3), "flip", renumber=True), t, False, None),
+    ]
+    for case, case_t, joined, equal in cases:
+        assert case.is_join == joined
+        if equal is None:
+            want = (reference_is_complete_simplicial(case), reference_verify_bundle_join(case, case_t))
+        else:
+            assert case == equal
+            assert verify_oracle(case, t) == verify_oracle(equal, t)
+            want = (is_complete_simplicial(equal), verify_bundle_join(equal, t))
+        paths.clear()
+        assert (is_complete_simplicial(case), verify_bundle_join(case, case_t)) == want
+        assert paths == ["flip" if joined else "census"] + bundle_paths(case)
+        assert bundle_paths(case) == (["lifts"] * 2 if joined else ["sets", "lifts"] * 2)
 
 
 def test_lift_pass_equals_the_reference_where_lifts_share_heads(tmp_path):

@@ -30,6 +30,7 @@ SRC = Path(flagbott.__file__).parent
 CLI = "tests/test_cli.py::"
 FANCHECK = "tests/test_fancheck.py::"
 ORBITFAN = "tests/test_orbitfan.py::"
+PERMFAN = "tests/test_permfan.py::"
 
 MUTANTS = {
     # the flip path's same-sign rule inverted in the last stage only
@@ -42,21 +43,21 @@ MUTANTS = {
     # every fan on the flip path, whatever its cones
     "flip-fallback": (
         "fancheck",
-        "if 0 in dets or fan.product_departure is not None:",
+        "if 0 in dets or not fan.is_join:",
         "if False:",
         [FANCHECK + "test_incomplete_fan_has_dangling_walls", FANCHECK + "test_crowded_wall_reported"],
     ),
-    # a degenerate cone of build_fan's type on the flip path
+    # a degenerate cone of a join on the flip path
     "flip-zero-det": (
         "fancheck",
-        "if 0 in dets or fan.product_departure is not None:",
-        "if fan.product_departure is not None:",
+        "if 0 in dets or not fan.is_join:",
+        "if not fan.is_join:",
         [FANCHECK + "test_degenerate_cone_sends_a_fan_of_build_fans_type_to_the_census"],
     ),
     # every bundle split by its lifts alone, whatever its cones
     "slice-fallback": (
         "fancheck",
-        "if fan.product_departure is None:\n        _check_lifts(base, report)",
+        "if fan.is_join:\n        _check_lifts(base, report)",
         "if True:\n        _check_lifts(base, report)",
         [FANCHECK + "test_bundle_join_reports_two_lifts", FANCHECK + "test_bundle_join_reports_missing_fiber_ray"],
     ),
@@ -82,19 +83,34 @@ MUTANTS = {
         "if 0 != (dets[c1] * dets[c2] > 0):",
         [FANCHECK + "test_overlapping_cones_are_same_side"],
     ),
-    # a degenerate cone listed among the cones of a crowded wall
+    # a degenerate cone's walls let into the census, so that it is listed
+    # among the cones of a crowded wall
     "crowded-degenerate": (
         "fancheck",
-        "if d and mask ^ bits[r] in crowd:",
-        "if mask ^ bits[r] in crowd:",
+        '"cone rays are linearly dependent")\n            )\n            continue\n',
+        '"cone rays are linearly dependent")\n            )\n',
         [FANCHECK + "test_degenerate_cone_is_not_a_cone_of_a_crowded_wall"],
     ),
-    # the cached product-order test blind to the permutation tuples
+    # a fan counted as a join whatever permutation tuples it holds
     "departure-perm-tuples": (
         "fans",
-        "if pt != want_pt or cone != sum(parts, ()):",
-        "if cone != sum(parts, ()):",
-        [ORBITFAN + "test_product_departure_names_the_first_cone_off_build_fans_order"],
+        "cones.perm_tuples is self.perm_tuples",
+        "True",
+        [FANCHECK + "test_a_fan_is_a_join_by_how_it_was_made"],
+    ),
+    # a fan counted as a join whatever dims its cones were joined for
+    "join-dims": (
+        "fans",
+        "cones.dims == self.dims",
+        "True",
+        [FANCHECK + "test_a_fan_is_a_join_by_how_it_was_made"],
+    ),
+    # perm_fan forming all (n+1)! cones whatever the cap
+    "perm-fan-cap": (
+        "permfan",
+        "stage_join((n,), DEFAULT_CONE_CAP)",
+        "stage_join((n,), 10**18)",
+        [PERMFAN + "test_perm_fan_is_bounded_by_the_cone_cap"],
     ),
     # cones whose ray indices descend reach the wall test
     "cone-order": (
@@ -110,6 +126,13 @@ MUTANTS = {
         "if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):",
         "if False:",
         [FANCHECK + "test_cone_dets_reject_a_ray_index_out_of_range"],
+    ),
+    # a join projected to the join of one stage too many
+    "project-stages": (
+        "fancheck",
+        "*stage_join(dims, len(fan.maxcones))",
+        "*stage_join(fan.dims[: stages + 1], len(fan.maxcones))",
+        [FANCHECK + "test_project_fan_equals_truncated_build"],
     ),
     # M B_ell gathering columns by v_ell where it must scatter them
     "gather-for-scatter": (
@@ -161,6 +184,13 @@ MUTANTS = {
         "groupby(fan.maxcones, itemgetter(slice(0, k)))",
         "groupby(fan.maxcones, itemgetter(slice(0, k - 1)))",
         [CLI + "test_format_fan_equals_the_reference"],
+    ),
+    # build --out= taken for no --out, so that it writes nothing and exits 0
+    "build-out-empty": (
+        "cli",
+        "if args.out is not None:",
+        "if args.out:",
+        [CLI + "test_unwritable_out_is_malformed"],
     ),
     # every command loading fancheck, as when cli imported it at the top
     "eager-fancheck": (

@@ -496,59 +496,36 @@ def test_verify_oracle_rejects_cones_that_are_not_build_fans():
 
 def test_verify_oracle_rejects_a_fan_without_each_of_build_fans_labels_once():
     # a missing label, and a label repeated in place of (1, {1}), are
-    # refused at cone 0, as product_departure names them, before any ray
-    # is looked up by label
+    # refused at cone 0, before any ray is looked up by label
     t = two_stage_tower()
     fan = build_fan(t)
     rays = list(fan.rays)
     rays[0] = Ray(RayLabel(1, sub(3, 1, 2)), rays[0].vector)
     for case in (dataclasses.replace(fan, rays=fan.rays[:-1]), dataclasses.replace(fan, rays=tuple(rays))):
-        assert case.product_departure == 0
+        assert not case.is_join
         with pytest.raises(ValueError, match="^fan cone 0 is not build_fan's cone 0$"):
             verify_oracle(case, t)
 
 
-def test_product_departure_is_none_on_build_fans_fans():
+def test_build_fans_fans_are_joins():
     towers = [two_stage_tower(), three_stage_tower()]
     towers += [random_tower(seed) for seed in POPULATION_SEEDS[:20]]
     for t in towers:
         fan = build_fan(t)
-        assert fan.product_departure is None
+        assert fan.is_join
         # ray vectors are not part of the test
-        assert ray_faulted(fan, random.Random(0), "flip", renumber=False).product_departure is None
+        assert ray_faulted(fan, random.Random(0), "flip", renumber=False).is_join
     for n in (1, 2, 3, 4):
-        assert perm_fan(n).product_departure is None
+        assert perm_fan(n).is_join
 
 
-def test_product_departure_names_the_first_cone_off_build_fans_order():
-    fan = build_fan(three_stage_tower())
-    cones, perms = list(fan.maxcones), list(fan.perm_tuples)
-    cones[3], cones[7] = cones[7], cones[3]
-    perms[5], perms[9] = perms[9], perms[5]
-    rays = list(fan.rays)
-    rays[0] = Ray(RayLabel(1, sub(3, 3)), rays[0].vector)
-    cases = [
-        (dataclasses.replace(fan, maxcones=tuple(cones)), 3),
-        (dataclasses.replace(fan, perm_tuples=tuple(perms)), 5),
-        # list lengths or ray labels that differ depart at cone 0
-        (dataclasses.replace(fan, perm_tuples=fan.perm_tuples[:-1]), 0),
-        (dataclasses.replace(fan, perm_tuples=fan.perm_tuples + fan.perm_tuples[:1]), 0),
-        (dataclasses.replace(fan, maxcones=fan.maxcones[:-1], perm_tuples=fan.perm_tuples[:-1]), 0),
-        (dataclasses.replace(fan, maxcones=fan.maxcones + fan.maxcones[:1]), 0),
-        (dataclasses.replace(fan, rays=tuple(rays)), 0),
-        (ray_faulted(fan, random.Random(1), "flip", renumber=True), 0),
-    ]
-    for case, ci in cases:
-        assert case.product_departure == ci
-
-
-def test_product_departure_is_the_oracles_cone_order_test():
-    # with build_fan's ray labels and cone count, the index test names the
-    # cone that verify_oracle's label test names
+def test_verify_oracle_names_the_first_cone_off_build_fans_order():
+    # with build_fan's ray labels, the oracle's label test names the first
+    # cone whose rays or permutation tuple differ from build_fan's
     t = three_stage_tower()
     fan = build_fan(t)
     rng = random.Random(4)
-    assert fan.product_departure is None and verify_oracle(fan, t).ok
+    assert verify_oracle(fan, t).ok
     named = set()
     for _ in range(40):
         cones, perms = list(fan.maxcones), list(fan.perm_tuples)
@@ -556,7 +533,7 @@ def test_product_departure_is_the_oracles_cone_order_test():
             c, d = rng.sample(range(72), 2)
             faulted[c], faulted[d] = faulted[d], faulted[c]
         case = dataclasses.replace(fan, maxcones=tuple(cones), perm_tuples=tuple(perms))
-        ci = case.product_departure
+        ci = next(i for i, pair in enumerate(zip(cones, perms)) if pair != (fan.maxcones[i], fan.perm_tuples[i]))
         with pytest.raises(ValueError, match=f"^fan cone {ci} is not build_fan's cone {ci}$"):
             verify_oracle(case, t)
         named.add(ci)

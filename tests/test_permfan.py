@@ -8,6 +8,7 @@ import math
 import pytest
 
 from conftest import chain_of_permutation, cone_labels, permutation_of_chain, ray_index, subset
+from flagbott import permfan
 from flagbott.fans import RayLabel
 from flagbott.permfan import (
     InvalidDimension,
@@ -18,6 +19,7 @@ from flagbott.permfan import (
     perm_ray_vector,
     proper_subsets,
 )
+from flagbott.tower import EnumerationTooLarge
 
 
 def test_subset_basics():
@@ -111,6 +113,16 @@ def test_perm_fan_counts():
 def test_perm_fan_rejects_nonpositive():
     with pytest.raises(InvalidDimension):
         perm_fan(0)
+
+
+def test_perm_fan_is_bounded_by_the_cone_cap(monkeypatch):
+    # (n+1)! cones over the cap are refused before any ray is formed
+    monkeypatch.setattr(permfan, "DEFAULT_CONE_CAP", 6)
+    assert len(perm_fan(2).maxcones) == 6
+    monkeypatch.setattr(permfan, "DEFAULT_CONE_CAP", 5)
+    monkeypatch.setattr(permfan, "perm_ray_vector", lambda n, s: pytest.fail("a ray was formed"))
+    with pytest.raises(EnumerationTooLarge, match="^fan has at least 6 maximal cones, over the cap of 5$"):
+        perm_fan(2)
 
 
 def test_perm_fan_n2_matches_figure():

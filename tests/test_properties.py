@@ -240,7 +240,7 @@ def test_flip_and_slice_paths_equal_the_references_on_a_faulted_fan(paths, t, ki
     # a ray fault keeps build_fan's combinatorics; only renumbering leaves them
     kept = [ray.label for ray in fan.rays] == [ray.label for ray in base.rays]
     assert renumber or kept
-    assert (fan.product_departure is None) == kept
+    assert fan.is_join == kept
     paths.clear()
     assert is_complete_simplicial(fan) == reference_is_complete_simplicial(fan)
     assert paths == ["flip" if kept and 0 not in fan.cone_dets else "census"]
