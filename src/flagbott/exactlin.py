@@ -23,7 +23,7 @@ Inverses and adjugates use the fraction-free Gauss-Jordan variant
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 
 class DimensionMismatch(ValueError):
@@ -130,7 +130,7 @@ def _det_rows(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]]) -> list[int]:
+def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]], visits: Iterable | None = None) -> list[int]:
     """Determinant of each square matrix; a matrix is a tuple of indices
     into rows, and row i has len(matrix) entries.
 
@@ -140,16 +140,17 @@ def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]]) ->
     reduced row are minors on the rows so far and the columns pivoted so
     far plus one, so each // is exact, and the last pivot is the
     determinant up to the sign of the order in which the columns were
-    pivoted.  The matrices are visited in sorted order, and one that
-    shares its first k rows with the one before reuses their reduced rows.
+    pivoted.  visits are (index, matrix) pairs, by default all, sorted; a
+    matrix that shares its first k rows with the one before reuses their reduced rows.
     """
     out = [0] * len(matrices)
     # the reduced rows of the current prefix: (pivot position, pivot, the
     # row without its pivot entry, column-order sign so far)
     stack: list[tuple[int, int, list[int], int]] = []
     prev: tuple[int, ...] = ()
-    for mi in sorted(range(len(matrices)), key=matrices.__getitem__):
-        m = matrices[mi]
+    if visits is None:
+        visits = ((mi, matrices[mi]) for mi in sorted(range(len(matrices)), key=matrices.__getitem__))
+    for mi, m in visits:
         k = 0
         shared = min(len(stack), len(m))
         while k < shared and m[k] == prev[k]:

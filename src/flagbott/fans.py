@@ -7,13 +7,14 @@ Subsets of {1,...,g} are bitmasks (bit i-1 is element i), which makes
 complements, inclusion tests, and deterministic ordering cheap.  Code that
 walks the cones of a fan works on ray indices and subset masks, not on
 sets of labels.  permutation_cones holds the chain rule that turns a
-permutation into its cone, and stage_join joins the stages' cones.  A fan
-computes its cone determinants, and whether it is such a join, once each.
+permutation into its cone; stage_join joins the stages' cones, each formed
+when read.  A fan computes its cone determinants and is_join once each.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -87,15 +88,50 @@ def permutation_cones(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ..
     return perms, cones
 
 
-class _Join(tuple):
-    """stage_join's cones, which know their dims and the perm_tuples made with them."""
+class _Join(Sequence):
+    """stage_join's cones or permutation tuples, entry i formed when read as
+    heads[i // T] + tails[i % T], T = len(tails); it equals, hashes and
+    prints as the tuple of its entries.  The cones record dims and perm_tuples."""
+
+    def __init__(self, heads: tuple, tails: tuple, dims: tuple[int, ...] | None = None, perm_tuples=None):
+        self.heads, self.tails, self.dims, self.perm_tuples = heads, tails, dims, perm_tuples
+
+    def __len__(self) -> int:
+        return len(self.heads) * len(self.tails)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, range(len(self))[i]))
+        h, t = divmod(range(len(self))[i], len(self.tails))
+        return self.heads[h] + self.tails[t]
+
+    def __iter__(self):
+        return (h + t for h in self.heads for t in self.tails)
+
+    def __eq__(self, other):
+        if not isinstance(other, (tuple, _Join)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+    def sorted_items(self) -> Iterator[tuple[int, tuple]]:
+        """(i, self[i]) for i in sorted(range(len(self)), key=self.__getitem__),
+        with no sort of the entries: heads have one length, so entries sort by head, then tail."""
+        heads, tails = (sorted(range(len(s)), key=s.__getitem__) for s in (self.heads, self.tails))
+        return ((h * len(tails) + t, self.heads[h] + self.tails[t]) for h in heads for t in tails)
 
 
-def stage_join(dims: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], ...], tuple[PermTuple, ...]]:
+def stage_join(dims: tuple[int, ...], cap: int) -> tuple[_Join, _Join]:
     """build_fan's cones for dims and their permutation tuples: the stages'
     permutation_cones, each shifted past the earlier stages' rays, joined in
-    itertools.product order, so that each cone stays ascending.  Raises
-    EnumerationTooLarge, before any cone is formed, over cap cones."""
+    itertools.product order, so that each cone stays ascending; heads join
+    all stages but the last, tails are its cones or (permutation,) singletons.
+    Raises EnumerationTooLarge, before any cone is formed, over cap cones."""
     # the cone count, the product of the (n_ell + 1)!, formed factor by
     # factor so that a huge stage dimension stops at the first partial
     # product over cap, never in a factorial
@@ -105,15 +141,16 @@ def stage_join(dims: tuple[int, ...], cap: int) -> tuple[tuple[tuple[int, ...], 
             total *= k
             if total > cap:
                 raise EnumerationTooLarge(total, cap)
-    chains = [permutation_cones(n_ell) for n_ell in dims]
     offsets = itertools.accumulate((2 ** (n_ell + 1) - 2 for n_ell in dims), initial=0)
-    cones: list[tuple[int, ...]] = [()]
-    for (_, stage), off in zip(chains, offsets):
-        shifted = [tuple(i + off for i in c) for c in stage]
-        cones = [c + s for c in cones for s in shifted]
-    joined = _Join(cones)
-    joined.dims, joined.perm_tuples = dims, tuple(itertools.product(*(perms for perms, _ in chains)))
-    return joined, joined.perm_tuples
+    heads, tails, prefixes, singles = [()], [()], [()], [()]
+    for n_ell, off in zip(dims, offsets):
+        heads = [h + t for h in heads for t in tails]
+        prefixes = [h + t for h in prefixes for t in singles]
+        perms, stage = permutation_cones(n_ell)
+        tails = [tuple(i + off for i in c) for c in stage]
+        singles = [(v,) for v in perms]
+    perm_tuples = _Join(tuple(prefixes), tuple(singles))
+    return _Join(tuple(heads), tuple(tails), dims, perm_tuples), perm_tuples
 
 
 @dataclass(frozen=True)
@@ -123,13 +160,14 @@ class Fan:
     rays are sorted by (stage, subset mask); each maximal cone is a tuple of
     ray indices in ascending order, which cone_dets checks; perm_tuples[i]
     is the tuple of one-line permutations (one per stage) that generated
-    maxcones[i], so cones are in lexicographic order of those tuples.
+    maxcones[i], so cones are in lexicographic order of those tuples.  Both
+    are sequences: stage_join's form each entry when it is read.
     """
 
     dims: tuple[int, ...]
     rays: tuple[Ray, ...]
-    maxcones: tuple[tuple[int, ...], ...]
-    perm_tuples: tuple[PermTuple, ...]
+    maxcones: Sequence[tuple[int, ...]]
+    perm_tuples: Sequence[PermTuple]
 
     @property
     def n(self) -> int:
@@ -147,11 +185,12 @@ class Fan:
         for ci, cone in enumerate(self.maxcones):
             if len(cone) != n:
                 raise NotSimplicial(f"cone {ci} has {len(cone)} rays in dimension {n}")
-            if cone != tuple(sorted(cone)):
+            if sorted(cone) != list(cone):
                 raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
             if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
                 raise ValueError(f"cone {ci} names a ray outside 0..{len(self.rays) - 1}: {cone}")
-        return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays]))
+        visits = self.maxcones.sorted_items() if self.is_join else None  # sorted, without a sort
+        return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays], visits))
 
     @cached_property
     def is_join(self) -> bool:

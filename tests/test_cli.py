@@ -45,6 +45,7 @@ EXPORT_SHA256 = [
     (THREE_STAGE_DOC, "d2ebbe554c95598ab6b5790f1d8dc8d5e1909800b5e15465ca8c019d7183c786"),
     (seeded_doc((2, 2, 2, 2), 1), "3d23f6f267e57ff2d3d96150d26c7d5eba88a7ec5a8c0ae226ad8bbdd935eee9"),
     (seeded_doc((3, 3, 3), 1), "01633dc98bcf748f23830336132d3e303e80757be3d1f0fbf80ac9478cd0d53d"),
+    (seeded_doc((4, 4, 3), 1), "cddad0f0b309fdb0258daca23570d85472201d0b7e8d4a9acb4810bc8e5f7e35"),
 ]
 
 
@@ -173,7 +174,7 @@ def test_verify_all_checks_pass(spec_path, capsys):
 def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
     calls = []
     dets = exactlin._dets
-    monkeypatch.setattr(exactlin, "_dets", lambda matrices, rows: calls.append(len(matrices)) or dets(matrices, rows))
+    monkeypatch.setattr(exactlin, "_dets", lambda matrices, *args: calls.append(len(matrices)) or dets(matrices, *args))
     assert main(["verify", spec_path]) == 0
     assert capsys.readouterr().out == (
         "smooth: ok (12 cones)\n"
@@ -241,7 +242,7 @@ def test_export_and_format(spec_path, tmp_path, capsys):
     assert text.endswith("\n")
 
 
-@pytest.mark.parametrize("doc, digest", EXPORT_SHA256, ids=["two-stage", "three-stage", "2222-seed1", "333-seed1"])
+@pytest.mark.parametrize("doc, digest", EXPORT_SHA256, ids=["two-stage", "three-stage", "2222-seed1", "333-seed1", "443-seed1"])
 def test_export_bytes_are_pinned(tmp_path, doc, digest):
     spec = tmp_path / "tower.json"
     spec.write_text(json.dumps(doc))

@@ -145,6 +145,19 @@ def test_cone_dets_reject_a_cone_out_of_order():
     assert is_complete_simplicial(resorted).ok
 
 
+def test_cone_dets_take_the_order_of_a_cone_given_as_a_list():
+    # an ascending cone is in order whatever sequence type holds it, and a
+    # descending one is refused as a list too
+    fan = perm_fan(2)
+    listed = dataclasses.replace(fan, maxcones=[list(c) for c in fan.maxcones])
+    assert listed.cone_dets == fan.cone_dets
+    assert is_smooth(listed) == is_smooth(fan)
+    assert is_complete_simplicial(listed) == is_complete_simplicial(fan)
+    faulty = dataclasses.replace(listed, maxcones=[listed.maxcones[0][::-1]] + listed.maxcones[1:])
+    with pytest.raises(ValueError, match=r"^cone 0 lists its rays out of order: \[5, 3\]$"):
+        is_smooth(faulty)
+
+
 def test_cone_dets_reject_a_ray_index_out_of_range():
     # read by negative indexing, -5 is ray 3, which would leave cone 0 as
     # it is and the fan smooth and complete; 8 is past the last ray
@@ -271,6 +284,22 @@ def traced_peak(run):
         return run(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_build_fan_retains_its_stage_join_not_each_cone(tmp_path):
+    # seed-1 (4,4,3): 345600 cones formed on demand from 14400 heads and
+    # 24 tails; one tuple per cone would hold about 72 MB
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps(seeded_doc((4, 4, 3), 1)))
+    t = load_tower(str(spec))
+    tracemalloc.start()
+    try:
+        fan = build_fan(t)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert fan.is_join and len(fan.maxcones) == len(fan.perm_tuples) == 345600
+    assert retained < 8 * 2**20
 
 
 def test_census_memory_per_wall(tmp_path):
@@ -537,7 +566,7 @@ def test_a_fan_is_a_join_by_how_it_was_made(paths):
         (dataclasses.replace(fan, maxcones=tuple(fan.maxcones)), t, False, fan),
         (dataclasses.replace(fan, perm_tuples=tuple(list(fan.perm_tuples))), t, False, fan),
         (dataclasses.replace(fan, maxcones=fan.maxcones[:-1], perm_tuples=fan.perm_tuples[:-1]), t, False, None),
-        (dataclasses.replace(fan, maxcones=fan.maxcones + fan.maxcones[:1], perm_tuples=fan.perm_tuples + fan.perm_tuples[:1]), t, False, None),
+        (dataclasses.replace(fan, maxcones=tuple(fan.maxcones) + fan.maxcones[:1], perm_tuples=tuple(fan.perm_tuples) + fan.perm_tuples[:1]), t, False, None),
         (dataclasses.replace(other, maxcones=fan.maxcones, perm_tuples=fan.perm_tuples), other_t, False, None),
         (ray_faulted(flipped, random.Random(3), "flip", renumber=True), t, False, None),
     ]
@@ -553,6 +582,25 @@ def test_a_fan_is_a_join_by_how_it_was_made(paths):
         assert (is_complete_simplicial(case), verify_bundle_join(case, case_t)) == want
         assert paths == ["flip" if joined else "census"] + bundle_paths(case)
         assert bundle_paths(case) == (["lifts"] * 2 if joined else ["sets", "lifts"] * 2)
+
+
+def test_a_joins_cones_are_visited_in_sorted_order_without_a_sort():
+    # on the goldens and the population towers with at most 576 cones, a
+    # join's visits are its cones in sorted order, with their indices, and
+    # its determinants equal those of its materialised copy, which is not
+    # a join and sorts
+    towers = [two_stage_tower(), three_stage_tower()]
+    towers += [random_tower(seed) for seed in POPULATION_SEEDS]
+    towers = [t for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
+    assert len(towers) == 2 + 89
+    for t in towers:
+        fan = build_fan(t)
+        cones = fan.maxcones
+        visits = list(cones.sorted_items())
+        assert visits == [(i, cones[i]) for i in sorted(range(len(cones)), key=cones.__getitem__)]
+        copied = dataclasses.replace(fan, maxcones=tuple(cones), perm_tuples=tuple(fan.perm_tuples))
+        assert fan.is_join and not copied.is_join
+        assert fan.cone_dets == copied.cone_dets
 
 
 def test_lift_pass_equals_the_reference_where_lifts_share_heads(tmp_path):

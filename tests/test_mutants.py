@@ -31,6 +31,7 @@ CLI = "tests/test_cli.py::"
 FANCHECK = "tests/test_fancheck.py::"
 ORBITFAN = "tests/test_orbitfan.py::"
 PERMFAN = "tests/test_permfan.py::"
+PROPERTIES = "tests/test_properties.py::"
 
 MUTANTS = {
     # the flip path's same-sign rule inverted in the last stage only
@@ -112,10 +113,26 @@ MUTANTS = {
         "stage_join((n,), 10**18)",
         [PERMFAN + "test_perm_fan_is_bounded_by_the_cone_cap"],
     ),
+    # a join's entry i read in mixed radix by the count of its heads, not
+    # of its tails
+    "join-radix": (
+        "fans",
+        "divmod(range(len(self))[i], len(self.tails))",
+        "divmod(range(len(self))[i], len(self.heads))",
+        [PROPERTIES + "test_a_join_behaves_as_the_tuple_of_its_entries", FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
+    ),
+    # a join's sort-free order with a stride one short of the tail count,
+    # so that it visits some cones twice and others never
+    "join-order-stride": (
+        "fans",
+        "h * len(tails) + t",
+        "h * (len(tails) - 1) + t",
+        [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
+    ),
     # cones whose ray indices descend reach the wall test
     "cone-order": (
         "fans",
-        "if cone != tuple(sorted(cone)):",
+        "if sorted(cone) != list(cone):",
         "if False:",
         [FANCHECK + "test_cone_dets_reject_a_cone_out_of_order"],
     ),

@@ -486,7 +486,7 @@ def test_verify_oracle_rejects_cones_that_are_not_build_fans():
         (dataclasses.replace(fan, perm_tuples=tuple(perms)), 0),
         (dataclasses.replace(fan, maxcones=fan.maxcones[:-1], perm_tuples=fan.perm_tuples[:-1]), last),
         (dataclasses.replace(fan, maxcones=fan.maxcones[:-1]), last),
-        (dataclasses.replace(fan, maxcones=fan.maxcones + fan.maxcones[:1]), last + 1),
+        (dataclasses.replace(fan, maxcones=tuple(fan.maxcones) + fan.maxcones[:1]), last + 1),
     ]
     for case, ci in doctored:
         with pytest.raises(ValueError, match=f"^fan cone {ci} is not build_fan's"):

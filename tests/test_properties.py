@@ -6,13 +6,15 @@ paper's theorem on drawn towers, the prefix-tree oracle against the
 per-cone one, the bitmask wall census against explicit wall normals,
 the flip path and the lift check against the references on a fan with
 a ray fault, the stage-by-stage cone join against whole tuples of stage
-cones, and the export text against its cone-by-cone reference on drawn
-cones."""
+cones, the lazy join against the tuple of its entries, and the export
+text against its cone-by-cone reference on drawn cones."""
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
+import pickle
 import random
 from math import factorial, prod
 
@@ -255,6 +257,37 @@ def test_flip_and_slice_paths_equal_the_references_on_a_faulted_fan(paths, t, ki
 )
 def test_build_fan_joins_stage_cones_in_product_order(t):
     assert build_fan(t).maxcones == reference_maxcones(t)
+
+
+@hypothesis.settings(SETTINGS, max_examples=30)
+@hypothesis.given(towers(small_dims, 5), st.data())
+def test_a_join_behaves_as_the_tuple_of_its_entries(t, data):
+    # build_fan's cones and permutation tuples are formed on demand, yet
+    # index, slice, iterate, compare, hash and print as their tuples do
+    fan = build_fan(t)
+    for join in (fan.maxcones, fan.perm_tuples):
+        ref = tuple(join)
+        n = len(ref)
+        assert len(join) == n == cone_count(t.dims)
+        assert [join[i] for i in range(-n, n)] == [*ref, *ref]
+        for i in (n, -n - 1):
+            with pytest.raises(IndexError):
+                join[i]
+        bound = st.none() | st.integers(-n - 2, n + 2)
+        cut = slice(data.draw(bound), data.draw(bound), data.draw(st.none() | st.integers(-4, 4).filter(bool)))
+        assert type(join[cut]) is tuple and join[cut] == ref[cut]
+        assert list(join) == list(ref)
+        assert join == ref and ref == join and not join != ref
+        k = data.draw(st.integers(0, n - 1))
+        other = ref[:k] + ((),) + ref[k + 1 :]
+        assert join != other and other != join and not join == other
+        assert hash(join) == hash(ref) and repr(join) == repr(ref)
+    # a join's fan equals and hashes as its materialised copy, and stays
+    # a join through pickle and deepcopy
+    copied = dataclasses.replace(fan, maxcones=tuple(fan.maxcones), perm_tuples=tuple(fan.perm_tuples))
+    assert fan == copied and hash(fan) == hash(copied) and not copied.is_join
+    for kept in (pickle.loads(pickle.dumps(fan)), copy.deepcopy(fan)):
+        assert kept.is_join and kept == fan
 
 
 @hypothesis.settings(SETTINGS, max_examples=30)
