@@ -134,9 +134,10 @@ def format_fan(fan: Fan) -> str:
     cone[k:] once, and each run is joined as one block.  That is exact for
     any fan, in any order: a head is shared only within a run of cones
     whose first k indices are equal, a tail's text is looked up by the
-    tuple it spells, and every line is its head's text followed by its
-    tail's.  k is at least 1, so a head is empty only for an empty cone,
-    whose tail is empty too; a cone shorter than k is all head.
+    tuple it spells (a list cone's tail as its tuple), and every line is
+    its head's text followed by its tail's.  k is at least 1, so a head is
+    empty only for an empty cone, whose tail is empty too; a cone shorter
+    than k is all head.
     """
     k = max(1, sum(fan.dims[:-1]))
     names = list(map(str, range(len(fan.rays))))
@@ -147,7 +148,7 @@ def format_fan(fan: Fan) -> str:
     blocks.append(f"MAXCONES {len(fan.maxcones)}")
     for head, run in groupby(fan.maxcones, itemgetter(slice(0, k))):
         text = " ".join(map(names.__getitem__, head))
-        blocks.append(text + ("\n" + text).join(map(tails.__getitem__, map(tail, run))))
+        blocks.append(text + ("\n" + text).join(map(tails.__getitem__, map(tuple, map(tail, run)))))
     return "\n".join(blocks) + "\n"
 
 

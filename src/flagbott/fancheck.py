@@ -57,14 +57,18 @@ The flip path decides it by the sign rule on each flip pair, where
 k1 = k2: a cone lists S_1 < ... < S_n in that order, since the masks
 grow along the chain, and swapping the values at positions a and a+1
 changes S_(n-a) alone, which sits at position n-a-1 in both cones.  So
-same_side holds iff d1 and d2 have the same sign.  A table per stage
-lists, for each of the (n_p + 1)! permutations, its later neighbours
-with the cone index step and the position of the changed subset, and
-one walk over the cones reads the signs of Fan.cone_dets.  The bundle
-check reads each lift off the projected fan, as the base cone over its
-prefix, and takes their determinants in one prefix-shared pass of
-exactlin._dets; on a fan of build_fan's type the fibers and joins are
-build_fan's by construction, so that pass is the whole split.
+same_side holds iff d1 and d2 have the same sign.  The walk reads the
+signs of Fan.cone_dets stage by stage.  In build_fan's order, stage p's
+permutation index i is held by stride cones in each block of
+stride * (n_p + 1)! consecutive cones, stride being the cone count of
+the later stages.  For each swap that leads from index i to a later
+index j, each cone of index i is compared with the cone
+(j - i) * stride further on, and the pairs found are sorted into the
+census's order.  The bundle check reads each lift off the projected
+fan, as the base cone over its prefix, and takes their determinants in
+one prefix-shared pass of exactlin._dets; on a fan of build_fan's type
+the fibers and joins are build_fan's by construction, so that pass is
+the whole split.
 
 The fallback rule.  is_complete_simplicial takes the flip path only
 when Fan.is_join holds and no cone determinant is 0; every other fan --
@@ -80,8 +84,6 @@ Either way the report is the one the census or the set split gives.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
-from math import factorial
 
 from . import exactlin
 from .fans import Fan, Ray, permutation_cones, stage_join
@@ -131,43 +133,28 @@ class CompletenessReport:
         return not self.defects and self.connected
 
 
-def _flip_table(n: int, stride: int, lo: int) -> list[list[tuple[int, int]]]:
-    # for each permutation index i of the stage: one entry per swap at a,
-    # a+1 that leads to a later index i' -- the cone index step
-    # (i' - i) * stride, and lo (the stage's first position in a cone)
-    # plus n - a - 1, the position of the changed subset S_(n-a)
-    perms, _ = permutation_cones(n)
-    index = {v: i for i, v in enumerate(perms)}
-    table = []
-    for i, v in enumerate(perms):
-        entries = []
-        for a in range(n):
-            j = index[v[:a] + (v[a + 1], v[a]) + v[a + 2 :]]
-            if i < j:
-                entries.append(((j - i) * stride, lo + n - a - 1))
-        table.append(entries)
-    return table
-
-
 def _flip_defects(fan: Fan) -> list[WallDefect]:
     # the same_side walls of a fan of build_fan's type, by the sign rule
-    # on each flip pair, in the census's order
+    # on each flip pair, one loop per stage, in the census's order
     cones = fan.maxcones
     positive = bytes(d > 0 for d in fan.cone_dets)
-    tables = []
-    stride, lo = len(cones), 0
-    for n_p in fan.dims:
-        stride //= factorial(n_p + 1)
-        tables.append(_flip_table(n_p, stride, lo))
-        lo += n_p
     found = []
-    for ci, idx in enumerate(product(*(range(len(table)) for table in tables))):
-        s = positive[ci]
-        for table, i in zip(tables, idx):
-            for step, k in table[i]:
-                # the sign rule with k1 = k2: same_side iff d1 * d2 > 0
-                if s == positive[ci + step]:
-                    found.append((cones[ci][:k] + cones[ci][k + 1 :], ci, ci + step))
+    block, lo = len(cones), 0
+    for n_p in fan.dims:
+        perms, _ = permutation_cones(n_p)
+        index = {v: i for i, v in enumerate(perms)}
+        stride = block // len(perms)
+        for i, v in enumerate(perms):
+            for a in range(n_p):
+                j = index[v[:a] + (v[a + 1], v[a]) + v[a + 2 :]]
+                if i < j:
+                    k, step = lo + n_p - a - 1, (j - i) * stride
+                    for b in range(i * stride, len(cones), block):
+                        for ci in range(b, b + stride):
+                            # the sign rule with k1 = k2: same_side iff d1 * d2 > 0
+                            if positive[ci] == positive[ci + step]:
+                                found.append((cones[ci][:k] + cones[ci][k + 1 :], ci, ci + step))
+        block, lo = stride, lo + n_p
     detail = "opposite rays do not straddle the wall hyperplane"
     return [WallDefect("same_side", wall, (c1, c2), detail) for wall, c1, c2 in sorted(found)]
 
@@ -260,19 +247,11 @@ def project_fan(fan: Fan, stages: int) -> Fan:
     if fan.is_join:  # the projected count divides the fan's, so no cap binds
         return Fan(dims, rays, *stage_join(dims, len(fan.maxcones)))
     remap = {old: new for new, old in enumerate(kept)}
-    seen: set[tuple] = set()
-    maxcones = []
-    perm_tuples = []
+    firsts: dict[tuple, tuple] = {}  # each prefix's first cone, in first-seen order
     for cone, pt in zip(fan.maxcones, fan.perm_tuples):
-        prefix = pt[:stages]
-        if prefix in seen:
-            continue
-        seen.add(prefix)
-        maxcones.append(
-            tuple(sorted(remap[r] for r in cone if r in remap))
-        )
-        perm_tuples.append(prefix)
-    return Fan(dims, rays, tuple(maxcones), tuple(perm_tuples))
+        firsts.setdefault(pt[:stages], cone)
+    maxcones = tuple(tuple(sorted(remap[r] for r in cone if r in remap)) for cone in firsts.values())
+    return Fan(dims, rays, maxcones, tuple(firsts))
 
 
 @dataclass(frozen=True)

@@ -84,15 +84,17 @@ with the stage-ell rays.
     v_1, ..., v_(j-1) only: it is decided once per prefix.
 
 So verify_oracle walks the prefix tree of the permutation tuples in cone
-order, and a failure of (b) or (c) condemns every cone below it at once,
-counted by the size of the subtree.  (b) and (c) decide nothing for a
-cone with a ray that breaks (a).  Swap the vectors of a stage-1 ray and
-a stage-2 ray: on a cone holding both, U_11 gets a column zero in block 1
-and (b) fails, yet U is only the true U with two columns swapped, and W U
-is still a permutation matrix.  Each cone holding such a ray is decided
-on its own, by forming W U.  The rays are read by label, stage by stage,
-so ray vectors and numbering may be anything; the cones must be
-build_fan's.
+order, in one recursion that carries two flags.  ok says that (b) and
+(c) hold so far; a failure of either condemns every cone below it whose
+rays satisfy (a), and a subtree with no ray breaking (a) is counted at
+once by its size.  (b) and (c) decide nothing for a cone with a ray that
+breaks (a).  Swap the vectors of a stage-1 ray and a stage-2 ray: on a
+cone holding both, U_11 gets a column zero in block 1 and (b) fails, yet
+U is only the true U with two columns swapped, and W U is still a
+permutation matrix.  So alone says that the prefix holds such a ray, and
+each cone below it is decided on its own, at its leaf, by forming W U.
+The rays are read by label, stage by stage, so ray vectors and numbering
+may be anything; the cones must be build_fan's.
 
 The pairing check.  By linearity, weight (j, i) pairs with a ray u as
 R_j[v_j(i+1)] . u - R_j[v_j(i)] . u, so verify_pairing_identity takes one
@@ -362,41 +364,26 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
         disagreeing += count
         first.extend(range(start, start + min(count, ORACLE_SHOWN - len(first))))
 
-    def one_by_one(s: int, prefix: tuple[int, ...], start: int) -> None:
-        # each cone below the prefix, by forming W U
-        suffixes = itertools.product(*(range(len(p)) for p in perms[s:]))
-        for offset, suffix in enumerate(suffixes):
-            idx = prefix + suffix
-            ws = weights_at(t, tuple(perms[p][i] for p, i in enumerate(idx)))
-            cols = [tuple(sum(map(operator.mul, w, u)) for w in ws) for p, i in enumerate(idx) for u in chains[p][i]]
-            if sorted(cols) != units:
-                disagree(start + offset, 1)
-
-    def condemned(s: int, prefix: tuple[int, ...], start: int) -> None:
-        # every cone below the prefix whose rays all satisfy (a) disagrees
-        if clean[s]:
-            disagree(start, size[s])
+    def walk(s: int, prefix: PermTuple, rays: list[tuple[int, ...]], start: int, ok: bool, alone: bool) -> None:
+        # ok: the prefix's s permutations keep (b), and (c) for their
+        # weights; alone: a ray of the prefix breaks (a), so each cone
+        # below it is decided at its leaf, by forming W U
+        if alone and s == m:
+            ws = weights_at(t, prefix)
+            if sorted(tuple(sum(map(operator.mul, w, u)) for w in ws) for u in rays) != units:
+                disagree(start, 1)
             return
-        for i in range(len(perms[s])):
-            below = one_by_one if broken[s][i] else condemned
-            below(s + 1, prefix + (i,), start + i * size[s + 1])
-
-    def walk(s: int, prefix: tuple[int, ...], rays: list[tuple[int, ...]], start: int) -> None:
-        # the prefix's s permutations satisfy (a) and (b), and (c) holds for
-        # its weights; check (c) for the stage-(s+1) weights on its rays
-        if s and not _prefix_agrees(t, tuple(perms[p][i] for p, i in enumerate(prefix)), rays):
-            condemned(s, prefix, start)
-            return
-        for i in last_odd if s == m - 1 else range(len(perms[s])):
+        if not alone:
+            if ok and s:  # (c) for the stage-(s+1) weights on the prefix's rays
+                ok = _prefix_agrees(t, prefix, rays)
+            if not ok and clean[s]:  # every cone below disagrees
+                disagree(start, size[s])
+                return
+        for i in last_odd if ok and not alone and s == m - 1 else range(len(perms[s])):
             at = start + i * size[s + 1]
-            if broken[s][i]:
-                one_by_one(s + 1, prefix + (i,), at)
-            elif not diagonal_ok[s][i]:
-                condemned(s + 1, prefix + (i,), at)
-            else:
-                walk(s + 1, prefix + (i,), rays + chains[s][i], at)
+            walk(s + 1, prefix + (perms[s][i],), rays + chains[s][i], at, ok and diagonal_ok[s][i], alone or broken[s][i])
 
-    walk(0, (), [], 0)
+    walk(0, (), [], 0, True, False)
     return OracleReport(size[0], disagreeing, first)
 
 

@@ -274,6 +274,9 @@ def test_format_fan_equals_the_reference():
     for fan in small:
         for f in [fan, *_edited_fans(fan)]:
             assert format_fan(f) == reference_format_fan(f)
+            # cones given as lists are spelled as their tuples
+            listed = dataclasses.replace(f, maxcones=[list(cone) for cone in f.maxcones])
+            assert format_fan(listed) == reference_format_fan(f)
     empty = fans.Fan(dims=(), rays=(), maxcones=((),), perm_tuples=((),))
     assert format_fan(empty) == reference_format_fan(empty) == "FANBOTT 1\ndims \nRAYS 0\nMAXCONES 1\n\n"
 

@@ -8,6 +8,7 @@ import json
 import pickle
 import random
 import tracemalloc
+from itertools import product
 from math import factorial, prod
 
 import pytest
@@ -43,7 +44,7 @@ from flagbott.fancheck import (
     project_fan,
     verify_bundle_join,
 )
-from flagbott.fans import Fan, NotSimplicial, Ray, RayLabel, Subset
+from flagbott.fans import Fan, NotSimplicial, Ray, RayLabel, Subset, _Join
 from flagbott.orbitfan import build_fan, verify_oracle
 from flagbott.permfan import perm_fan
 from flagbott.tower import FlagBottTower
@@ -107,14 +108,30 @@ def test_fan_with_no_cones_is_not_complete():
 
 def test_flip_table_positions_equal_the_set_differences():
     # the swap at a, a+1 changes S_(n-a) alone, at position n - a - 1 of
-    # both cones, so the opposite rays' positions agree and k1 + k2 is even
-    for n in range(1, 7):
-        for stride, lo in ((1, 0), (5, 3)):
-            reference = reference_flip_table(n, stride, lo)
-            assert {parity for entries in reference for _, parity, _ in entries} == {0}
-            assert fancheck._flip_table(n, stride, lo) == [
-                [(step, k) for step, _, k in entries] for entries in reference
-            ]
+    # both cones, so the opposite rays' positions agree and k1 + k2 is even.
+    # With every determinant +1 each flip pair is same_side, so the walk
+    # must list each pair once: the reference table expanded over the
+    # stage indices of every cone
+    towers = [two_stage_tower(), three_stage_tower(), *map(random_tower, POPULATION_SEEDS)]
+    joins = [fan for fan in map(build_fan, towers) if len(fan.maxcones) <= 576]
+    assert len(joins) > 50
+    for fan in [*map(perm_fan, range(1, 6)), *joins]:
+        cones = fan.maxcones
+        fan.__dict__["cone_dets"] = (1,) * len(cones)
+        tables, stride, lo = [], len(cones), 0
+        for n in fan.dims:
+            stride //= factorial(n + 1)
+            tables.append(reference_flip_table(n, stride, lo))
+            lo += n
+        want = set()
+        for ci, idx in enumerate(product(*(range(len(table)) for table in tables))):
+            for table, i in zip(tables, idx):
+                for step, parity, k in table[i]:
+                    assert parity == 0
+                    want.add((cones[ci][:k] + cones[ci][k + 1 :], ci, ci + step))
+        found = fancheck._flip_defects(fan)
+        assert len(found) == len(want) == len(cones) * fan.n // 2
+        assert {(defect.wall, *defect.cones) for defect in found} == want
 
 
 def test_is_complete_rejects_nonsimplicial():
@@ -300,6 +317,23 @@ def test_build_fan_retains_its_stage_join_not_each_cone(tmp_path):
         tracemalloc.stop()
     assert fan.is_join and len(fan.maxcones) == len(fan.perm_tuples) == 345600
     assert retained < 8 * 2**20
+
+
+def test_joins_with_equal_stage_data_compare_equal_without_forming_entries(tmp_path, monkeypatch):
+    # two seed-1 (4,4,3) fans built apart: equal heads and tails decide
+    # equality, with none of the 345600 entries formed
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps(seeded_doc((4, 4, 3), 1)))
+    t = load_tower(str(spec))
+    fan, again = build_fan(t), build_fan(t)
+    assert fan.maxcones is not again.maxcones and fan.perm_tuples is not again.perm_tuples
+
+    def refuse(*args):
+        raise AssertionError("an entry was formed")
+
+    monkeypatch.setattr(_Join, "__iter__", refuse)
+    monkeypatch.setattr(_Join, "__getitem__", refuse)
+    assert fan == again and not fan != again
 
 
 def test_census_memory_per_wall(tmp_path):

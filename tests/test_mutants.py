@@ -6,10 +6,11 @@ gate copies the package to a temporary directory, applies the one
 replacement there, and runs only the named tests in a subprocess that
 imports the copy.  pytest must exit 1, some test failing: an exit of 0
 means the tests are blind to the fault, and any other exit (a collection
-or usage error) proves nothing.  Each row takes 1.5-2.0 s on a 2-vCPU
+or usage error) proves nothing.  Each row takes 0.65-1.2 s on a 2-vCPU
 VM (pytest --durations=0), most of it spent starting a fresh pytest and
-collecting the named tests' module, and eager-fancheck, whose test
-starts eight children of its own, about 3.2 s.
+collecting the named tests' module; eager-fancheck, whose test starts
+eight children of its own, takes about 1.8 s, and join-radix, whose
+first test draws 30 hypothesis towers, about 2.5 s.
 """
 
 from __future__ import annotations
@@ -37,9 +38,24 @@ MUTANTS = {
     # the flip path's same-sign rule inverted in the last stage only
     "flip-same-sign": (
         "fancheck",
-        "if s == positive[ci + step]:",
-        "if (s == positive[ci + step]) != (table is tables[-1]):",
+        "if positive[ci] == positive[ci + step]:",
+        "if (positive[ci] == positive[ci + step]) != (stride == 1):",
         [FANCHECK + "test_is_complete_goldens"],
+    ),
+    # the flip walk stepping through a stage's cones by its stride, not its
+    # block, so that it leaves the cones of the permutation index it walks
+    "flip-block-stride": (
+        "fancheck",
+        "range(i * stride, len(cones), block)",
+        "range(i * stride, len(cones), stride)",
+        [FANCHECK + "test_flip_table_positions_equal_the_set_differences"],
+    ),
+    # the changed subset S_(n-a) looked for at position a, not n - a - 1
+    "flip-position": (
+        "fancheck",
+        "lo + n_p - a - 1",
+        "lo + a",
+        [FANCHECK + "test_flip_table_positions_equal_the_set_differences"],
     ),
     # every fan on the flip path, whatever its cones
     "flip-fallback": (
@@ -144,6 +160,14 @@ MUTANTS = {
         "if False:",
         [FANCHECK + "test_cone_dets_reject_a_ray_index_out_of_range"],
     ),
+    # the projection of a fan that is not a join keeping the last cone over
+    # each prefix, not the first
+    "project-first-cone": (
+        "fancheck",
+        "firsts.setdefault(pt[:stages], cone)",
+        "firsts[pt[:stages]] = cone",
+        [FANCHECK + "test_bundle_join_matches_label_reference", FANCHECK + "test_bundle_join_reports_wrong_size_lift"],
+    ),
     # a join projected to the join of one stage too many
     "project-stages": (
         "fancheck",
@@ -171,6 +195,14 @@ MUTANTS = {
         "if any(labels[ell, s] != 1 for",
         "if False and any(labels[ell, s] != 1 for",
         [ORBITFAN + "test_verify_oracle_rejects_a_fan_without_each_of_build_fans_labels_once"],
+    ),
+    # the oracle forgetting a ray that breaks (a) one stage below it, so
+    # that the cones under it are judged by (b) and (c) alone
+    "oracle-alone": (
+        "orbitfan",
+        "alone or broken[s][i]",
+        "broken[s][i]",
+        [ORBITFAN + "test_verify_oracle_matches_per_cone_reference"],
     ),
     # test (c) of the oracle blind to row R_j[1]
     "prefix-agrees-row": (
