@@ -34,8 +34,6 @@ import json
 import os
 import sys
 from importlib import import_module
-from itertools import groupby
-from operator import itemgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -111,45 +109,32 @@ def _ray_line(ray: Ray) -> str:
     return f"{ray.label.stage} {ray.label.subset} : {' '.join(map(str, ray.vector))}"
 
 
-class _Spelled(dict):
-    """The text of each tuple of ray indices, a space before each index,
-    spelled on its first lookup."""
-
-    def __init__(self, names: list[str]) -> None:
-        self.names = names
-
-    def __missing__(self, indices: tuple[int, ...]) -> str:
-        text = self[indices] = "".join(" " + self.names[i] for i in indices)
-        return text
-
-
 def format_fan(fan: Fan) -> str:
     """The export text: a header, one line per ray, then one line per
     maximal cone, its ray indices joined by spaces.
 
-    build_fan lists the cones of the iterated bundle in product order, so
-    each run of consecutive cones shares its first k = n - n_m indices,
-    a lift of one base cone, and the fibre cones that end them repeat from
-    run to run.  So each run's head is spelled once, each distinct tail
-    cone[k:] once, and each run is joined as one block.  That is exact for
-    any fan, in any order: a head is shared only within a run of cones
-    whose first k indices are equal, a tail's text is looked up by the
-    tuple it spells (a list cone's tail as its tuple), and every line is
-    its head's text followed by its tail's.  k is at least 1, so a head is
-    empty only for an empty cone, whose tail is empty too; a cone shorter
-    than k is all head.
+    A join's cone i is heads[i // T] + tails[i % T], T = len(tails), so
+    its cone lines are spelled from the stage data: each of the T tails
+    once, and each head once, as its indices each followed by a space;
+    a head's block is its text before each tail's, and no cone is formed.
+    That needs every tail nonempty, as it is when every stage dimension is
+    positive; any other fan is spelled one cone at a time.
     """
-    k = max(1, sum(fan.dims[:-1]))
     names = list(map(str, range(len(fan.rays))))
-    tails = _Spelled(names)
-    tail = itemgetter(slice(k, None))
     blocks = ["FANBOTT 1", "dims " + " ".join(str(d) for d in fan.dims), f"RAYS {len(fan.rays)}"]
     blocks += map(_ray_line, fan.rays)
     blocks.append(f"MAXCONES {len(fan.maxcones)}")
-    for head, run in groupby(fan.maxcones, itemgetter(slice(0, k))):
-        text = " ".join(map(names.__getitem__, head))
-        blocks.append(text + ("\n" + text).join(map(tails.__getitem__, map(tuple, map(tail, run)))))
-    return "\n".join(blocks) + "\n"
+    cones = fan.maxcones
+    if fan.is_join and all(fan.dims):
+        tails = [" ".join(map(names.__getitem__, tail)) for tail in cones.tails]
+        spaced = [name + " " for name in names]
+        for head in cones.heads:
+            text = "".join(map(spaced.__getitem__, head))
+            blocks.append(text + ("\n" + text).join(tails))
+    else:
+        blocks += (" ".join(map(names.__getitem__, cone)) for cone in cones)
+    blocks.append("")  # the final newline, with no second copy of the text
+    return "\n".join(blocks)
 
 
 def _shown(raw: str) -> str:

@@ -281,6 +281,34 @@ def test_format_fan_equals_the_reference():
     assert format_fan(empty) == reference_format_fan(empty) == "FANBOTT 1\ndims \nRAYS 0\nMAXCONES 1\n\n"
 
 
+def test_format_fan_spells_a_join_from_its_stage_data(tmp_path, monkeypatch):
+    # seed-1 (4,4,3), and a one-stage tower, whose every head is (): each
+    # join is spelled with none of its cones formed, to the text of its
+    # materialised copy, which is not a join and is spelled cone by cone
+    spec = tmp_path / "tower.json"
+    spec.write_text(json.dumps(seeded_doc((4, 4, 3), 1)))
+    joins = [build_fan(load_tower(str(spec))), build_fan(FlagBottTower((3,), {}))]
+    copies = [dataclasses.replace(f, maxcones=tuple(f.maxcones), perm_tuples=tuple(f.perm_tuples)) for f in joins]
+    assert all(f.is_join and not c.is_join for f, c in zip(joins, copies))
+    assert joins[1].maxcones.heads == ((),)
+
+    def refuse(*args):
+        raise AssertionError("a cone was formed")
+
+    monkeypatch.setattr(fans._Join, "__iter__", refuse)
+    monkeypatch.setattr(fans._Join, "__getitem__", refuse)
+    texts = list(map(format_fan, joins))
+    monkeypatch.undo()
+    assert texts == list(map(format_fan, copies))
+    # a last stage of dimension 0 makes every tail (): spelled cone by
+    # cone, with no space after the head
+    cones, perm_tuples = fans.stage_join((2, 0), 100)
+    rays = tuple(Ray(RayLabel(1, fans.Subset(3, mask)), (0, 0)) for mask in range(1, 7))
+    hollow = fans.Fan((2, 0), rays, cones, perm_tuples)
+    assert hollow.is_join and cones.tails == ((),)
+    assert format_fan(hollow) == reference_format_fan(hollow)
+
+
 def test_format_fan_peak_memory_on_333(tmp_path):
     spec = tmp_path / "tower.json"
     spec.write_text(json.dumps(seeded_doc((3, 3, 3), 1)))
@@ -291,8 +319,10 @@ def test_format_fan_peak_memory_on_333(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one line string per cone peaks at 1.8 MB; one block per run at 1.1 MB
-    assert peak < 1.4e6, peak
+    # one line string per cone peaks at 1.8 MB, one block per run with a
+    # second copy of the text at 1.1 MB; one block per head, joined once
+    # with the final newline, at 0.74 MB: the 0.35 MB of blocks and the text
+    assert peak < 1.0e6, peak
 
 
 def test_build_out_matches_export(spec_path, tmp_path, capsys):

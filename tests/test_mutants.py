@@ -226,13 +226,28 @@ MUTANTS = {
         "actual = dots[vh - 1] - dots[vi - 1]",
         [ORBITFAN + "test_pairing_identity_on_goldens", ORBITFAN + "test_pairing_identity_equals_the_reference"],
     ),
-    # runs keyed by their first k - 1 indices, so that two heads that
-    # differ in their k-th index share one text, which lacks that index
-    "format-head-run": (
+    # each head spelled without the space after its last index, so that it
+    # runs into the first index of each tail
+    "format-head-space": (
         "cli",
-        "groupby(fan.maxcones, itemgetter(slice(0, k)))",
-        "groupby(fan.maxcones, itemgetter(slice(0, k - 1)))",
+        'spaced = [name + " " for name in names]',
+        "spaced = names",
         [CLI + "test_format_fan_equals_the_reference"],
+    ),
+    # every fan spelled cone by cone: the same text, with every cone formed
+    "format-join-off": (
+        "cli",
+        "if fan.is_join and all(fan.dims):",
+        "if False:",
+        [CLI + "test_format_fan_spells_a_join_from_its_stage_data"],
+    ),
+    # a join spelled from its stage data even when its tails are (), so
+    # that each line keeps the space after its head
+    "format-empty-tails": (
+        "cli",
+        "if fan.is_join and all(fan.dims):",
+        "if fan.is_join:",
+        [CLI + "test_format_fan_spells_a_join_from_its_stage_data"],
     ),
     # build --out= taken for no --out, so that it writes nothing and exits 0
     "build-out-empty": (
