@@ -26,10 +26,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 
-class DimensionMismatch(ValueError):
-    """Operands have incompatible shapes."""
-
-
 class NotUnimodular(ValueError):
     """The matrix has no integer inverse; carries the offending determinant."""
 
@@ -48,9 +44,9 @@ class IntMatrix:
 
     def __post_init__(self):
         if self.rows < 0 or self.cols < 0:
-            raise DimensionMismatch(f"negative shape {self.rows}x{self.cols}")
+            raise ValueError(f"negative shape {self.rows}x{self.cols}")
         if len(self.entries) != self.rows * self.cols:
-            raise DimensionMismatch(
+            raise ValueError(
                 f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
                 f"entries, got {len(self.entries)}"
             )
@@ -64,7 +60,7 @@ class IntMatrix:
         r = len(rows)
         c = len(rows[0]) if rows else 0
         if any(len(row) != c for row in rows):
-            raise DimensionMismatch("ragged rows")
+            raise ValueError("ragged rows")
         return cls(r, c, tuple(e for row in rows for e in row))
 
     def row(self, i: int) -> tuple[int, ...]:
@@ -86,7 +82,7 @@ class IntMatrix:
 
 def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     if a.cols != b.rows:
-        raise DimensionMismatch(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
+        raise ValueError(f"{a.rows}x{a.cols} times {b.rows}x{b.cols}")
     brows = b.to_rows()
     out: list[int] = []
     for i in range(a.rows):
@@ -184,7 +180,7 @@ def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]], vi
 
 def det(m: IntMatrix) -> int:
     if not m.is_square():
-        raise DimensionMismatch(f"determinant of {m.rows}x{m.cols}")
+        raise ValueError(f"determinant of {m.rows}x{m.cols}")
     return _det_rows(m.to_rows())
 
 
@@ -197,7 +193,7 @@ def adjugate_det(m: IntMatrix) -> tuple[IntMatrix, int]:
     callers must check the determinant before using the adjugate.
     """
     if not m.is_square():
-        raise DimensionMismatch(f"adjugate of {m.rows}x{m.cols}")
+        raise ValueError(f"adjugate of {m.rows}x{m.cols}")
     n = m.rows
     if n == 0:
         return IntMatrix(0, 0, ()), 1

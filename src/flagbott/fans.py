@@ -73,10 +73,6 @@ class Ray:
     vector: tuple[int, ...]
 
 
-class NotSimplicial(ValueError):
-    """A maximal cone does not have exactly n rays."""
-
-
 def permutation_cones(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The permutations v of {1, ..., n+1}, in itertools.permutations
     order, and the cone of each in perm_fan(n): the chain S_1 < ... < S_n,
@@ -180,13 +176,15 @@ class Fan:
         """Determinant of each maximal cone, its ray vectors as rows in
         cone order; the determinant is transpose-invariant.
 
-        The wall test reads a ray's position in its cone, so a cone whose
-        ray indices descend anywhere, or leave range(len(rays)), raises
-        ValueError; a repeated index is left to its zero determinant."""
+        The wall test reads a ray's position in its cone, so a cone without
+        n rays, or whose ray indices descend anywhere or leave
+        range(len(rays)), raises ValueError, as every shape, index or label
+        error in the package does; a repeated index is left to its zero
+        determinant."""
         n = self.n
         for ci, cone in enumerate(self.maxcones):
             if len(cone) != n:
-                raise NotSimplicial(f"cone {ci} has {len(cone)} rays in dimension {n}")
+                raise ValueError(f"cone {ci} has {len(cone)} rays in dimension {n}")
             if sorted(cone) != list(cone):
                 raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
             if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):

@@ -110,7 +110,7 @@ import operator
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactlin import IntMatrix, NotUnimodular, unimodular_inverse
+from .exactlin import IntMatrix, unimodular_inverse
 from .fans import Fan, PermTuple, Ray, RayLabel, Subset, permutation_cones, stage_join
 from .permfan import check_permutation, perm_ray_vector, proper_subsets
 from .tower import DEFAULT_CONE_CAP, EnumerationTooLarge, FlagBottTower, validate
@@ -119,7 +119,6 @@ __all__ = [
     "DEFAULT_CONE_CAP",
     "EnumerationTooLarge",
     "ORACLE_SHOWN",
-    "OracleFailure",
     "OracleReport",
     "PairingReport",
     "PairingViolation",
@@ -131,10 +130,6 @@ __all__ = [
     "verify_pairing_identity",
     "weights_at",
 ]
-
-class OracleFailure(RuntimeError):
-    """The weight-based reconstruction contradicts itself or the ray formula."""
-
 
 def _require_valid(t: FlagBottTower) -> None:
     defects = validate(t)
@@ -254,14 +249,9 @@ def derive_rays_from_weights(t: FlagBottTower, v: PermTuple) -> set[tuple[int, .
     """Ray generators of the cone at v, reconstructed from weights alone.
 
     The weight matrix must be unimodular; its inverse columns are the
-    generators.  Raises OracleFailure if unimodularity fails.
+    generators.  Raises NotUnimodular, carrying the determinant, otherwise.
     """
-    try:
-        inv = unimodular_inverse(IntMatrix.from_rows(weights_at(t, v)))
-    except NotUnimodular as e:
-        raise OracleFailure(
-            f"weight matrix at {v} has determinant {e.determinant}"
-        ) from e
+    inv = unimodular_inverse(IntMatrix.from_rows(weights_at(t, v)))
     return {inv.col(k) for k in range(inv.cols)}
 
 

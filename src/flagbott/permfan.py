@@ -26,21 +26,11 @@ from .tower import DEFAULT_CONE_CAP
 
 __all__ = [
     "Subset",
-    "InvalidDimension",
-    "InvalidRayLabel",
     "check_permutation",
     "proper_subsets",
     "perm_ray_vector",
     "perm_fan",
 ]
-
-
-class InvalidDimension(ValueError):
-    """Requested dimension is not a positive integer."""
-
-
-class InvalidRayLabel(ValueError):
-    """Subset cannot label a ray (wrong ground set, empty, or full)."""
 
 
 def check_permutation(v: tuple[int, ...]) -> None:
@@ -58,11 +48,11 @@ def proper_subsets(ground: int) -> Iterator[Subset]:
 def perm_ray_vector(n: int, s: Subset) -> tuple[int, ...]:
     """Primitive ray generator u_S in Z^n."""
     if n < 1:
-        raise InvalidDimension(f"dimension must be positive, got {n}")
+        raise ValueError(f"dimension must be positive, got {n}")
     if s.ground != n + 1:
-        raise InvalidRayLabel(f"subset ground {s.ground}, expected {n + 1}")
+        raise ValueError(f"subset ground {s.ground}, expected {n + 1}")
     if not s.is_proper_nonempty():
-        raise InvalidRayLabel(f"subset {s} must be nonempty and proper")
+        raise ValueError(f"subset {s} must be nonempty and proper")
     vec = [0] * n
     if (n + 1) in s:
         for e in s.complement().members():
@@ -77,7 +67,7 @@ def perm_fan(n: int) -> Fan:
     """The full fan in Z^n: 2^{n+1} - 2 rays, (n+1)! maximal cones; raises
     EnumerationTooLarge, before any ray is formed, over DEFAULT_CONE_CAP."""
     if n < 1:
-        raise InvalidDimension(f"dimension must be positive, got {n}")
+        raise ValueError(f"dimension must be positive, got {n}")
     cones, perm_tuples = stage_join((n,), DEFAULT_CONE_CAP)
     rays = tuple(Ray(RayLabel(1, s), perm_ray_vector(n, s)) for s in proper_subsets(n + 1))
     return Fan((n,), rays, cones, perm_tuples)

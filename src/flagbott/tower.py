@@ -22,21 +22,13 @@ import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .exactlin import DimensionMismatch, IntMatrix, _det_rows
+from .exactlin import IntMatrix, _det_rows
 
 MAX_ATTEMPTS = 10_000  # candidates sample_generic draws before giving up
 # The enumeration cap (of build_fan's and perm_fan's cones, and of the rays
 # and flag minors cli counts) and EnumerationTooLarge live here, so that cli
 # reads them without loading the fan modules; orbitfan re-exports both.
 DEFAULT_CONE_CAP = 1_000_000
-
-
-class InvalidIndices(ValueError):
-    """Row indices for a minor are out of range or not strictly increasing."""
-
-
-class InvalidStagePair(ValueError):
-    """Stage indices do not satisfy 1 <= ell < j <= m."""
 
 
 class SamplingExhausted(RuntimeError):
@@ -77,7 +69,7 @@ class FlagBottTower:
 
     def twist(self, j: int, ell: int) -> IntMatrix:
         if not 1 <= ell < j <= self.m:
-            raise InvalidStagePair(f"need 1 <= ell < j <= {self.m}, got ({j}, {ell})")
+            raise ValueError(f"need 1 <= ell < j <= {self.m}, got ({j}, {ell})")
         try:
             return self.twists[(j, ell)]
         except KeyError:
@@ -115,7 +107,7 @@ def validate(t: FlagBottTower) -> list[str]:
 
 def _flag_size(g: IntMatrix) -> int:
     if not g.is_square():
-        raise DimensionMismatch(f"flag minors need a square matrix, got {g.rows}x{g.cols}")
+        raise ValueError(f"flag minors need a square matrix, got {g.rows}x{g.cols}")
     return g.rows
 
 
@@ -124,11 +116,11 @@ def plucker(g: IntMatrix, indices: tuple[int, ...]) -> int:
     size = _flag_size(g)
     k = len(indices)
     if k < 1 or k > size:
-        raise InvalidIndices(f"need between 1 and {size} row indices, got {k}")
+        raise ValueError(f"need between 1 and {size} row indices, got {k}")
     if any(not 1 <= i <= size for i in indices) or any(
         a >= b for a, b in zip(indices, indices[1:])
     ):
-        raise InvalidIndices(f"row indices must be strictly increasing in 1..{size}: {indices}")
+        raise ValueError(f"row indices must be strictly increasing in 1..{size}: {indices}")
     return _det_rows([list(g.row(i - 1)[:k]) for i in indices])
 
 

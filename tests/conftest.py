@@ -26,12 +26,11 @@ from collections import defaultdict
 import pytest
 
 from flagbott import fancheck, orbitfan
-from flagbott.exactlin import IntMatrix, _det_rows, adjugate_det, mat_mul
+from flagbott.exactlin import IntMatrix, NotUnimodular, _det_rows, adjugate_det, mat_mul
 from flagbott.fancheck import BundleJoinReport, CompletenessReport, JoinDefect, WallDefect, project_fan
-from flagbott.fans import Fan, NotSimplicial, PermTuple, Ray, RayLabel, Subset
+from flagbott.fans import Fan, PermTuple, Ray, RayLabel, Subset
 from flagbott.orbitfan import (
     ORACLE_SHOWN,
-    OracleFailure,
     OracleReport,
     PairingReport,
     PairingViolation,
@@ -276,7 +275,7 @@ def reference_oracle(fan: Fan, t: FlagBottTower, derive=derive_rays_from_weights
         want = {fan.rays[r].vector for r in fan.maxcones[ci]}
         try:
             got = derive(t, pt)
-        except OracleFailure:
+        except NotUnimodular:
             bad.append(ci)
             continue
         if got != want:
@@ -369,7 +368,7 @@ def bundle_paths(fan: Fan) -> list[str]:
 def _reference_cone_matrix(fan: Fan, ci: int) -> IntMatrix:
     n, cone = fan.n, fan.maxcones[ci]
     if len(cone) != n:
-        raise NotSimplicial(f"cone {ci} has {len(cone)} rays in dimension {n}")
+        raise ValueError(f"cone {ci} has {len(cone)} rays in dimension {n}")
     return IntMatrix.from_rows(list(zip(*(fan.rays[r].vector for r in cone))))
 
 

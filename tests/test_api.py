@@ -11,6 +11,9 @@ Every source file parses under the grammar of Python 3.10, the floor
 that pyproject.toml declares.
 The package binds its public names on first use, each to the object its
 defining submodule holds.
+An exception class defined in src/ is a package name or is caught by an
+except clause in src/; any other error is a built-in one, such as
+ValueError, told apart by its message.
 """
 
 from __future__ import annotations
@@ -108,6 +111,24 @@ def src_definitions_and_reads() -> tuple[set[str], set[str], list[tuple[str | No
                     elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                         reads.append((owner, node.attr, True))
     return functions, methods, reads
+
+
+def test_exception_classes_are_caught_or_exported():
+    defined, caught = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                cls = getattr(importlib.import_module(f"flagbott.{path.stem}"), stmt.name)
+                if issubclass(cls, BaseException):
+                    defined.add(stmt.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                caught |= {t.attr if isinstance(t, ast.Attribute) else t.id for t in types}
+    exported = {name for names in flagbott._MODULES.values() for name in names}
+    assert {"NotUnimodular", "SpecError"} <= defined
+    assert sorted(defined - exported - caught) == []
 
 
 def test_public_functions_have_src_callers():

@@ -115,6 +115,13 @@ def test_load_tower_rejects_bools(tmp_path, capsys):
     assert "bool" in rejected(tmp_path, capsys, json.dumps(doc))
 
 
+def test_load_tower_rejects_ragged_rows(tmp_path, capsys):
+    p = tmp_path / "ragged.json"
+    p.write_text(json.dumps({"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0]]}}))
+    assert main(["build", str(p)]) == 2
+    assert capsys.readouterr().err == f"{p}: matrix '2,1': ragged rows\n"
+
+
 def test_load_tower_rejects_noncanonical_keys(tmp_path, capsys):
     # "2,1" and "2, 1" would otherwise both name stage pair (2, 1)
     doc = {"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]], "2, 1": [[0, 0, 0], [0, 0, 0]]}}

@@ -11,8 +11,6 @@ from conftest import chain_of_permutation, cone_labels, permutation_of_chain, ra
 from flagbott import permfan
 from flagbott.fans import RayLabel
 from flagbott.permfan import (
-    InvalidDimension,
-    InvalidRayLabel,
     Subset,
     check_permutation,
     perm_fan,
@@ -74,11 +72,11 @@ def test_perm_ray_vector_figure_values():
 
 
 def test_perm_ray_vector_rejects_bad_labels():
-    with pytest.raises(InvalidRayLabel):
+    with pytest.raises(ValueError, match=r"^subset \{\} must be nonempty and proper$"):
         perm_ray_vector(2, subset(3, []))
-    with pytest.raises(InvalidRayLabel):
+    with pytest.raises(ValueError, match=r"^subset \{1,2,3\} must be nonempty and proper$"):
         perm_ray_vector(2, subset(3, [1, 2, 3]))
-    with pytest.raises(InvalidRayLabel):
+    with pytest.raises(ValueError, match=r"^subset ground 4, expected 3$"):
         perm_ray_vector(2, subset(4, [1]))
 
 
@@ -111,7 +109,7 @@ def test_perm_fan_counts():
 
 
 def test_perm_fan_rejects_nonpositive():
-    with pytest.raises(InvalidDimension):
+    with pytest.raises(ValueError, match=r"^dimension must be positive, got 0$"):
         perm_fan(0)
 
 
