@@ -189,6 +189,14 @@ MUTANTS = {
         "        if k < t.dims[j - 1] - 1:\n            row[offset + k] = 1",
         [ORBITFAN + "test_weights_at_identity_two_stage"],
     ),
+    # a stage permutation taken without checking that it is one, so that a
+    # repeated symbol reaches the weights
+    "perm-tuple-check": (
+        "orbitfan",
+        "        check_permutation(vp)",
+        "        pass",
+        [ORBITFAN + "test_weights_reject_bad_perm_tuples"],
+    ),
     # the oracle looking rays up by a label that is missing or repeated
     "oracle-labels": (
         "orbitfan",

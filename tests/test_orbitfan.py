@@ -309,9 +309,9 @@ def test_derive_rays_matches_formula_on_goldens():
 
 def test_weights_reject_bad_perm_tuples():
     t = two_stage_tower()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need one permutation per stage \(2\), got 1$"):
         weights_at(t, ((1, 2, 3),))  # wrong arity
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^\(2, 2\) is not a permutation of 1\.\.2$"):
         derive_rays_from_weights(t, ((1, 2, 3), (2, 2)))
 
 
