@@ -91,6 +91,8 @@ def load_tower(path: str) -> FlagBottTower:
         # only the canonical spelling, so that two keys never name one pair
         if j is None or key != f"{j},{ell}":
             raise SpecError(f"{path}: matrix key {key!r} is not of the form \"j,l\"")
+        if not (isinstance(rows, list) and all(isinstance(row, list) for row in rows)):
+            raise SpecError(f"{path}: matrix {key!r} must be a list of rows")
         try:
             a = IntMatrix.from_rows(rows)
         except (TypeError, ValueError) as e:

@@ -86,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import exactlin
-from .fans import Fan, Ray, permutation_cones, stage_join
+from .fans import Fan, Ray, permutation_chains, stage_join
 from .permfan import perm_ray_vector
 from .tower import FlagBottTower
 
@@ -141,7 +141,7 @@ def _flip_defects(fan: Fan) -> list[WallDefect]:
     found = []
     block, lo = len(cones), 0
     for n_p in fan.dims:
-        perms, _ = permutation_cones(n_p)
+        perms, _ = permutation_chains(n_p)
         index = {v: i for i, v in enumerate(perms)}
         stride = block // len(perms)
         for i, v in enumerate(perms):
@@ -293,35 +293,6 @@ def _check_lifts(base: Fan, report: BundleJoinReport) -> None:
         report.defects.append(JoinDefect(m, "lift_degenerate", detail))
 
 
-def _check_top_split(fan: Fan, base: Fan, report: BundleJoinReport) -> None:
-    m = len(fan.dims)
-    n_m = fan.dims[-1]
-    base_n = fan.n - n_m
-    report.splits_checked.append(m)
-
-    # (a) stage-m rays live in the last block and form the one-factor fan there
-    for ray in fan.rays:
-        head, tail = ray.vector[:base_n], ray.vector[base_n:]
-        if ray.label.stage == m:
-            if any(head):
-                report.defects.append(
-                    JoinDefect(m, "fiber_support", f"ray {ray.label} leaks into lower blocks")
-                )
-            if tail != perm_ray_vector(n_m, ray.label.subset):
-                report.defects.append(
-                    JoinDefect(m, "fiber_vector", f"ray {ray.label} is not the one-factor ray")
-                )
-        elif not any(head):
-            report.defects.append(
-                JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
-            )
-    # build_fan's type: only the lift determinants of (b) can fail
-    if fan.is_join:
-        _check_lifts(base, report)
-    else:
-        _split_by_sets(fan, base, report)
-
-
 def _split_by_sets(fan: Fan, base: Fan, report: BundleJoinReport) -> None:
     # any other fan: one pass over the cones splits each into its fiber
     # (stage-m subset masks) and its lift (lower-stage ray indices)
@@ -346,8 +317,7 @@ def _split_by_sets(fan: Fan, base: Fan, report: BundleJoinReport) -> None:
         size = len(fiber) + len(lift)
         if size != fan.n:
             coverage.append(JoinDefect(m, "pair_coverage", f"cone {ci} has {size} rays"))
-    # permutation_cones' ray of subset mask s has index s - 1
-    expected_parts = {frozenset(r + 1 for r in cone) for cone in permutation_cones(n_m)[1]}
+    expected_parts = set(map(frozenset, permutation_chains(n_m)[1]))
     if fiber_parts != expected_parts:
         report.defects.append(
             JoinDefect(m, "fiber_cones", "stage slices do not match the one-factor fan")
@@ -378,16 +348,37 @@ def verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
     At each split the top stage is pulled off: its rays must form the
     one-factor fan inside the last coordinate block, the remaining rays of
     each cone must project unimodularly onto a cone of the projected fan,
-    and the maximal cones must be exactly the pairwise joins.  The check
-    then recurses on the projected fan.  A single-stage fan passes
-    vacuously.
+    and the maximal cones must be exactly the pairwise joins.  The loop
+    then splits the projected fan, down to one stage, so a single-stage
+    fan passes vacuously.
     """
     if fan.dims != t.dims:
         raise ValueError(f"fan dims {fan.dims} do not match tower dims {t.dims}")
     report = BundleJoinReport()
-    cur = fan
-    while len(cur.dims) > 1:
-        base = project_fan(cur, len(cur.dims) - 1)
-        _check_top_split(cur, base, report)
-        cur = base
+    while len(fan.dims) > 1:
+        m, n_m = len(fan.dims), fan.dims[-1]
+        base = project_fan(fan, m - 1)
+        report.splits_checked.append(m)
+        # (a) stage-m rays live in the last block and form the one-factor fan there
+        for ray in fan.rays:
+            head, tail = ray.vector[: base.n], ray.vector[base.n :]
+            if ray.label.stage == m:
+                if any(head):
+                    report.defects.append(
+                        JoinDefect(m, "fiber_support", f"ray {ray.label} leaks into lower blocks")
+                    )
+                if tail != perm_ray_vector(n_m, ray.label.subset):
+                    report.defects.append(
+                        JoinDefect(m, "fiber_vector", f"ray {ray.label} is not the one-factor ray")
+                    )
+            elif not any(head):
+                report.defects.append(
+                    JoinDefect(m, "base_support", f"ray {ray.label} vanishes outside the last block")
+                )
+        # build_fan's type: only the lift determinants of (b) can fail
+        if fan.is_join:
+            _check_lifts(base, report)
+        else:
+            _split_by_sets(fan, base, report)
+        fan = base
     return report

@@ -6,9 +6,10 @@ each maximal cone remembers the tuple of permutations that produced it.
 Subsets of {1,...,g} are bitmasks (bit i-1 is element i), which makes
 complements, inclusion tests, and deterministic ordering cheap.  Code that
 walks the cones of a fan works on ray indices and subset masks, not on
-sets of labels.  permutation_cones holds the chain rule that turns a
-permutation into its cone; stage_join joins the stages' cones, each formed
-when read.  A fan computes its cone determinants and is_join once each.
+sets of labels.  permutation_chains holds the chain rule that turns a
+permutation into the subset masks of its chain; stage_join alone numbers
+those masks as rays, and joins the stages' cones, each formed when read.
+A fan computes its cone determinants and is_join once each.
 """
 
 from __future__ import annotations
@@ -73,15 +74,14 @@ class Ray:
     vector: tuple[int, ...]
 
 
-def permutation_cones(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
+def permutation_chains(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
     """The permutations v of {1, ..., n+1}, in itertools.permutations
-    order, and the cone of each in perm_fan(n): the chain S_1 < ... < S_n,
-    S_p the last p values of v, as ray indices mask - 1.  The masks grow
-    along the chain, so each cone is ascending."""
+    order, and the chain of each: S_1 < ... < S_n, S_p the last p values
+    of v, as subset masks.  The masks grow along the chain."""
     perms = list(itertools.permutations(range(1, n + 2)))
     # S_1 < ... < S_n as bitmasks, adding v(n+1), v(n), ..., v(2) in turn
-    cones = [tuple(mask - 1 for mask in itertools.accumulate(1 << (e - 1) for e in reversed(v[1:]))) for v in perms]
-    return perms, cones
+    chains = [tuple(itertools.accumulate(1 << (e - 1) for e in reversed(v[1:]))) for v in perms]
+    return perms, chains
 
 
 class _Join(Sequence):
@@ -126,9 +126,10 @@ class _Join(Sequence):
 
 def stage_join(dims: tuple[int, ...], cap: int) -> tuple[_Join, _Join]:
     """build_fan's cones for dims and their permutation tuples: the stages'
-    permutation_cones, each shifted past the earlier stages' rays, joined in
-    itertools.product order, so that each cone stays ascending; heads join
-    all stages but the last, tails are its cones or (permutation,) singletons.
+    permutation_chains, mask s as ray offset + s - 1, offset the earlier
+    stages' ray count, joined in itertools.product order, so that each cone
+    stays ascending; heads join all stages but the last, tails are its
+    cones or (permutation,) singletons.
     Raises EnumerationTooLarge, before any cone is formed, over cap cones."""
     # the cone count, the product of the (n_ell + 1)!, formed factor by
     # factor so that a huge stage dimension stops at the first partial
@@ -141,11 +142,11 @@ def stage_join(dims: tuple[int, ...], cap: int) -> tuple[_Join, _Join]:
                 raise EnumerationTooLarge(total, cap)
     offsets = itertools.accumulate((2 ** (n_ell + 1) - 2 for n_ell in dims), initial=0)
     heads, tails, prefixes, singles = [()], [()], [()], [()]
-    for n_ell, off in zip(dims, offsets):
+    for n_ell, offset in zip(dims, offsets):
         heads = [h + t for h in heads for t in tails]
         prefixes = [h + t for h in prefixes for t in singles]
-        perms, stage = permutation_cones(n_ell)
-        tails = [tuple(i + off for i in c) for c in stage]
+        perms, chains = permutation_chains(n_ell)
+        tails = [tuple(offset + s - 1 for s in c) for c in chains]
         singles = [(v,) for v in perms]
     perm_tuples = _Join(tuple(prefixes), tuple(singles))
     return _Join(tuple(heads), tuple(tails), dims, perm_tuples), perm_tuples

@@ -111,25 +111,10 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactlin import IntMatrix, unimodular_inverse
-from .fans import Fan, PermTuple, Ray, RayLabel, Subset, permutation_cones, stage_join
+from .fans import Fan, PermTuple, Ray, RayLabel, Subset, permutation_chains, stage_join
 from .permfan import check_permutation, perm_ray_vector, proper_subsets
-from .tower import DEFAULT_CONE_CAP, EnumerationTooLarge, FlagBottTower, validate
+from .tower import DEFAULT_CONE_CAP, FlagBottTower, validate
 
-__all__ = [
-    "DEFAULT_CONE_CAP",
-    "EnumerationTooLarge",
-    "ORACLE_SHOWN",
-    "OracleReport",
-    "PairingReport",
-    "PairingViolation",
-    "all_rays",
-    "build_fan",
-    "derive_rays_from_weights",
-    "ray_generator",
-    "verify_oracle",
-    "verify_pairing_identity",
-    "weights_at",
-]
 
 def _require_valid(t: FlagBottTower) -> None:
     defects = validate(t)
@@ -299,7 +284,7 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     first cone that is not, or cone 0 on a missing or repeated ray label.
     A fan that Fan.is_join passes is build_fan's by construction; any other
     has its cones compared with build_fan's by ray label, both off
-    fans.permutation_cones.
+    fans.permutation_chains.
     """
     _require_valid(t)
     if fan.dims != t.dims:
@@ -314,9 +299,8 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     perms, indices, chains, broken, diagonal_ok = [], [], [], [], []
     lo = 0
     for ell, n_ell in enumerate(t.dims, start=1):
-        # permutation_cones' ray index i is the ray of subset mask i + 1
-        stage_perms, cones = permutation_cones(n_ell)
-        stage_indices = [tuple(by_label[ell, i + 1] for i in c) for c in cones]
+        stage_perms, masks = permutation_chains(n_ell)
+        stage_indices = [tuple(by_label[ell, s] for s in c) for c in masks]
         stage_chains = [[fan.rays[i].vector for i in c] for c in stage_indices]
         units = _units(n_ell)
         perms.append(stage_perms)

@@ -10,9 +10,9 @@ ray:
 and every permutation v of {1,...,n+1} gives a maximal cone spanned by the
 rays of its chain S_1 < ... < S_n, where S_p collects the last p values of
 the one-line notation: S_p = {v(n+2-p), ..., v(n+1)}.  In perm_fan the
-rays are listed by ascending bitmask, so the ray of S has index mask - 1,
-and the cones are fans.permutation_cones(n): each formed straight from
-the growing masks of its chain, in itertools.permutations order.
+rays are listed by ascending bitmask, and the cones are the chains of
+fans.permutation_chains(n), in itertools.permutations order, which
+fans.stage_join numbers as rays: the ray of S has index mask - 1.
 
 Permutations are plain tuples in one-line notation with values 1..n+1.
 """
@@ -23,14 +23,6 @@ from typing import Iterator
 
 from .fans import Fan, Ray, RayLabel, Subset, stage_join
 from .tower import DEFAULT_CONE_CAP
-
-__all__ = [
-    "Subset",
-    "check_permutation",
-    "proper_subsets",
-    "perm_ray_vector",
-    "perm_fan",
-]
 
 
 def check_permutation(v: tuple[int, ...]) -> None:

@@ -27,7 +27,7 @@ from .exactlin import IntMatrix, _det_rows
 MAX_ATTEMPTS = 10_000  # candidates sample_generic draws before giving up
 # The enumeration cap (of build_fan's and perm_fan's cones, and of the rays
 # and flag minors cli counts) and EnumerationTooLarge live here, so that cli
-# reads them without loading the fan modules; orbitfan re-exports both.
+# reads them without loading the fan modules.
 DEFAULT_CONE_CAP = 1_000_000
 
 

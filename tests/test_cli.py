@@ -122,6 +122,14 @@ def test_load_tower_rejects_ragged_rows(tmp_path, capsys):
     assert capsys.readouterr().err == f"{p}: matrix '2,1': ragged rows\n"
 
 
+def test_load_tower_rejects_a_matrix_that_is_not_a_list_of_rows(tmp_path, capsys):
+    for value in ("x", {"a": 1, "b": 2, "c": 3}, 5, [[1, 2, 0], "abc"]):
+        p = tmp_path / "rows.json"
+        p.write_text(json.dumps({"dims": [2, 1], "A": {"2,1": value}}))
+        assert main(["build", str(p)]) == 2
+        assert capsys.readouterr() == ("", f"{p}: matrix '2,1' must be a list of rows\n")
+
+
 def test_load_tower_rejects_noncanonical_keys(tmp_path, capsys):
     # "2,1" and "2, 1" would otherwise both name stage pair (2, 1)
     doc = {"dims": [2, 1], "A": {"2,1": [[1, 2, 0], [0, 0, 0]], "2, 1": [[0, 0, 0], [0, 0, 0]]}}

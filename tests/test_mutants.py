@@ -74,8 +74,8 @@ MUTANTS = {
     # every bundle split by its lifts alone, whatever its cones
     "slice-fallback": (
         "fancheck",
-        "if fan.is_join:\n        _check_lifts(base, report)",
-        "if True:\n        _check_lifts(base, report)",
+        "if fan.is_join:\n            _check_lifts(base, report)",
+        "if True:\n            _check_lifts(base, report)",
         [FANCHECK + "test_bundle_join_reports_two_lifts", FANCHECK + "test_bundle_join_reports_missing_fiber_ray"],
     ),
     # the lift rows ranked by ray index, not label, so that renumbering
@@ -121,6 +121,13 @@ MUTANTS = {
         "cones.dims == self.dims",
         "True",
         [FANCHECK + "test_a_fan_is_a_join_by_how_it_was_made"],
+    ),
+    # mask s of a stage numbered as ray offset + s, one past its ray
+    "mask-to-index": (
+        "fans",
+        "tuple(offset + s - 1 for s in c)",
+        "tuple(offset + s for s in c)",
+        [PERMFAN + "test_perm_fan_cone_matches_its_chain", ORBITFAN + "test_build_fan_two_stage"],
     ),
     # perm_fan forming all (n+1)! cones whatever the cap
     "perm-fan-cap": (

@@ -33,7 +33,6 @@ from flagbott.exactlin import IntMatrix, NotUnimodular, mat_mul
 from flagbott.fans import Fan, Ray, RayLabel, Subset
 from flagbott.orbitfan import (
     ORACLE_SHOWN,
-    EnumerationTooLarge,
     OracleReport,
     all_rays,
     build_fan,
@@ -44,7 +43,7 @@ from flagbott.orbitfan import (
     weights_at,
 )
 from flagbott.permfan import perm_fan, proper_subsets
-from flagbott.tower import FlagBottTower
+from flagbott.tower import EnumerationTooLarge, FlagBottTower
 
 
 def sub(ground: int, *members: int) -> Subset:

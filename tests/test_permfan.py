@@ -9,7 +9,7 @@ import pytest
 
 from conftest import chain_of_permutation, cone_labels, permutation_of_chain, ray_index, subset
 from flagbott import permfan
-from flagbott.fans import RayLabel
+from flagbott.fans import RayLabel, permutation_chains
 from flagbott.permfan import (
     Subset,
     check_permutation,
@@ -88,6 +88,16 @@ def test_chain_permutation_bijection():
             assert permutation_of_chain(c) == v
             seen.add(c)
         assert len(seen) == math.factorial(n + 1)
+
+
+def test_permutation_chains_are_growing_masks():
+    # chain p of v is the mask of v's last p values; stage_join numbers the rays
+    for n in range(1, 5):
+        perms, chains = permutation_chains(n)
+        assert perms == list(itertools.permutations(range(1, n + 2)))
+        assert len(chains) == len(perms)
+        for v, masks in zip(perms, chains):
+            assert masks == tuple(s.mask for s in chain_of_permutation(v))
 
 
 def test_chain_of_permutation_example():
