@@ -97,8 +97,6 @@ def load_tower(path: str) -> FlagBottTower:
             a = IntMatrix.from_rows(rows)
         except (TypeError, ValueError) as e:
             raise SpecError(f"{path}: matrix {key!r}: {e}") from None
-        if any(type(e) is bool for e in a.entries):
-            raise SpecError(f"{path}: matrix {key!r}: entries must be int, got bool")
         twists[(j, ell)] = a
     tower = FlagBottTower(tuple(dims), twists)
     defects = validate(tower)
@@ -111,16 +109,22 @@ def _ray_line(ray: Ray) -> str:
     return f"{ray.label.stage} {ray.label.subset} : {' '.join(map(str, ray.vector))}"
 
 
+def _spaced_texts(level, spaced: list[str]):  # a tuple's or a nested join's entries, each index then a space
+    if isinstance(level, tuple):
+        return ("".join(map(spaced.__getitem__, entry)) for entry in level)
+    tails = list(_spaced_texts(level.tails, spaced))
+    return (head + tail for head in _spaced_texts(level.heads, spaced) for tail in tails)
+
+
 def format_fan(fan: Fan) -> str:
     """The export text: a header, one line per ray, then one line per
     maximal cone, its ray indices joined by spaces.
 
-    A join's cone i is heads[i // T] + tails[i % T], T = len(tails), so
-    its cone lines are spelled from the stage data: each of the T tails
-    once, and each head once, as its indices each followed by a space;
-    a head's block is its text before each tail's, and no cone is formed.
-    That needs every tail nonempty, as it is when every stage dimension is
-    positive; any other fan is spelled one cone at a time.
+    A join's cone i is heads[i // T] + tails[i % T], T = len(tails): each
+    tail and each head is spelled once, a head as the text of its own head
+    and tail, and a head's block is its text before each tail's, so no cone
+    is formed.  That needs every tail nonempty, as when every stage
+    dimension is positive; any other fan is spelled one cone at a time.
     """
     names = list(map(str, range(len(fan.rays))))
     blocks = ["FANBOTT 1", "dims " + " ".join(str(d) for d in fan.dims), f"RAYS {len(fan.rays)}"]
@@ -130,9 +134,7 @@ def format_fan(fan: Fan) -> str:
     if fan.is_join and all(fan.dims):
         tails = [" ".join(map(names.__getitem__, tail)) for tail in cones.tails]
         spaced = [name + " " for name in names]
-        for head in cones.heads:
-            text = "".join(map(spaced.__getitem__, head))
-            blocks.append(text + ("\n" + text).join(tails))
+        blocks += (text + ("\n" + text).join(tails) for text in _spaced_texts(cones.heads, spaced))
     else:
         blocks += (" ".join(map(names.__getitem__, cone)) for cone in cones)
     blocks.append("")  # the final newline, with no second copy of the text

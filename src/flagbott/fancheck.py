@@ -77,7 +77,7 @@ a degenerate cone, or cones built otherwise than by stage_join, even
 when they equal build_fan's -- goes to the census.  Each stage split of
 verify_bundle_join also splits each cone into sets, for its fibers,
 mismatched lifts and coverage, exactly when the fan at that split is
-not a join; project_fan maps a join to the join of its first stages.
+not a join; project_fan reads a join's image off its nested heads.
 Either way the report is the one the census or the set split gives.
 """
 
@@ -86,7 +86,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import exactlin
-from .fans import Fan, Ray, permutation_chains, stage_join
+from .fans import Fan, Ray, permutation_chains
 from .permfan import perm_ray_vector
 from .tower import FlagBottTower
 
@@ -231,7 +231,7 @@ def project_fan(fan: Fan, stages: int) -> Fan:
 
     Rays of later stages are discarded, surviving ray vectors are
     truncated, and cones with the same permutation prefix collapse to one;
-    a join's image is the join of its first stages.
+    a join's image is its heads of that level, the join of its first stages.
     """
     m = len(fan.dims)
     if not 1 <= stages <= m:
@@ -244,8 +244,11 @@ def project_fan(fan: Fan, stages: int) -> Fan:
     rays = tuple(
         Ray(fan.rays[old].label, fan.rays[old].vector[:nn]) for old in kept
     )
-    if fan.is_join:  # the projected count divides the fan's, so no cap binds
-        return Fan(dims, rays, *stage_join(dims, len(fan.maxcones)))
+    if fan.is_join:
+        level = fan.maxcones
+        while len(level.dims) > stages:
+            level = level.heads
+        return Fan(dims, rays, level, level.perm_tuples)
     remap = {old: new for new, old in enumerate(kept)}
     firsts: dict[tuple, tuple] = {}  # each prefix's first cone, in first-seen order
     for cone, pt in zip(fan.maxcones, fan.perm_tuples):

@@ -8,7 +8,7 @@ complements, inclusion tests, and deterministic ordering cheap.  Code that
 walks the cones of a fan works on ray indices and subset masks, not on
 sets of labels.  permutation_chains holds the chain rule that turns a
 permutation into the subset masks of its chain; stage_join alone numbers
-those masks as rays, and joins the stages' cones, each formed when read.
+those masks as rays, and joins the stages' cones stage by stage, each formed when read.
 A fan computes its cone determinants and is_join once each.
 """
 
@@ -86,10 +86,10 @@ def permutation_chains(n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, .
 
 class _Join(Sequence):
     """stage_join's cones or permutation tuples, entry i formed when read as
-    heads[i // T] + tails[i % T], T = len(tails); it equals, hashes and
-    prints as the tuple of its entries.  The cones record dims and perm_tuples."""
+    heads[i // T] + tails[i % T], T = len(tails), heads the earlier stages' _Join or the root ((),);
+    it equals, hashes and prints as the tuple of its entries.  The cones record dims and perm_tuples."""
 
-    def __init__(self, heads: tuple, tails: tuple, dims: tuple[int, ...] | None = None, perm_tuples=None):
+    def __init__(self, heads: Sequence, tails: tuple, dims: tuple[int, ...] | None = None, perm_tuples=None):
         self.heads, self.tails, self.dims, self.perm_tuples = heads, tails, dims, perm_tuples
 
     def __len__(self) -> int:
@@ -118,18 +118,19 @@ class _Join(Sequence):
         return repr(tuple(self))
 
     def sorted_items(self) -> Iterator[tuple[int, tuple]]:
-        """(i, self[i]) for i in sorted(range(len(self)), key=self.__getitem__),
-        with no sort of the entries: heads have one length, so entries sort by head, then tail."""
-        heads, tails = (sorted(range(len(s)), key=s.__getitem__) for s in (self.heads, self.tails))
-        return ((h * len(tails) + t, self.heads[h] + self.tails[t]) for h in heads for t in tails)
+        """(i, self[i]) for i in sorted(range(len(self)), key=self.__getitem__), with no sort of the
+        entries: they sort by head, heads having one length, then tail; nested heads by their own sorted_items."""
+        tails = sorted(range(len(self.tails)), key=self.tails.__getitem__)
+        heads = self.heads.sorted_items() if isinstance(self.heads, _Join) else sorted(enumerate(self.heads), key=lambda p: p[1])
+        return ((h * len(tails) + t, head + self.tails[t]) for h, head in heads for t in tails)
 
 
 def stage_join(dims: tuple[int, ...], cap: int) -> tuple[_Join, _Join]:
     """build_fan's cones for dims and their permutation tuples: the stages'
     permutation_chains, mask s as ray offset + s - 1, offset the earlier
     stages' ray count, joined in itertools.product order, so that each cone
-    stays ascending; heads join all stages but the last, tails are its
-    cones or (permutation,) singletons.
+    stays ascending; each stage joins the join of the stages before it, as heads,
+    to its cones or (permutation,) singletons, as tails, and records dims and perm_tuples.
     Raises EnumerationTooLarge, before any cone is formed, over cap cones."""
     # the cone count, the product of the (n_ell + 1)!, formed factor by
     # factor so that a huge stage dimension stops at the first partial
@@ -141,15 +142,12 @@ def stage_join(dims: tuple[int, ...], cap: int) -> tuple[_Join, _Join]:
             if total > cap:
                 raise EnumerationTooLarge(total, cap)
     offsets = itertools.accumulate((2 ** (n_ell + 1) - 2 for n_ell in dims), initial=0)
-    heads, tails, prefixes, singles = [()], [()], [()], [()]
-    for n_ell, offset in zip(dims, offsets):
-        heads = [h + t for h in heads for t in tails]
-        prefixes = [h + t for h in prefixes for t in singles]
+    cones = perm_tuples = ((),)
+    for ell, (n_ell, offset) in enumerate(zip(dims, offsets), 1):
         perms, chains = permutation_chains(n_ell)
-        tails = [tuple(offset + s - 1 for s in c) for c in chains]
-        singles = [(v,) for v in perms]
-    perm_tuples = _Join(tuple(prefixes), tuple(singles))
-    return _Join(tuple(heads), tuple(tails), dims, perm_tuples), perm_tuples
+        perm_tuples = _Join(perm_tuples, tuple((v,) for v in perms))
+        cones = _Join(cones, tuple(tuple(offset + s - 1 for s in c) for c in chains), dims[:ell], perm_tuples)
+    return cones, perm_tuples
 
 
 @dataclass(frozen=True)

@@ -304,19 +304,21 @@ def traced_peak(run):
 
 
 def test_build_fan_retains_its_stage_join_not_each_cone(tmp_path):
-    # seed-1 (4,4,3): 345600 cones formed on demand from 14400 heads and
-    # 24 tails; one tuple per cone would hold about 72 MB
-    spec = tmp_path / "tower.json"
-    spec.write_text(json.dumps(seeded_doc((4, 4, 3), 1)))
-    t = load_tower(str(spec))
-    tracemalloc.start()
-    try:
-        fan = build_fan(t)
-        retained = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    assert fan.is_join and len(fan.maxcones) == len(fan.perm_tuples) == 345600
-    assert retained < 8 * 2**20
+    # seed-1 (4,4,3) and (5,5,3): 345600 and 12441600 cones formed on
+    # demand from the stages' 120 + 120 + 24 and 720 + 720 + 24 chains,
+    # where materialised heads of the first two stages held 2.5 and 95 MB
+    for dims, count, bound in (((4, 4, 3), 345600, 0.5), ((5, 5, 3), 12441600, 2)):
+        spec = tmp_path / "tower.json"
+        spec.write_text(json.dumps(seeded_doc(dims, 1)))
+        t = load_tower(str(spec))
+        tracemalloc.start()
+        try:
+            fan = build_fan(t, cone_cap=13_000_000)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert fan.is_join and len(fan.maxcones) == len(fan.perm_tuples) == count
+        assert retained < bound * 2**20
 
 
 def test_joins_with_equal_stage_data_compare_equal_without_forming_entries(tmp_path, monkeypatch):
@@ -423,6 +425,18 @@ def test_project_fan_equals_truncated_build():
         project_fan(fan, 0)
     with pytest.raises(ValueError):
         project_fan(fan, 4)
+
+
+def test_a_joins_projection_is_its_own_level():
+    # each level of the three-stage golden's nested heads is its projection,
+    # the same cones and permutation tuples, not a join rebuilt
+    fan = build_fan(three_stage_tower())
+    levels = [fan.maxcones, fan.maxcones.heads, fan.maxcones.heads.heads]
+    for stages, level in zip((3, 2, 1), levels):
+        projected = project_fan(fan, stages)
+        assert projected.maxcones is level and projected.perm_tuples is level.perm_tuples
+        assert level.dims == fan.dims[:stages] and projected.is_join
+    assert levels[2].heads == ((),)
 
 
 def test_project_fan_counts():

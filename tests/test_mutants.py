@@ -10,7 +10,10 @@ or usage error) proves nothing.  Each row takes 0.65-1.2 s on a 2-vCPU
 VM (pytest --durations=0), most of it spent starting a fresh pytest and
 collecting the named tests' module; eager-fancheck, whose test starts
 eight children of its own, takes about 1.8 s, and join-radix, whose
-first test draws 30 hypothesis towers, about 2.5 s.
+first test draws 30 hypothesis towers, about 2.5 s.  A control runs the
+union of every row's tests on an unmutated copy through the same runner,
+which must exit 0, so that a row's exit 1 comes from its fault; it takes
+about 11.5 s.
 """
 
 from __future__ import annotations
@@ -152,6 +155,14 @@ MUTANTS = {
         "h * (len(tails) - 1) + t",
         [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
     ),
+    # nested heads visited in their own order, not sorted, so that a join
+    # of two or more stages visits its cones out of sorted order
+    "nested-sorted-heads": (
+        "fans",
+        "self.heads.sorted_items()",
+        "enumerate(self.heads)",
+        [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
+    ),
     # cones whose ray indices descend reach the wall test
     "cone-order": (
         "fans",
@@ -178,8 +189,8 @@ MUTANTS = {
     # a join projected to the join of one stage too many
     "project-stages": (
         "fancheck",
-        "*stage_join(dims, len(fan.maxcones))",
-        "*stage_join(fan.dims[: stages + 1], len(fan.maxcones))",
+        "while len(level.dims) > stages:",
+        "while len(level.dims) > stages + 1:",
         [FANCHECK + "test_project_fan_equals_truncated_build"],
     ),
     # M B_ell gathering columns by v_ell where it must scatter them
@@ -296,6 +307,15 @@ def test_the_subprocess_imports_the_copy(tmp_path):
     argv = [sys.executable, "-c", "import flagbott; print(flagbott.__file__)"]
     out = subprocess.run(argv, cwd=ROOT, env=copy_env(tmp_path), capture_output=True, text=True, check=True)
     assert Path(out.stdout.strip()).resolve() == (tmp_path / "flagbott" / "__init__.py").resolve()
+
+
+def test_every_rows_tests_pass_on_the_unmutated_copy(tmp_path):
+    # the control: on a copy with no fault, the union of every row's tests
+    # exits 0 through the same runner, so that a row's exit 1 is its fault's
+    shutil.copytree(SRC, tmp_path / "flagbott", ignore=shutil.ignore_patterns("__pycache__"))
+    nodes = sorted({node for *_, row_nodes in MUTANTS.values() for node in row_nodes})
+    proc = pytest_exit(tmp_path, nodes)
+    assert proc.returncode == 0, f"pytest exited {proc.returncode}\n{proc.stdout[-2000:]}"
 
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
