@@ -106,7 +106,7 @@ def load_tower(path: str) -> FlagBottTower:
 
 
 def _ray_line(ray: Ray) -> str:
-    return f"{ray.label.stage} {ray.label.subset} : {' '.join(map(str, ray.vector))}"
+    return f"{ray.label} : {' '.join(map(str, ray.vector))}"
 
 
 def _spaced_texts(level, spaced: list[str]):  # a tuple's or a nested join's entries, each index then a space

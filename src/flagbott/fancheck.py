@@ -135,13 +135,14 @@ class CompletenessReport:
 
 def _flip_defects(fan: Fan) -> list[WallDefect]:
     # the same_side walls of a fan of build_fan's type, by the sign rule
-    # on each flip pair, one loop per stage, in the census's order
+    # on each flip pair, one loop per stage, in the census's order; stage
+    # p's permutations are the tails of the join of the first p stages
     cones = fan.maxcones
     positive = bytes(d > 0 for d in fan.cone_dets)
     found = []
     block, lo = len(cones), 0
-    for n_p in fan.dims:
-        perms, _ = permutation_chains(n_p)
+    for p, n_p in enumerate(fan.dims, 1):
+        perms = [v for v, in project_fan(fan, p).perm_tuples.tails]
         index = {v: i for i, v in enumerate(perms)}
         stride = block // len(perms)
         for i, v in enumerate(perms):

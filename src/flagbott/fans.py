@@ -8,7 +8,8 @@ complements, inclusion tests, and deterministic ordering cheap.  Code that
 walks the cones of a fan works on ray indices and subset masks, not on
 sets of labels.  permutation_chains holds the chain rule that turns a
 permutation into the subset masks of its chain; stage_join alone numbers
-those masks as rays, and joins the stages' cones stage by stage, each formed when read.
+those masks as rays, and joins the stages' cones stage by stage, each formed when read;
+ray_labels alone lists the rays those numbers point at, in build_fan's order.
 A fan computes its cone determinants and is_join once each.
 """
 
@@ -150,6 +151,13 @@ def stage_join(dims: tuple[int, ...], cap: int) -> tuple[_Join, _Join]:
     return cones, perm_tuples
 
 
+def ray_labels(dims: tuple[int, ...]) -> list[RayLabel]:
+    """build_fan's ray labels, in build_fan's order: by stage, then by subset
+    mask 1 .. 2**(n+1) - 2.  This is the list that stage_join's cones index:
+    mask s of a stage is ray offset + s - 1, offset the earlier stages' ray count."""
+    return [RayLabel(ell, Subset(n + 1, s)) for ell, n in enumerate(dims, 1) for s in range(1, 2 ** (n + 1) - 1)]
+
+
 @dataclass(frozen=True)
 class Fan:
     """Simplicial fan with labeled rays and permutation-indexed maximal cones.
@@ -199,5 +207,4 @@ class Fan:
         cones = self.maxcones
         if not (isinstance(cones, _Join) and cones.dims == self.dims and cones.perm_tuples is self.perm_tuples):
             return False
-        labels = [RayLabel(ell, Subset(n + 1, s)) for ell, n in enumerate(self.dims, 1) for s in range(1, 2 ** (n + 1) - 1)]
-        return [ray.label for ray in self.rays] == labels
+        return [ray.label for ray in self.rays] == ray_labels(self.dims)

@@ -111,8 +111,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .exactlin import IntMatrix, unimodular_inverse
-from .fans import Fan, PermTuple, Ray, RayLabel, Subset, permutation_chains, stage_join
-from .permfan import check_permutation, perm_ray_vector, proper_subsets
+from .fans import Fan, PermTuple, Ray, Subset, permutation_chains, ray_labels, stage_join
+from .permfan import check_permutation, perm_ray_vector
 from .tower import DEFAULT_CONE_CAP, FlagBottTower, validate
 
 
@@ -161,13 +161,10 @@ def ray_generator(t: FlagBottTower, ell: int, s: Subset) -> tuple[int, ...]:
 
 
 def all_rays(t: FlagBottTower) -> list[Ray]:
-    """Every ray of the fan, sorted by stage and then by subset bitmask."""
+    """Every ray of the fan, labelled and ordered by fans.ray_labels: by
+    stage, then by subset bitmask."""
     _require_valid(t)
-    return [
-        Ray(RayLabel(ell, s), ray_generator(t, ell, s))
-        for ell, n_ell in enumerate(t.dims, start=1)
-        for s in proper_subsets(n_ell + 1)
-    ]
+    return [Ray(label, ray_generator(t, label.stage, label.subset)) for label in ray_labels(t.dims)]
 
 
 def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
@@ -281,17 +278,17 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     The weight route never reads the ray formula: it reads the twist
     recurrence and the ray vectors that fan holds, by label.  The cones of
     fan must be build_fan's, in its order; raises ValueError, naming the
-    first cone that is not, or cone 0 on a missing or repeated ray label.
-    A fan that Fan.is_join passes is build_fan's by construction; any other
-    has its cones compared with build_fan's by ray label, both off
-    fans.permutation_chains.
+    first cone that is not, or cone 0 unless it holds each label of
+    fans.ray_labels once.  A fan that Fan.is_join passes is build_fan's by
+    construction; any other has its cones compared with build_fan's by ray
+    label, both off fans.permutation_chains.
     """
     _require_valid(t)
     if fan.dims != t.dims:
         raise ValueError(f"fan dims {fan.dims} differ from tower dims {t.dims}")
     m = t.m
     labels = Counter((ray.label.stage, ray.label.subset.mask) for ray in fan.rays)
-    if any(labels[ell, s] != 1 for ell, n_ell in enumerate(t.dims, start=1) for s in range(1, 2 ** (n_ell + 1) - 1)):
+    if any(labels[label.stage, label.subset.mask] != 1 for label in ray_labels(t.dims)):
         raise ValueError("fan cone 0 is not build_fan's cone 0")
     by_label = {(ray.label.stage, ray.label.subset.mask): i for i, ray in enumerate(fan.rays)}
     # per stage and permutation: its chain's ray indices and vectors,
@@ -402,19 +399,19 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
     identity_rows = [_stage_rows(t, identities[: j - 1]) for j in range(1, t.m + 1)]
     violations = []
     rays_checked = pairings_checked = 0
-    for ell, n_ell in enumerate(t.dims, start=1):
-        for s in proper_subsets(n_ell + 1):
-            rays_checked += 1
-            d = n_ell + 1 - len(s)
-            u = ray_generator(t, ell, s)
-            v = _witness(t, ell, s)
-            for j, vj in enumerate(v, start=1):
-                rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1])
-                dots = [sum(map(operator.mul, row, u)) for row in rows]
-                for i, (vh, vi) in enumerate(zip(vj, vj[1:]), start=1):
-                    pairings_checked += 1
-                    expected = 1 if (j == ell and i == d) else 0
-                    actual = dots[vi - 1] - dots[vh - 1]
-                    if actual != expected:
-                        violations.append(PairingViolation(ell, s, j, i, expected, actual))
+    for label in ray_labels(t.dims):
+        ell, s = label.stage, label.subset
+        rays_checked += 1
+        d = s.ground - len(s)
+        u = ray_generator(t, ell, s)
+        v = _witness(t, ell, s)
+        for j, vj in enumerate(v, start=1):
+            rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1])
+            dots = [sum(map(operator.mul, row, u)) for row in rows]
+            for i, (vh, vi) in enumerate(zip(vj, vj[1:]), start=1):
+                pairings_checked += 1
+                expected = 1 if (j == ell and i == d) else 0
+                actual = dots[vi - 1] - dots[vh - 1]
+                if actual != expected:
+                    violations.append(PairingViolation(ell, s, j, i, expected, actual))
     return PairingReport(rays_checked, pairings_checked, violations)

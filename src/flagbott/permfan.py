@@ -10,18 +10,17 @@ ray:
 and every permutation v of {1,...,n+1} gives a maximal cone spanned by the
 rays of its chain S_1 < ... < S_n, where S_p collects the last p values of
 the one-line notation: S_p = {v(n+2-p), ..., v(n+1)}.  In perm_fan the
-rays are listed by ascending bitmask, and the cones are the chains of
-fans.permutation_chains(n), in itertools.permutations order, which
-fans.stage_join numbers as rays: the ray of S has index mask - 1.
+rays are those of fans.ray_labels((n,)), by ascending bitmask, and the
+cones are the chains of fans.permutation_chains(n), in
+itertools.permutations order, which fans.stage_join numbers as rays: the
+ray of S has index mask - 1.
 
 Permutations are plain tuples in one-line notation with values 1..n+1.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from .fans import Fan, Ray, RayLabel, Subset, stage_join
+from .fans import Fan, Ray, Subset, ray_labels, stage_join
 from .tower import DEFAULT_CONE_CAP
 
 
@@ -29,12 +28,6 @@ def check_permutation(v: tuple[int, ...]) -> None:
     """Raise unless v is a permutation of {1, ..., len(v)} in one-line notation."""
     if sorted(v) != list(range(1, len(v) + 1)):
         raise ValueError(f"{v} is not a permutation of 1..{len(v)}")
-
-
-def proper_subsets(ground: int) -> Iterator[Subset]:
-    """All nonempty proper subsets of {1,...,ground}, ascending by bitmask."""
-    for mask in range(1, (1 << ground) - 1):
-        yield Subset(ground, mask)
 
 
 def perm_ray_vector(n: int, s: Subset) -> tuple[int, ...]:
@@ -61,5 +54,5 @@ def perm_fan(n: int) -> Fan:
     if n < 1:
         raise ValueError(f"dimension must be positive, got {n}")
     cones, perm_tuples = stage_join((n,), DEFAULT_CONE_CAP)
-    rays = tuple(Ray(RayLabel(1, s), perm_ray_vector(n, s)) for s in proper_subsets(n + 1))
+    rays = tuple(Ray(label, perm_ray_vector(n, label.subset)) for label in ray_labels((n,)))
     return Fan((n,), rays, cones, perm_tuples)

@@ -1,7 +1,8 @@
 """Shared fixtures and test oracles.
 
 The two golden towers, seeded random-tower samplers, the identity
-matrix, a subset from its members, and reference helpers that build
+matrix, a subset from its members, the nonempty proper subsets of a
+ground set, and reference helpers that build
 expected values independently of the library's pipeline: the export text
 cone by cone, the chain of a permutation and its inverse, chain-tuple
 cone labels, a fan's cones joined from whole stage cones, label lookups
@@ -50,6 +51,11 @@ def identity(k: int) -> IntMatrix:
 def subset(ground: int, members) -> Subset:
     """The subset of {1, ..., ground} with the given members."""
     return Subset(ground, sum({1 << (e - 1) for e in members}))
+
+
+def proper_subsets(ground: int) -> list[Subset]:
+    """Every nonempty proper subset of {1, ..., ground}, by ascending mask."""
+    return [Subset(ground, mask) for mask in range(1, (1 << ground) - 1)]
 
 
 def two_stage_tower() -> FlagBottTower:
@@ -251,8 +257,7 @@ def reference_pairing_identity(t: FlagBottTower) -> PairingReport:
     violations = []
     rays = 0
     for ell, n_ell in enumerate(t.dims, start=1):
-        for mask in range(1, 2 ** (n_ell + 1) - 1):
-            s = Subset(n_ell + 1, mask)
+        for s in proper_subsets(n_ell + 1):
             rays += 1
             v = [tuple(range(1, n_p + 2)) for n_p in t.dims]
             v[ell - 1] = tuple(k for k in v[ell - 1] if k not in s) + tuple(k for k in v[ell - 1] if k in s)

@@ -16,6 +16,7 @@ from conftest import (
     ORACLE_SEEDS,
     POPULATION_SEEDS,
     cone_labels,
+    proper_subsets,
     random_tower,
     subset,
     three_stage_tower,
@@ -39,7 +40,7 @@ from flagbott.orbitfan import (
     verify_oracle,
     verify_pairing_identity,
 )
-from flagbott.permfan import perm_fan, perm_ray_vector, proper_subsets
+from flagbott.permfan import perm_fan, perm_ray_vector
 from flagbott.tower import (
     FlagBottTower,
     is_generic_matrix,

@@ -134,6 +134,23 @@ def test_flip_table_positions_equal_the_set_differences():
         assert {(defect.wall, *defect.cones) for defect in found} == want
 
 
+def test_flip_walk_forms_no_chain(monkeypatch):
+    # each stage's permutations are read off the join, so the walk runs
+    # with the chain rule refused; with every determinant +1 it lists each
+    # flip pair, as the census does
+    fan = build_fan(three_stage_tower())
+    fan.__dict__["cone_dets"] = (1,) * len(fan.maxcones)
+    want = fancheck._census(fan).defects
+
+    def refuse(n):
+        raise AssertionError("the flip walk formed the chains of a stage")
+
+    monkeypatch.setattr("flagbott.fans.permutation_chains", refuse)
+    monkeypatch.setattr(fancheck, "permutation_chains", refuse)
+    found = fancheck._flip_defects(fan)
+    assert found == want and len(found) == len(fan.maxcones) * fan.n // 2
+
+
 def test_is_complete_rejects_nonsimplicial():
     fan = tiny_fan([(1, 0), (0, 1), (1, 1)], [(0, 1, 2)])
     with pytest.raises(ValueError, match=r"^cone 0 has 3 rays in dimension 2$"):

@@ -6,14 +6,14 @@ gate copies the package to a temporary directory, applies the one
 replacement there, and runs only the named tests in a subprocess that
 imports the copy.  pytest must exit 1, some test failing: an exit of 0
 means the tests are blind to the fault, and any other exit (a collection
-or usage error) proves nothing.  Each row takes 0.65-1.2 s on a 2-vCPU
+or usage error) proves nothing.  Each row takes 0.7-1.7 s on a 2-vCPU
 VM (pytest --durations=0), most of it spent starting a fresh pytest and
 collecting the named tests' module; eager-fancheck, whose test starts
-eight children of its own, takes about 1.8 s, and join-radix, whose
-first test draws 30 hypothesis towers, about 2.5 s.  A control runs the
+eight children of its own, takes about 2.3 s, and join-radix, whose
+first test draws 30 hypothesis towers, 4.5-6.2 s.  A control runs the
 union of every row's tests on an unmutated copy through the same runner,
 which must exit 0, so that a row's exit 1 comes from its fault; it takes
-about 11.5 s.
+about 10 s.
 """
 
 from __future__ import annotations
@@ -139,6 +139,14 @@ MUTANTS = {
         "stage_join((n,), 10**18)",
         [PERMFAN + "test_perm_fan_is_bounded_by_the_cone_cap"],
     ),
+    # stage 1's ray labels listed by descending mask: the fan is still a
+    # join, but each cone's index offset + s - 1 names the complement of s
+    "ray-label-order": (
+        "fans",
+        "for s in range(1, 2 ** (n + 1) - 1)]",
+        "for s in (range(2 ** (n + 1) - 2, 0, -1) if ell == 1 else range(1, 2 ** (n + 1) - 1))]",
+        [PERMFAN + "test_ray_labels_are_the_rays_stage_join_numbers", PERMFAN + "test_perm_fan_cone_matches_its_chain", ORBITFAN + "test_all_rays_counts_and_order"],
+    ),
     # a join's entry i read in mixed radix by the count of its heads, not
     # of its tails
     "join-radix": (
@@ -218,8 +226,8 @@ MUTANTS = {
     # the oracle looking rays up by a label that is missing or repeated
     "oracle-labels": (
         "orbitfan",
-        "if any(labels[ell, s] != 1 for",
-        "if False and any(labels[ell, s] != 1 for",
+        "if any(labels[label.stage, label.subset.mask] != 1 for",
+        "if False and any(labels[label.stage, label.subset.mask] != 1 for",
         [ORBITFAN + "test_verify_oracle_rejects_a_fan_without_each_of_build_fans_labels_once"],
     ),
     # the oracle forgetting a ray that breaks (a) one stage below it, so

@@ -17,6 +17,7 @@ from conftest import (
     identity,
     maximal_cone,
     perm_tuple_of_chain_tuple,
+    proper_subsets,
     random_tower,
     ray_faulted,
     ray_index,
@@ -42,7 +43,7 @@ from flagbott.orbitfan import (
     verify_pairing_identity,
     weights_at,
 )
-from flagbott.permfan import perm_fan, proper_subsets
+from flagbott.permfan import perm_fan
 from flagbott.tower import EnumerationTooLarge, FlagBottTower
 
 

@@ -9,13 +9,12 @@ import pytest
 
 from conftest import chain_of_permutation, cone_labels, permutation_of_chain, ray_index, subset
 from flagbott import permfan
-from flagbott.fans import RayLabel, permutation_chains
+from flagbott.fans import RayLabel, permutation_chains, ray_labels, stage_join
 from flagbott.permfan import (
     Subset,
     check_permutation,
     perm_fan,
     perm_ray_vector,
-    proper_subsets,
 )
 from flagbott.tower import EnumerationTooLarge
 
@@ -41,12 +40,19 @@ def test_subset_rejects_out_of_ground():
         Subset(3, -1)
 
 
-def test_proper_subsets_count_and_order():
-    subs = list(proper_subsets(3))
-    assert len(subs) == 6
-    masks = [s.mask for s in subs]
-    assert masks == sorted(masks)
-    assert all(s.is_proper_nonempty() for s in subs)
+def test_ray_labels_are_the_rays_stage_join_numbers():
+    # by stage, then by mask, each stage's every nonempty proper subset
+    # once; each cone's index r names the label of its chain's mask
+    for dims in ((1,), (2, 1), (3, 2, 1)):
+        labels = ray_labels(dims)
+        keys = [(label.stage, label.subset.mask) for label in labels]
+        assert keys == sorted(set(keys))
+        assert all(label.subset.ground == dims[label.stage - 1] + 1 and label.subset.is_proper_nonempty() for label in labels)
+        assert len(labels) == sum(2 ** (n + 1) - 2 for n in dims)
+        cones, perm_tuples = stage_join(dims, 10**6)
+        for cone, pt in zip(cones, perm_tuples):
+            chains = [RayLabel(ell, s) for ell, v in enumerate(pt, 1) for s in chain_of_permutation(v)]
+            assert [labels[r] for r in cone] == chains
 
 
 def test_permutation_checks():
