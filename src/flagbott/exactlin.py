@@ -11,10 +11,14 @@ every division is exact.
 
   _det_rows  Bareiss elimination of one matrix, for det and the flag
              minors of the genericity test.
-  _dets      a batch of matrices that share rows: a fan's maximal cones,
-             or the bundle check's lifts.  It eliminates one row at a
-             time, so a run of matrices with the same leading rows reduces
-             them once.  On one matrix it is 1.5 to 3 times slower.
+  _dets      a batch of matrices that share rows: the maximal cones of a
+             fan that is not a join, or the bundle check's lifts.  It
+             eliminates one row at a time, so a run of matrices with the
+             same leading rows reduces them once.  On one matrix it is 1.5
+             to 3 times slower.
+
+A join's cones take fans._join_dets, beside the join: _dets's row steps,
+each later stage's ray reduced once per head, not once per cone.
 
 Inverses and adjugates use the fraction-free Gauss-Jordan variant
 (Montante's method), with the same exact divisions.
@@ -23,7 +27,7 @@ Inverses and adjugates use the fraction-free Gauss-Jordan variant
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 
 class NotUnimodular(ValueError):
@@ -126,7 +130,7 @@ def _det_rows(rows: list[list[int]]) -> int:
     return sign * rows[n - 1][n - 1]
 
 
-def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]], visits: Iterable | None = None) -> list[int]:
+def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]]) -> list[int]:
     """Determinant of each square matrix; a matrix is a tuple of indices
     into rows, and row i has len(matrix) entries.
 
@@ -136,17 +140,16 @@ def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]], vi
     reduced row are minors on the rows so far and the columns pivoted so
     far plus one, so each // is exact, and the last pivot is the
     determinant up to the sign of the order in which the columns were
-    pivoted.  visits are (index, matrix) pairs, by default all, sorted; a
-    matrix that shares its first k rows with the one before reuses their reduced rows.
+    pivoted.  The matrices are visited sorted, so one that shares its first
+    k rows with the one before reuses their reduced rows.
     """
     out = [0] * len(matrices)
     # the reduced rows of the current prefix: (pivot position, pivot, the
     # row without its pivot entry, column-order sign so far)
     stack: list[tuple[int, int, list[int], int]] = []
     prev: tuple[int, ...] = ()
-    if visits is None:
-        visits = ((mi, matrices[mi]) for mi in sorted(range(len(matrices)), key=matrices.__getitem__))
-    for mi, m in visits:
+    for mi in sorted(range(len(matrices)), key=matrices.__getitem__):
+        m = matrices[mi]
         k = 0
         shared = min(len(stack), len(m))
         while k < shared and m[k] == prev[k]:

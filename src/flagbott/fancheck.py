@@ -15,8 +15,10 @@ arithmetic:
                        every stage split down the tower.
 
 Smoothness and the wall test both read Fan.cone_dets, every cone
-determinant computed once per fan in one pass, which shares elimination
-work between cones with the same leading rays.  Let U be the matrix
+determinant computed once per fan in one pass: on a join, a walk down its
+levels that reduces each later stage's ray once per head; on any other
+fan, one that shares elimination work between cones with the same
+leading rays.  Let U be the matrix
 whose columns are a cone's rays in ascending order and d = det U.  By
 Cramer's rule, row k of adj(U) paired with x is
 det(U with column k replaced by x), so sign(d) * adj(U)[k] is the inner
@@ -66,7 +68,8 @@ index j, each cone of index i is compared with the cone
 (j - i) * stride further on, and the pairs found are sorted into the
 census's order.  The bundle check reads each lift off the projected
 fan, as the base cone over its prefix, and takes their determinants in
-one prefix-shared pass of exactlin._dets; on a fan of build_fan's type
+one prefix-shared pass of exactlin._dets, the lifts being a list, not a
+join that Fan.cone_dets could walk; on a fan of build_fan's type
 the fibers and joins are build_fan's by construction, so that pass is
 the whole split.
 

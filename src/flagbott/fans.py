@@ -10,13 +10,14 @@ sets of labels.  permutation_chains holds the chain rule that turns a
 permutation into the subset masks of its chain; stage_join alone numbers
 those masks as rays, and joins the stages' cones stage by stage, each formed when read;
 ray_labels alone lists the rays those numbers point at, in build_fan's order.
-A fan computes its cone determinants and is_join once each.
+A fan computes its cone determinants and is_join once each; a join's
+determinants come from _join_dets, a walk down its levels that forms no cone.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -118,13 +119,6 @@ class _Join(Sequence):
     def __repr__(self) -> str:
         return repr(tuple(self))
 
-    def sorted_items(self) -> Iterator[tuple[int, tuple]]:
-        """(i, self[i]) for i in sorted(range(len(self)), key=self.__getitem__), with no sort of the
-        entries: they sort by head, heads having one length, then tail; nested heads by their own sorted_items."""
-        tails = sorted(range(len(self.tails)), key=self.tails.__getitem__)
-        heads = self.heads.sorted_items() if isinstance(self.heads, _Join) else sorted(enumerate(self.heads), key=lambda p: p[1])
-        return ((h * len(tails) + t, head + self.tails[t]) for h, head in heads for t in tails)
-
 
 def stage_join(dims: tuple[int, ...], cap: int) -> tuple[_Join, _Join]:
     """build_fan's cones for dims and their permutation tuples: the stages'
@@ -158,6 +152,91 @@ def ray_labels(dims: tuple[int, ...]) -> list[RayLabel]:
     return [RayLabel(ell, Subset(n + 1, s)) for ell, n in enumerate(dims, 1) for s in range(1, 2 ** (n + 1) - 1)]
 
 
+def _plan(tails: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...], int]]:
+    """(k, tails[ti][k:], ti) for each tail index ti, the tails sorted, k the
+    length of the prefix shared with the tail before: each suffix entry is a
+    new node of the tails' prefix trie."""
+    plan, prev = [], ()
+    for ti in sorted(range(len(tails)), key=tails.__getitem__):
+        t, k = tails[ti], 0
+        while k < len(prev) and t[k] == prev[k]:
+            k += 1
+        plan.append((k, t[k:], ti))
+        prev = t
+    return plan
+
+
+def _reduce(x: list[int], stack: list[tuple[int, int, list[int]]], q: int) -> list[int]:
+    """x after exactlin._dets's Bareiss step against each (pivot position,
+    pivot, row) of stack in turn, from the divisor q: each deletes the pivot's entry."""
+    for idx, p, row in stack:
+        f = x[idx]
+        if f:
+            x = [(p * a - f * b) // q for a, b in zip(x, row)]
+        elif p != q:
+            x = [p * a // q for a in x]
+        else:
+            x = x.copy()
+        del x[idx]
+        q = p
+    return x
+
+
+def _join_dets(cones: _Join, rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
+    """Each cone's determinant by a walk down the join's levels: the innermost
+    heads, as tails of one empty head, then each join's tails.  None when a
+    tail is not ascending, in range or of its level's width, a level reaches
+    below the largest index before it, or the widths do not sum to n.
+
+    Each head replays its level's _plan.  A node's row is its ray's row,
+    already reduced against the head, reduced on against the nodes above it
+    from the divisor q and the sign of the head's last row; a node with no
+    pivot leaves the cones below it 0.  A complete tail is a head of the next
+    level, whose rays are reduced against its new rows once, or, on the last
+    level, cone base * len(tails) + ti, of determinant its signed last pivot."""
+    out, levels, level = [0] * len(cones), [], cones
+    while isinstance(level, _Join):
+        levels.insert(0, level.tails)
+        level = level.heads
+    levels.insert(0, level)
+    plans, hi, width = [], 0, 0
+    for tails in levels:
+        w = len(tails[0]) if tails else 0
+        if any(len(t) != w or list(t) != sorted(t) or t and (t[0] < hi or t[-1] >= len(rows)) for t in tails):
+            return None
+        hi, width = max((t[-1] for t in tails if t), default=hi), width + w
+        plans.append((_plan(tails), len(tails), {r: i for i, r in enumerate(sorted({r for t in tails for r in t}))}))
+    if width != n:
+        return None
+
+    def walk(li: int, base: int, q: int, sign: int, pend: list[list[int]]) -> None:
+        # pend: the rows of levels li, li + 1, ... reduced against the head
+        plan, size, pos = plans[li]
+        stack, signs = [], [sign]
+        for k, suffix, ti in plan:
+            if k > len(stack):
+                continue  # below a singular node, whose row the stack lacks
+            del stack[k:], signs[k + 1 :]
+            for r in suffix:
+                x = _reduce(pend[pos[r]], stack, q)
+                for idx, p in enumerate(x):
+                    if p:
+                        break
+                else:
+                    break  # singular: the cones below stay 0
+                signs.append(-signs[-1] if idx & 1 else signs[-1])
+                stack.append((idx, p, x))
+            else:
+                p = stack[-1][1] if stack else q
+                if li + 1 < len(plans):
+                    walk(li + 1, base * size + ti, p, signs[-1], [_reduce(y, stack, q) for y in pend[len(pos) :]])
+                else:
+                    out[base * size + ti] = signs[-1] * p
+
+    walk(0, 0, 1, 1, [list(rows[r]) for _, _, pos in plans for r in pos])
+    return out
+
+
 @dataclass(frozen=True)
 class Fan:
     """Simplicial fan with labeled rays and permutation-indexed maximal cones.
@@ -187,17 +266,21 @@ class Fan:
         n rays, or whose ray indices descend anywhere or leave
         range(len(rays)), raises ValueError, as every shape, index or label
         error in the package does; a repeated index is left to its zero
-        determinant."""
-        n = self.n
-        for ci, cone in enumerate(self.maxcones):
-            if len(cone) != n:
-                raise ValueError(f"cone {ci} has {len(cone)} rays in dimension {n}")
-            if sorted(cone) != list(cone):
-                raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
-            if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
-                raise ValueError(f"cone {ci} names a ray outside 0..{len(self.rays) - 1}: {cone}")
-        visits = self.maxcones.sorted_items() if self.is_join else None  # sorted, without a sort
-        return tuple(exactlin._dets(self.maxcones, [ray.vector for ray in self.rays], visits))
+        determinant.  A join checks each level's tails once and takes
+        _join_dets, forming no cone; any other fan, or a join that fails,
+        checks each cone, naming the first bad one, and takes exactlin._dets."""
+        n, rows = self.n, [ray.vector for ray in self.rays]
+        dets = _join_dets(self.maxcones, rows, n) if self.is_join else None
+        if dets is None:
+            for ci, cone in enumerate(self.maxcones):
+                if len(cone) != n:
+                    raise ValueError(f"cone {ci} has {len(cone)} rays in dimension {n}")
+                if sorted(cone) != list(cone):
+                    raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
+                if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
+                    raise ValueError(f"cone {ci} names a ray outside 0..{len(self.rays) - 1}: {cone}")
+            dets = exactlin._dets(self.maxcones, rows)
+        return tuple(dets)
 
     @cached_property
     def is_join(self) -> bool:

@@ -188,9 +188,11 @@ def test_verify_all_checks_pass(spec_path, capsys):
 
 
 def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
+    # a join's cones take the level walk, any other batch exactlin._dets
     calls = []
-    dets = exactlin._dets
-    monkeypatch.setattr(exactlin, "_dets", lambda matrices, *args: calls.append(len(matrices)) or dets(matrices, *args))
+    for module, name in ((fans, "_join_dets"), (exactlin, "_dets")):
+        run = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda matrices, *args, run=run: calls.append(len(matrices)) or run(matrices, *args))
     assert main(["verify", spec_path]) == 0
     assert capsys.readouterr().out == (
         "smooth: ok (12 cones)\n"

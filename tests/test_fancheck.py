@@ -7,6 +7,7 @@ import dataclasses
 import json
 import pickle
 import random
+import re
 import tracemalloc
 from itertools import product
 from math import factorial, prod
@@ -31,7 +32,7 @@ from conftest import (
     truncated,
     two_stage_tower,
 )
-from flagbott import fancheck
+from flagbott import fancheck, fans
 from flagbott.cli import load_tower
 from flagbott.exactlin import IntMatrix
 from flagbott.fancheck import (
@@ -657,23 +658,100 @@ def test_a_fan_is_a_join_by_how_it_was_made(paths):
         assert bundle_paths(case) == (["lifts"] * 2 if joined else ["sets", "lifts"] * 2)
 
 
+def materialised(fan: Fan) -> Fan:
+    """fan with its cones and permutation tuples as tuples: equal, not a join."""
+    return dataclasses.replace(fan, maxcones=tuple(fan.maxcones), perm_tuples=tuple(fan.perm_tuples))
+
+
 def test_a_joins_cones_are_visited_in_sorted_order_without_a_sort():
-    # on the goldens and the population towers with at most 576 cones, a
-    # join's visits are its cones in sorted order, with their indices, and
-    # its determinants equal those of its materialised copy, which is not
-    # a join and sorts
+    # on the goldens and the population towers with at most 576 cones, each
+    # level's plan visits its tails in sorted order, forming each node of
+    # their prefix trie once, so that the walk down the levels, root first,
+    # visits the cones in sorted order, with their indices; it gives the
+    # determinants of the materialised copy, which is not a join and sorts.
+    # So it does with a ray scaled, for determinants +-2 or 3, or copied,
+    # for singular heads and cones: without renumbering, still a join
     towers = [two_stage_tower(), three_stage_tower()]
     towers += [random_tower(seed) for seed in POPULATION_SEEDS]
     towers = [t for t in towers if prod(factorial(d + 1) for d in t.dims) <= 576]
     assert len(towers) == 2 + 89
-    for t in towers:
+    seen = set()
+    for seed, t in enumerate(towers):
         fan = build_fan(t)
-        cones = fan.maxcones
-        visits = list(cones.sorted_items())
-        assert visits == [(i, cones[i]) for i in sorted(range(len(cones)), key=cones.__getitem__)]
-        copied = dataclasses.replace(fan, maxcones=tuple(cones), perm_tuples=tuple(fan.perm_tuples))
-        assert fan.is_join and not copied.is_join
-        assert fan.cone_dets == copied.cone_dets
+        levels, level = [], fan.maxcones
+        while isinstance(level, _Join):
+            levels.insert(0, level.tails)
+            level = level.heads
+        visits = [0]
+        for tails in (level, *levels):
+            plan = fans._plan(tails)
+            assert [ti for *_, ti in plan] == sorted(range(len(tails)), key=tails.__getitem__)
+            assert sum(len(suffix) for _, suffix, _ in plan) == len({t[:k] for t in tails for k in range(1, len(t) + 1)})
+            visits = [base * len(tails) + ti for base in visits for *_, ti in plan]
+        assert visits == sorted(range(len(fan.maxcones)), key=fan.maxcones.__getitem__)
+        for case in (fan, *(ray_faulted(fan, random.Random(seed), kind, False) for kind in ("scale", "copy"))):
+            copied = materialised(case)
+            assert case.is_join and not copied.is_join
+            assert case.cone_dets == copied.cone_dets
+            seen.update(map(abs, case.cone_dets))
+    assert {0, 1, 2, 3} <= seen
+
+
+def doctored(fan: Fan, stages: int, change) -> Fan:
+    """fan with the tails of its join's level of the first `stages` stages
+    replaced by change(tails), each level above joined again on it with its
+    own tails, dims and permutation tuples, so that the fan is still a join."""
+    above, level = [], fan.maxcones
+    while len(level.dims) > stages:
+        above.append(level)
+        level = level.heads
+    joined = _Join(level.heads, change(level.tails), level.dims, level.perm_tuples)
+    for outer in reversed(above):
+        joined = _Join(joined, outer.tails, outer.dims, outer.perm_tuples)
+    return dataclasses.replace(fan, maxcones=joined)
+
+
+def test_a_doctored_join_raises_its_materialised_copys_message():
+    # (2,2,1): stage 1 has rays 0..5, stage 2 rays 6..11, stage 3 rays 12
+    # and 13.  Each level's tails are checked once, and a join that fails
+    # is checked cone by cone, so it names the copy's first bad cone
+    fan = build_fan(three_stage_tower())
+    assert fan.maxcones.heads.tails[1] == (7, 11)
+    cases = {
+        "out of order": (2, lambda tails: tails[:1] + ((11, 7),) + tails[2:]),
+        "out of order: (": (1, lambda tails: (tails[0][::-1],) + tails[1:]),
+        "out of order: (3": (2, lambda tails: ((3, 11),) + tails[1:]),
+        "outside 0..13": (3, lambda tails: tails[:1] + ((14,),)),
+        "outside 0..13: (-": (1, lambda tails: ((-1, 5),) + tails[1:]),
+        "has 4 rays": (3, lambda tails: ((),) + tails[1:]),
+    }
+    for text, (stages, change) in cases.items():
+        case = doctored(fan, stages, change)
+        assert case.is_join
+        with pytest.raises(ValueError) as want:
+            materialised(case).cone_dets
+        assert text in str(want.value)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            case.cone_dets
+    # a tail that starts at the level before's largest index repeats a ray
+    # only in the cones whose head ends there, each of determinant 0
+    case = doctored(fan, 2, lambda tails: ((5, 11),) + tails[1:])
+    assert case.is_join and 0 in case.cone_dets
+    assert case.cone_dets == materialised(case).cone_dets
+
+
+def test_cone_dets_of_a_join_form_no_cone(monkeypatch):
+    # the checks and the walk read each level's tails, so a join's
+    # determinants come with its entries refused
+    fan = build_fan(three_stage_tower())
+    want = materialised(fan).cone_dets
+
+    def refuse(*args):
+        raise AssertionError("cone_dets formed a cone of a join")
+
+    monkeypatch.setattr(_Join, "__getitem__", refuse)
+    monkeypatch.setattr(_Join, "__iter__", refuse)
+    assert fan.is_join and fan.cone_dets == want
 
 
 def test_lift_pass_equals_the_reference_where_lifts_share_heads(tmp_path):

@@ -6,14 +6,16 @@ gate copies the package to a temporary directory, applies the one
 replacement there, and runs only the named tests in a subprocess that
 imports the copy.  pytest must exit 1, some test failing: an exit of 0
 means the tests are blind to the fault, and any other exit (a collection
-or usage error) proves nothing.  Each row takes 0.7-1.7 s on a 2-vCPU
+or usage error) proves nothing.  Each row takes 0.8-1.9 s on a 2-vCPU
 VM (pytest --durations=0), most of it spent starting a fresh pytest and
 collecting the named tests' module; eager-fancheck, whose test starts
-eight children of its own, takes about 2.3 s, and join-radix, whose
-first test draws 30 hypothesis towers, 4.5-6.2 s.  A control runs the
-union of every row's tests on an unmutated copy through the same runner,
-which must exit 0, so that a row's exit 1 comes from its fault; it takes
-about 10 s.
+eight children of its own, takes about 1.9 s, and join-radix, whose
+first test draws 30 hypothesis towers, about 5.6 s.  Each walk-* row that
+names a hypothesis test names a fixed test before it, which fails first,
+so that pytest -x stops before hypothesis shrinks a failing draw.  A
+control runs the union of every row's tests on an unmutated copy through
+the same runner, which must exit 0, so that a row's exit 1 comes from
+its fault; it takes about 11 s.
 """
 
 from __future__ import annotations
@@ -155,21 +157,59 @@ MUTANTS = {
         "divmod(range(len(self))[i], len(self.heads))",
         [PROPERTIES + "test_a_join_behaves_as_the_tuple_of_its_entries", FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
     ),
-    # a join's sort-free order with a stride one short of the tail count,
-    # so that it visits some cones twice and others never
+    # a join's cone index on the walk's last level with a stride one short
+    # of the tail count, so that it writes some cones twice and others never
     "join-order-stride": (
         "fans",
-        "h * len(tails) + t",
-        "h * (len(tails) - 1) + t",
+        "out[base * size + ti] = signs[-1] * p",
+        "out[base * (size - 1) + ti] = signs[-1] * p",
         [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
     ),
-    # nested heads visited in their own order, not sorted, so that a join
-    # of two or more stages visits its cones out of sorted order
+    # each level's tails planned in their own order, not sorted, so that
+    # the walk forms some nodes of their prefix trie more than once
     "nested-sorted-heads": (
         "fans",
-        "self.heads.sorted_items()",
-        "enumerate(self.heads)",
+        "for ti in sorted(range(len(tails)), key=tails.__getitem__):",
+        "for ti in range(len(tails)):",
         [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
+    ),
+    # the next level handed divisor 1, not the head's last pivot, so that
+    # its first step against the head's rows divides by the wrong minor
+    "walk-head-divisor": (
+        "fans",
+        "walk(li + 1, base * size + ti, p, signs[-1],",
+        "walk(li + 1, base * size + ti, 1, signs[-1],",
+        [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort", PROPERTIES + "test_join_walk_equals_bareiss_cone_by_cone"],
+    ),
+    # the head's column-order sign dropped at a level boundary
+    "walk-head-sign": (
+        "fans",
+        "walk(li + 1, base * size + ti, p, signs[-1],",
+        "walk(li + 1, base * size + ti, p, 1,",
+        [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort", PROPERTIES + "test_join_walk_equals_bareiss_cone_by_cone"],
+    ),
+    # a singular node's subtree walked on the stack above the node, so that
+    # cones below it get the pivot of a shorter matrix, not 0
+    "walk-singular-skip": (
+        "fans",
+        "if k > len(stack):",
+        "if False:",
+        [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort", PROPERTIES + "test_join_walk_equals_bareiss_cone_by_cone"],
+    ),
+    # a level's tails allowed below the largest index of the level before,
+    # so that a cone out of order reaches the walk
+    "walk-level-range": (
+        "fans",
+        "t[0] < hi",
+        "t[0] < 0",
+        [FANCHECK + "test_a_doctored_join_raises_its_materialised_copys_message"],
+    ),
+    # a join checked and eliminated cone by cone after its walk as well
+    "walk-per-cone": (
+        "fans",
+        "if dets is None:",
+        "if True:",
+        [FANCHECK + "test_cone_dets_of_a_join_form_no_cone"],
     ),
     # cones whose ray indices descend reach the wall test
     "cone-order": (

@@ -1,13 +1,14 @@
 """Property tests: the loader's error contract, the chain/permutation
 bijection, the determinant and adjugate identities, the prefix-shared
-determinants against Bareiss, the weight recurrence against its
-chain-sum form, the pairing check against its chain-sum reference, the
-paper's theorem on drawn towers, the prefix-tree oracle against the
-per-cone one, the bitmask wall census against explicit wall normals,
-the flip path and the lift check against the references on a fan with
-a ray fault, the stage-by-stage cone join against whole tuples of stage
-cones, the lazy join against the tuple of its entries, and the export
-text against its cone-by-cone reference on drawn cones."""
+determinants and a join's level walk against Bareiss, the weight
+recurrence against its chain-sum form, the pairing check against its
+chain-sum reference, the paper's theorem on drawn towers, the
+prefix-tree oracle against the per-cone one, the bitmask wall census
+against explicit wall normals, the flip path and the lift check against
+the references on a fan with a ray fault, the stage-by-stage cone join
+against whole tuples of stage cones, the lazy join against the tuple of
+its entries, and the export text against its cone-by-cone reference on
+drawn cones."""
 
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from conftest import (  # noqa: E402
 from flagbott.cli import SpecError, format_fan, load_tower  # noqa: E402
 from flagbott.exactlin import IntMatrix, _det_rows, _dets, adjugate_det, det, mat_mul  # noqa: E402
 from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
+from flagbott.fans import Fan, Ray, ray_labels, stage_join  # noqa: E402
 from flagbott.orbitfan import (  # noqa: E402
     build_fan,
     derive_rays_from_weights,
@@ -150,6 +152,24 @@ def det_batches(draw):
 def test_prefix_shared_dets_equal_bareiss(batch):
     matrices, rows = batch
     assert _dets(matrices, rows) == [_det_rows([list(rows[i]) for i in m]) for m in matrices]
+
+
+@st.composite
+def joins_with_drawn_rays(draw):
+    """A fan with build_fan's labels and stage_join's cones for one to three
+    drawn stages, at most 576 cones, and drawn ray vectors with entries in
+    [-2, 2], so that heads go singular: a join whatever its vectors."""
+    dims = tuple(draw(st.lists(st.integers(1, 4), min_size=1, max_size=3).filter(lambda d: cone_count(d) <= 576)))
+    labels = ray_labels(dims)
+    vectors = draw(st.lists(st.tuples(*[st.integers(-2, 2)] * sum(dims)), min_size=len(labels), max_size=len(labels)))
+    return Fan(dims, tuple(map(Ray, labels, vectors)), *stage_join(dims, 576))
+
+
+@SETTINGS
+@hypothesis.given(joins_with_drawn_rays())
+def test_join_walk_equals_bareiss_cone_by_cone(fan):
+    assert fan.is_join
+    assert fan.cone_dets == tuple(_det_rows([list(fan.rays[r].vector) for r in cone]) for cone in fan.maxcones)
 
 
 @st.composite
