@@ -67,11 +67,12 @@ the later stages.  For each swap that leads from index i to a later
 index j, each cone of index i is compared with the cone
 (j - i) * stride further on, and the pairs found are sorted into the
 census's order.  The bundle check reads each lift off the projected
-fan, as the base cone over its prefix, and takes their determinants in
-one prefix-shared pass of exactlin._dets, the lifts being a list, not a
-join that Fan.cone_dets could walk; on a fan of build_fan's type
-the fibers and joins are build_fan's by construction, so that pass is
-the whole split.
+fan, as the base cone over its prefix.  On a projected join whose cones
+repeat no ray, each lift is its own cone, the rays in label order and the
+cones in prefix order, so its determinant is read off Fan.cone_dets, the
+level walk; any other base takes them in one prefix-shared pass of
+exactlin._dets.  On a fan of build_fan's type the fibers and joins are
+build_fan's by construction, so the lifts are the whole split.
 
 The fallback rule.  is_complete_simplicial takes the flip path only
 when Fan.is_join holds and no cone determinant is 0; every other fan --
@@ -89,7 +90,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from . import exactlin
-from .fans import Fan, Ray, permutation_chains
+from .fans import Fan, Ray, _levels, permutation_chains
 from .permfan import perm_ray_vector
 from .tower import FlagBottTower
 
@@ -281,19 +282,25 @@ class BundleJoinReport:
 
 def _check_lifts(base: Fan, report: BundleJoinReport) -> None:
     # (b) for each prefix, in order: its lift, the base cone over it, has
-    # base.n distinct rays, which project to the base with determinant +-1;
-    # the rows are ranked in label order, so that renumbering the rays
-    # keeps the sign, and the determinants are taken in one pass
+    # base.n distinct rays, which project to the base with determinant +-1.
+    # On a join whose cones repeat no ray, each lift is its own cone, the
+    # rays in label order and the cones in prefix order, so its determinant
+    # is in base.cone_dets.  Otherwise the rows are ranked in label order,
+    # so that renumbering the rays keeps the sign, and the determinants are
+    # taken in one pass
     m, n = len(base.dims) + 1, base.n
-    order = sorted(range(len(base.rays)), key=lambda r: base.rays[r].label)
-    rank = {r: i for i, r in enumerate(order)}
-    lifts = sorted(zip(base.perm_tuples, (tuple(sorted({rank[r] for r in cone})) for cone in base.maxcones)))
-    square = [lift for _, lift in lifts if len(lift) == n]
-    dets = iter(exactlin._dets(square, [base.rays[r].vector for r in order]))
-    for prefix, lift in lifts:
-        if len(lift) != n:
-            detail = f"lift over {prefix} has {len(lift)} rays"
-        elif (d := next(dets)) not in (1, -1):
+    if base.is_join and _levels(base.maxcones, len(base.rays), n, True) is not None:
+        found = [(base.perm_tuples[ci], n, d) for ci, d in enumerate(base.cone_dets) if d not in (1, -1)]
+    else:
+        order = sorted(range(len(base.rays)), key=lambda r: base.rays[r].label)
+        rank = {r: i for i, r in enumerate(order)}
+        lifts = sorted(zip(base.perm_tuples, (tuple(sorted({rank[r] for r in cone})) for cone in base.maxcones)))
+        dets = iter(exactlin._dets([lift for _, lift in lifts if len(lift) == n], [base.rays[r].vector for r in order]))
+        found = [(prefix, len(lift), next(dets) if len(lift) == n else 0) for prefix, lift in lifts]
+    for prefix, size, d in found:
+        if size != n:
+            detail = f"lift over {prefix} has {size} rays"
+        elif d not in (1, -1):
             detail = f"lift over {prefix} projects with determinant {d}"
         else:
             continue

@@ -12,6 +12,10 @@ those masks as rays, and joins the stages' cones stage by stage, each formed whe
 ray_labels alone lists the rays those numbers point at, in build_fan's order.
 A fan computes its cone determinants and is_join once each; a join's
 determinants come from _join_dets, a walk down its levels that forms no cone.
+The walk keeps one slot per level, the last head it walked in full: a head
+with that head's divisor and reduced later rows copies its block of cones,
+negated when their signs differ.  The key holds every input of the walk
+below a head but its sign, so the slot is exact on any rows.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from math import prod
 
 from . import exactlin
 from .tower import EnumerationTooLarge
@@ -182,36 +187,65 @@ def _reduce(x: list[int], stack: list[tuple[int, int, list[int]]], q: int) -> li
     return x
 
 
-def _join_dets(cones: _Join, rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
-    """Each cone's determinant by a walk down the join's levels: the innermost
-    heads, as tails of one empty head, then each join's tails.  None when a
-    tail is not ascending, in range or of its level's width, a level reaches
-    below the largest index before it, or the widths do not sum to n.
-
-    Each head replays its level's _plan.  A node's row is its ray's row,
-    already reduced against the head, reduced on against the nodes above it
-    from the divisor q and the sign of the head's last row; a node with no
-    pivot leaves the cones below it 0.  A complete tail is a head of the next
-    level, whose rays are reduced against its new rows once, or, on the last
-    level, cone base * len(tails) + ti, of determinant its signed last pivot."""
-    out, levels, level = [0] * len(cones), [], cones
+def _levels(cones: _Join, count: int, n: int, strict: bool = False) -> list[Sequence[tuple[int, ...]]] | None:
+    """The join's levels, root first: the innermost heads, as the tails of
+    one empty head, then each join's tails.  None when a tail is not
+    ascending, in range(count) or of its level's width, a level reaches
+    below the largest index before it, or the widths do not sum to n; when
+    strict, also when a tail repeats an index or a level reaches the
+    largest index before it, so that no cone repeats a ray."""
+    levels, level = [], cones
     while isinstance(level, _Join):
         levels.insert(0, level.tails)
         level = level.heads
     levels.insert(0, level)
-    plans, hi, width = [], 0, 0
+    hi, width = 0, 0
     for tails in levels:
         w = len(tails[0]) if tails else 0
-        if any(len(t) != w or list(t) != sorted(t) or t and (t[0] < hi or t[-1] >= len(rows)) for t in tails):
+        if any(len(t) != w or sorted({*t} if strict else t) != list(t) or t and (t[0] < hi or t[-1] >= count) for t in tails):
             return None
-        hi, width = max((t[-1] for t in tails if t), default=hi), width + w
-        plans.append((_plan(tails), len(tails), {r: i for i, r in enumerate(sorted({r for t in tails for r in t}))}))
-    if width != n:
+        hi, width = max((t[-1] + strict for t in tails if t), default=hi), width + w
+    return levels if width == n else None
+
+
+def _join_dets(cones: _Join, rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
+    """Each cone's determinant by a walk down the join's _levels; None
+    where _levels is None.
+
+    Each head replays its level's _plan.  A node's row is its ray's row,
+    already reduced against the head, reduced on against the nodes above it
+    from the divisor q and the sign of the head's last row; a row with a
+    negative pivot is negated and its node's sign flipped, which is Bareiss
+    on the matrix with that row negated, so q stays positive.  A node with
+    no pivot leaves the cones below it 0.  A complete tail is a head of the
+    next level, whose rays are reduced against its new rows once, or, on the
+    last level, cone base * len(tails) + ti, of determinant its signed last pivot.
+
+    The walk below a head reads only its level, q, its reduced later rows
+    pend and its sign, and gives the sign times a function of the other
+    three.  So each level keeps one slot, the q, pend, index and sign of
+    its last head walked in full, and a head with the slot's q and pend
+    copies that head's block of cones, negated when the signs differ: exact
+    on any rows.  On a fan whose later stages' rays vanish on the earlier
+    blocks, pend is the later rows scaled by q, so the heads of one q share one walk."""
+    levels = _levels(cones, len(rows), n)
+    if levels is None:
         return None
+    out = [0] * len(cones)
+    plans = [(_plan(tails), len(tails), {r: i for i, r in enumerate(sorted({r for t in tails for r in t}))}) for tails in levels]
+    # the cones below one head of each level: the tail counts from that level down
+    blocks = [prod(size for _, size, _ in plans[li:]) for li in range(len(plans))]
+    slots: list[tuple[int, list[list[int]], int, int] | None] = [None] * len(plans)
 
     def walk(li: int, base: int, q: int, sign: int, pend: list[list[int]]) -> None:
         # pend: the rows of levels li, li + 1, ... reduced against the head
         plan, size, pos = plans[li]
+        slot, block = slots[li], blocks[li]
+        if slot is not None and slot[0] == q and slot[1] == pend:
+            done = out[slot[2] * block : slot[2] * block + block]
+            out[base * block : base * block + block] = done if slot[3] == sign else [-d for d in done]
+            return
+        slots[li] = (q, pend, base, sign)
         stack, signs = [], [sign]
         for k, suffix, ti in plan:
             if k > len(stack):
@@ -224,7 +258,10 @@ def _join_dets(cones: _Join, rows: Sequence[Sequence[int]], n: int) -> list[int]
                         break
                 else:
                     break  # singular: the cones below stay 0
-                signs.append(-signs[-1] if idx & 1 else signs[-1])
+                s = -signs[-1] if idx & 1 else signs[-1]
+                if p < 0:
+                    x, p, s = [-a for a in x], -p, -s
+                signs.append(s)
                 stack.append((idx, p, x))
             else:
                 p = stack[-1][1] if stack else q
@@ -267,8 +304,10 @@ class Fan:
         range(len(rays)), raises ValueError, as every shape, index or label
         error in the package does; a repeated index is left to its zero
         determinant.  A join checks each level's tails once and takes
-        _join_dets, forming no cone; any other fan, or a join that fails,
-        checks each cone, naming the first bad one, and takes exactlin._dets."""
+        _join_dets, forming no cone; a head with the divisor and reduced
+        later rows of its level's last head walked in full copies that
+        head's determinants.  Any other fan, or a join that fails, checks
+        each cone, naming the first bad one, and takes exactlin._dets."""
         n, rows = self.n, [ray.vector for ray in self.rays]
         dets = _join_dets(self.maxcones, rows, n) if self.is_join else None
         if dets is None:

@@ -188,11 +188,12 @@ def test_verify_all_checks_pass(spec_path, capsys):
 
 
 def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
-    # a join's cones take the level walk, any other batch exactlin._dets
+    # a join's cones take the level walk, any other batch exactlin._dets;
+    # the lifts of a split of a join are its projection's cones
     calls = []
     for module, name in ((fans, "_join_dets"), (exactlin, "_dets")):
         run = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda matrices, *args, run=run: calls.append(len(matrices)) or run(matrices, *args))
+        monkeypatch.setattr(module, name, lambda matrices, *args, run=run, name=name: calls.append((name, len(matrices))) or run(matrices, *args))
     assert main(["verify", spec_path]) == 0
     assert capsys.readouterr().out == (
         "smooth: ok (12 cones)\n"
@@ -202,10 +203,10 @@ def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
         "bundle: ok (splits 2)\n"
     )
     # the cones, then the lifts of the split at 2
-    assert calls == [12, 6]
+    assert calls == [("_join_dets", 12), ("_join_dets", 6)]
     assert main(["verify", spec_path, "--complete"]) == 0
     assert capsys.readouterr().out == "complete: ok (18 walls)\n"
-    assert calls == [12, 6, 12]
+    assert calls == [("_join_dets", 12), ("_join_dets", 6), ("_join_dets", 12)]
 
 
 def test_verify_runs_the_product_order_pass_once_per_fan(tmp_path, capsys, monkeypatch):

@@ -34,7 +34,7 @@ from conftest import (
 )
 from flagbott import fancheck, fans
 from flagbott.cli import load_tower
-from flagbott.exactlin import IntMatrix
+from flagbott.exactlin import IntMatrix, _det_rows
 from flagbott.fancheck import (
     BundleJoinReport,
     CompletenessReport,
@@ -45,7 +45,7 @@ from flagbott.fancheck import (
     project_fan,
     verify_bundle_join,
 )
-from flagbott.fans import Fan, Ray, RayLabel, Subset, _Join
+from flagbott.fans import Fan, Ray, RayLabel, Subset, _Join, ray_labels, stage_join
 from flagbott.orbitfan import build_fan, verify_oracle
 from flagbott.permfan import perm_fan
 from flagbott.tower import FlagBottTower
@@ -754,8 +754,91 @@ def test_cone_dets_of_a_join_form_no_cone(monkeypatch):
     assert fan.is_join and fan.cone_dets == want
 
 
+def test_heads_with_equal_reduced_rows_and_different_divisors_walk_apart():
+    # (2,2): stage 1's heads, in the walk's order, are (0,2), (0,4), (1,2),
+    # (1,5), (3,4), (3,5).  Ray 0 is 0 and ray 2 twice ray 1, so the first
+    # three are singular and (1,5) and then (3,4) are the first heads walked.
+    # Each reduces a later row (x, y, 2x, y) to [2x, y], but (1,5) = (e0,
+    # e1) from divisor 1 and (3,4) from divisor 2, so the cones over (3,4)
+    # have half the determinants of those over (1,5): a slot keyed on the
+    # reduced rows alone would copy the wrong block
+    dims = (2, 2)
+    stage1 = [(0, 0, 0, 0), (1, 0, 0, 0), (2, 0, 0, 0), (1, 0, 1, 0), (0, 2, 0, 1), (0, 1, 0, 0)]
+    stage2 = [(x, y, 2 * x, y) for x, y in ((1, 0), (0, 1), (1, 1), (1, -1), (2, 1), (1, 2))]
+    fan = Fan(dims, tuple(map(Ray, ray_labels(dims), stage1 + stage2)), *stage_join(dims, 36))
+    heads = fan.maxcones.heads
+    assert fan.is_join and sorted(heads)[3:5] == [(1, 5), (3, 4)]
+    want = tuple(_det_rows([list(fan.rays[r].vector) for r in cone]) for cone in fan.maxcones)
+    assert fan.cone_dets == want
+    tails = len(fan.maxcones.tails)
+    over = {head: want[i * tails : i * tails + tails] for i, head in enumerate(heads)}
+    assert any(over[3, 4]) and over[1, 5] == tuple(2 * d for d in over[3, 4])
+
+
+def test_the_walk_reduces_each_distinct_head_once(tmp_path):
+    # on seed-1 fans, whose later stages' rays vanish on the earlier blocks,
+    # heads of one divisor reduce the later rows alike, so each level walks
+    # few heads: 1170 and 7484 reductions, where a walk of every head took
+    # 32818 and 807759, and one without positive pivots 27546 and 650609
+    calls = []
+    run = fans._reduce
+    for dims, bound in (((3, 3, 3), 2500), ((4, 4, 3), 15000)):
+        _, fan = seeded_fan(tmp_path, dims)
+        calls.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(fans, "_reduce", lambda *args: calls.append(1) or run(*args))
+            dets = fan.cone_dets
+        assert set(dets) == {1, -1}
+        assert len(calls) < bound
+
+
+def test_the_walks_memory_stays_bounded_where_no_head_repeats():
+    # (3,3,3) with ray entries drawn in [-5, 5]: no two heads reduce the
+    # later rows alike, so every head is walked.  The walk before the slot
+    # peaked at 690 839 bytes here, building the fan included (tracemalloc,
+    # Python 3.11); the slot holds one head's reduced rows per level, 17 024
+    # bytes more, where a memo of every head would hold all 576 of the last
+    # level's
+    dims = (3, 3, 3)
+    rng = random.Random(0)
+    rays = tuple(Ray(label, tuple(rng.randint(-5, 5) for _ in range(sum(dims)))) for label in ray_labels(dims))
+    dets, peak = traced_peak(lambda: Fan(dims, rays, *stage_join(dims, 13824)).cone_dets)
+    calls = []
+    run = fans._reduce
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fans, "_reduce", lambda *args: calls.append(1) or run(*args))
+        assert Fan(dims, rays, *stage_join(dims, 13824)).cone_dets == dets
+    assert len(calls) == 32818 and 0 not in dets
+    assert peak < 690_839 + 65_536
+
+
+def test_a_join_base_that_repeats_a_ray_lifts_as_before():
+    # doctored (2,2,1) joins whose level of two stages repeats a ray, lists
+    # a tail out of order or reaches below the level before: each split's
+    # lifts report as on the materialised base, which is not a join, so
+    # that a repeated ray is a lift with too few rays, not determinant 0
+    t = three_stage_tower()
+    fan = build_fan(t)
+    cases = [
+        (2, lambda tails: ((5, 11),) + tails[1:]),
+        (2, lambda tails: tails[:1] + ((11, 7),) + tails[2:]),
+        (2, lambda tails: ((3, 11),) + tails[1:]),
+        (1, lambda tails: (tails[0][::-1],) + tails[1:]),
+    ]
+    details = set()
+    for stages, change in cases:
+        case = doctored(fan, stages, change)
+        want = BundleJoinReport()
+        for m in (3, 2):
+            fancheck._check_lifts(materialised(project_fan(case, m - 1)), want)
+        assert verify_bundle_join(case, t).defects == want.defects
+        details.update(d.detail.split(")) ")[-1] for d in want.defects)
+    assert "has 3 rays" in details
+
+
 def test_lift_pass_equals_the_reference_where_lifts_share_heads(tmp_path):
-    # the split at 3 of the seed-1 (3,3,3) fan reads 576 lifts in one
+    # the split at 3 of the seed-1 (3,3,3) fan reads 576 lifts off the
+    # projected join's level walk, and on a renumbered fan in one
     # prefix-shared pass; a scaled ray gives lift determinants +-2, and a
     # copied ray, on a renumbered fan, singular prefixes of determinant 0
     t, fan = seeded_fan(tmp_path, (3, 3, 3))

@@ -6,16 +6,18 @@ gate copies the package to a temporary directory, applies the one
 replacement there, and runs only the named tests in a subprocess that
 imports the copy.  pytest must exit 1, some test failing: an exit of 0
 means the tests are blind to the fault, and any other exit (a collection
-or usage error) proves nothing.  Each row takes 0.8-1.9 s on a 2-vCPU
+or usage error) proves nothing.  Each row takes 1.2-1.9 s on a 2-vCPU
 VM (pytest --durations=0), most of it spent starting a fresh pytest and
 collecting the named tests' module; eager-fancheck, whose test starts
-eight children of its own, takes about 1.9 s, and join-radix, whose
-first test draws 30 hypothesis towers, about 5.6 s.  Each walk-* row that
-names a hypothesis test names a fixed test before it, which fails first,
-so that pytest -x stops before hypothesis shrinks a failing draw.  A
-control runs the union of every row's tests on an unmutated copy through
-the same runner, which must exit 0, so that a row's exit 1 comes from
-its fault; it takes about 11 s.
+eight children of its own, takes about 2.5 s, walk-memo-one-slot, whose
+test walks a (3,3,3) join of drawn rays twice, about 2.9 s, and
+join-radix, whose first test draws 30 hypothesis towers, about 4.8 s.
+Each walk-* row that names a hypothesis test names a fixed test before
+it, which fails first, so that pytest -x stops before hypothesis shrinks
+a failing draw.  A control runs the union of every row's tests on an
+unmutated copy through the same runner, which must exit 0, so that a
+row's exit 1 comes from its fault; it takes about 11 s, and the gate's
+47 tests about 84 s.
 """
 
 from __future__ import annotations
@@ -203,6 +205,45 @@ MUTANTS = {
         "t[0] < hi",
         "t[0] < 0",
         [FANCHECK + "test_a_doctored_join_raises_its_materialised_copys_message"],
+    ),
+    # a head whose reduced later rows equal the slot's copying its block
+    # whatever its divisor, so that the walk below divides by the wrong minor
+    "walk-memo-divisor": (
+        "fans",
+        "slot[0] == q and slot[1] == pend",
+        "slot[1] == pend",
+        [FANCHECK + "test_heads_with_equal_reduced_rows_and_different_divisors_walk_apart"],
+    ),
+    # the slot's block copied with its own sign, not the head's
+    "walk-memo-sign": (
+        "fans",
+        "done if slot[3] == sign else [-d for d in done]",
+        "done",
+        [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort", PROPERTIES + "test_join_walk_with_shared_heads_equals_bareiss_cone_by_cone"],
+    ),
+    # a negative pivot kept: still exact, but heads of one divisor and
+    # opposite signs reduce the later rows apart, so the slot misses
+    "walk-positive-pivot": (
+        "fans",
+        "if p < 0:",
+        "if False:",
+        [FANCHECK + "test_the_walk_reduces_each_distinct_head_once"],
+    ),
+    # every head's slot kept, not the last one's: a memo that grows with
+    # the heads, which never hits where no two heads reduce alike
+    "walk-memo-one-slot": (
+        "fans",
+        "slots[li] = (q, pend, base, sign)",
+        "slots.append((q, pend, base, sign))",
+        [FANCHECK + "test_the_walks_memory_stays_bounded_where_no_head_repeats"],
+    ),
+    # a join base whose cones repeat a ray taking the walk for its lifts,
+    # so that a lift with too few rays reads as determinant 0
+    "lift-walk-fallback": (
+        "fancheck",
+        "_levels(base.maxcones, len(base.rays), n, True)",
+        "_levels(base.maxcones, len(base.rays), n, False)",
+        [FANCHECK + "test_a_join_base_that_repeats_a_ray_lifts_as_before"],
     ),
     # a join checked and eliminated cone by cone after its walk as well
     "walk-per-cone": (

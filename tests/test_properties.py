@@ -1,6 +1,7 @@
 """Property tests: the loader's error contract, the chain/permutation
 bijection, the determinant and adjugate identities, the prefix-shared
-determinants and a join's level walk against Bareiss, the weight
+determinants and a join's level walk against Bareiss, the latter also
+where heads share their walk below, the weight
 recurrence against its chain-sum form, the pairing check against its
 chain-sum reference, the paper's theorem on drawn towers, the
 prefix-tree oracle against the per-cone one, the bitmask wall census
@@ -52,6 +53,7 @@ from flagbott.orbitfan import (  # noqa: E402
     verify_pairing_identity,
     weights_at,
 )
+from flagbott.permfan import perm_ray_vector  # noqa: E402
 from flagbott.tower import FlagBottTower, validate  # noqa: E402
 
 SETTINGS = hypothesis.settings(
@@ -168,6 +170,32 @@ def joins_with_drawn_rays(draw):
 @SETTINGS
 @hypothesis.given(joins_with_drawn_rays())
 def test_join_walk_equals_bareiss_cone_by_cone(fan):
+    assert fan.is_join
+    assert fan.cone_dets == tuple(_det_rows([list(fan.rays[r].vector) for r in cone]) for cone in fan.maxcones)
+
+
+@st.composite
+def joins_with_block_rays(draw):
+    """A fan with build_fan's labels and stage_join's cones for one to three
+    drawn stages, at most 576 cones, whose stage-ell rays vanish on the
+    earlier blocks and hold on their own block the one-factor ray times a
+    drawn 1, -1 or 2, and entries in [-2, 2] on the later blocks: heads of
+    one divisor reduce the later rows alike, with either sign, so that
+    each level's slot hits with divisors 1 and 2."""
+    dims = tuple(draw(st.lists(st.integers(1, 3), min_size=1, max_size=3).filter(lambda d: cone_count(d) <= 576)))
+    vectors = []
+    for label in ray_labels(dims):
+        before, after = sum(dims[: label.stage - 1]), sum(dims[label.stage :])
+        own = perm_ray_vector(dims[label.stage - 1], label.subset)
+        factor = draw(st.sampled_from((1, -1, 2)))
+        later = draw(st.tuples(*[st.integers(-2, 2)] * after))
+        vectors.append((0,) * before + tuple(factor * a for a in own) + later)
+    return Fan(dims, tuple(map(Ray, ray_labels(dims), vectors)), *stage_join(dims, 576))
+
+
+@SETTINGS
+@hypothesis.given(joins_with_block_rays())
+def test_join_walk_with_shared_heads_equals_bareiss_cone_by_cone(fan):
     assert fan.is_join
     assert fan.cone_dets == tuple(_det_rows([list(fan.rays[r].vector) for r in cone]) for cone in fan.maxcones)
 
