@@ -65,8 +65,11 @@ permutation index i is held by stride cones in each block of
 stride * (n_p + 1)! consecutive cones, stride being the cone count of
 the later stages.  For each swap that leads from index i to a later
 index j, each cone of index i is compared with the cone
-(j - i) * stride further on, and the pairs found are sorted into the
-census's order.  The bundle check reads each lift off the projected
+(j - i) * stride further on, by whole runs: the signs of index i, 0 and
+1 swapped, against their partners', one run per block when stride is at
+least the block count, else one per offset in the stride.  Only a run
+that differs is walked cone by cone, and the pairs found are sorted into
+the census's order.  The bundle check reads each lift off the projected
 fan, as the base cone over its prefix.  On a projected join whose cones
 repeat no ray, each lift is its own cone, the rays in label order and the
 cones in prefix order, so its determinant is read off Fan.cone_dets, the
@@ -141,10 +144,10 @@ def _flip_defects(fan: Fan) -> list[WallDefect]:
     # the same_side walls of a fan of build_fan's type, by the sign rule
     # on each flip pair, one loop per stage, in the census's order; stage
     # p's permutations are the tails of the join of the first p stages
-    cones = fan.maxcones
-    positive = bytes(d > 0 for d in fan.cone_dets)
+    cones, count = fan.maxcones, len(fan.maxcones)
+    positive, flip = bytes(map((0).__lt__, fan.cone_dets)), bytes.maketrans(b"\0\1", b"\1\0")
     found = []
-    block, lo = len(cones), 0
+    block, lo = count, 0
     for p, n_p in enumerate(fan.dims, 1):
         perms = [v for v, in project_fan(fan, p).perm_tuples.tails]
         index = {v: i for i, v in enumerate(perms)}
@@ -154,11 +157,19 @@ def _flip_defects(fan: Fan) -> list[WallDefect]:
                 j = index[v[:a] + (v[a + 1], v[a]) + v[a + 2 :]]
                 if i < j:
                     k, step = lo + n_p - a - 1, (j - i) * stride
-                    for b in range(i * stride, len(cones), block):
-                        for ci in range(b, b + stride):
-                            # the sign rule with k1 = k2: same_side iff d1 * d2 > 0
-                            if positive[ci] == positive[ci + step]:
-                                found.append((cones[ci][:k] + cones[ci][k + 1 :], ci, ci + step))
+                    if stride >= count // block:  # the cones of index i as runs, one per block
+                        runs = [(b, b + stride, 1) for b in range(i * stride, count, block)]
+                    else:  # or one per offset in the stride, whichever are fewer
+                        runs = [(i * stride + o, count, block) for o in range(stride)]
+                    for start, stop, s in runs:
+                        # the sign rule with k1 = k2: same_side iff d1 * d2 > 0,
+                        # so a pair is sound iff its flipped first sign is its second
+                        mine = positive[start:stop:s].translate(flip)
+                        theirs = positive[start + step : stop + step : s]
+                        if mine != theirs:
+                            for ci, c1, c2 in zip(range(start, stop, s), mine, theirs):
+                                if c1 != c2:
+                                    found.append((cones[ci][:k] + cones[ci][k + 1 :], ci, ci + step))
         block, lo = stride, lo + n_p
     detail = "opposite rays do not straddle the wall hyperplane"
     return [WallDefect("same_side", wall, (c1, c2), detail) for wall, c1, c2 in sorted(found)]

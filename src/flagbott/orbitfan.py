@@ -56,9 +56,11 @@ a permutation matrix P: then det W = +-1 and W^-1 = U P^-1, and
 conversely.  verify_oracle decides that for every cone without an inverse,
 and for most cones without a product either.
 
-Write X_(j,ell) = B_j Y_(j,ell).  Y_(j,ell) satisfies the recurrence of X
-with B_j left out, so it depends on v_1, ..., v_(j-1) only; _y_rows
-computes it from that prefix.  Let R_j[k], k = 1..n_j+1, be row k of the
+Write X_(j,ell) = B_j Y_(j,ell) and Y_(j,ell) = Z_(j,ell) B_ell.  Then
+Z_(j,ell) = A_(j,ell) + sum_p Y_(j,p) A_(p,ell) reads v_(ell+1), ...,
+v_(j-1) only, so _y_rows keeps it under (j, ell, prefix[ell:]) for one call
+and reindexes its columns per prefix: at most the cone count over
+(n_1 + 1)! keys.  Let R_j[k], k = 1..n_j+1, be row k of the
 block row [Y_(j,1) ... Y_(j,j-1)  I  0 ... 0], projected; _stage_rows
 computes these rows.  Then row i of [X_(j,1) ... B_j ...] is R_j[v_j(i)],
 and weight (j, i) is R_j[v_j(i+1)] - R_j[v_j(i)], which vanishes on the
@@ -81,7 +83,15 @@ with the stage-ell rays.
 (c) for each ell < j and each stage-ell ray u of the cone, the stage-j
     weights vanish on u, that is, R_j[k] . u is the same for every k
     (v_j permutes the R_j[k] and changes no value).  This reads
-    v_1, ..., v_(j-1) only: it is decided once per prefix.
+    v_1, ..., v_(j-1) only: it is decided once per prefix, and per ray
+    once per key.  With u_ell block ell of u ending in its projected-away
+    0 and w_ell[b] = u_ell[v_ell(b) - 1], R_j[k] . u is sum_(ell<j)
+    Z_(j,ell)[k] . w_ell + u_j[k], and v_ell lies in prefix[1:] for
+    ell >= 2, so the key (prefix[1:], w_1, u[n_1 : n_1 + ... + n_j]) holds
+    every input of the test: the memo is exact on any rays.  On build_fan's
+    fan a stage-1 ray's w_1 and later blocks read only |S| and whether
+    n_1 + 1 is in S, so each prefix[1:] has at most
+    2 n_1 + sum_(2<=ell<j) (2^(n_ell+1) - 2) keys.
 
 So verify_oracle walks the prefix tree of the permutation tuples in cone
 order, in one recursion that carries two flags.  ok says that (b) and
@@ -99,7 +109,8 @@ may be anything; the cones must be build_fan's.
 The pairing check.  By linearity, weight (j, i) pairs with a ray u as
 R_j[v_j(i+1)] . u - R_j[v_j(i)] . u, so verify_pairing_identity takes one
 dot per row of R_j.  At the witness of (ell, s) every stage below ell is
-the identity, so R_j for j <= ell is computed once per call.  The check
+the identity, so R_j for j <= ell is computed once per call, and each
+Z_(j,ell) once per key: on two stages Z_(2,1) = A_(2,1) once.  The check
 still reads the ray formula and the twist recurrence independently.
 """
 
@@ -122,13 +133,15 @@ def _require_valid(t: FlagBottTower) -> None:
         raise ValueError("invalid tower: " + "; ".join(defects))
 
 
-def _check_perm_tuple(t: FlagBottTower, v: PermTuple) -> None:
+def _check_perm_tuple(t: FlagBottTower, v: PermTuple) -> PermTuple:
+    # v as a tuple of tuples, which key the memo of _y_rows
     if len(v) != t.m:
         raise ValueError(f"need one permutation per stage ({t.m}), got {len(v)}")
     for p, (vp, n_p) in enumerate(zip(v, t.dims), start=1):
         if len(vp) != n_p + 1:
             raise ValueError(f"stage {p} permutation must have {n_p + 1} symbols")
         check_permutation(vp)
+    return tuple(map(tuple, v))
 
 
 def ray_generator(t: FlagBottTower, ell: int, s: Subset) -> tuple[int, ...]:
@@ -177,37 +190,36 @@ def build_fan(t: FlagBottTower, cone_cap: int = DEFAULT_CONE_CAP) -> Fan:
     return Fan(t.dims, tuple(all_rays(t)), cones, perm_tuples)
 
 
-def _y_rows(t: FlagBottTower, prefix: PermTuple) -> dict[int, list[list[int]]]:
-    # every Y_(j,ell) for ell < j = len(prefix) + 1, as row lists, by
-    # Y_(j,ell) = (A_(j,ell) + sum_p Y_(j,p) A_(p,ell)) B_ell, where
-    # M B_ell moves column b to v_ell(b)
+def _y_rows(t: FlagBottTower, prefix: PermTuple, ell: int, zs: dict) -> list[list[int]]:
+    # Y_(j,ell) = Z_(j,ell) B_ell for j = len(prefix) + 1, as row lists, Z kept
+    # in zs as the module docstring shows; M B_ell moves column b to v_ell(b)
     j = len(prefix) + 1
-    ys: dict[int, list[list[int]]] = {}
-    for ell in range(j - 1, 0, -1):
-        acc = t.twist(j, ell).to_rows()
+    key = (j, ell, prefix[ell:])
+    z = zs.get(key)
+    if z is None:
+        z = zs[key] = t.twist(j, ell).to_rows()
         for p in range(ell + 1, j):
             a_rows = t.twist(p, ell).to_rows()
-            for row, y_row in zip(acc, ys[p]):
+            for row, y_row in zip(z, _y_rows(t, prefix, p, zs)):
                 for y, a_row in zip(y_row, a_rows):
                     if y:
                         for c, e in enumerate(a_row):
                             row[c] += y * e
-        cols = sorted(range(len(prefix[ell - 1])), key=prefix[ell - 1].__getitem__)
-        ys[ell] = [[row[b] for b in cols] for row in acc]
-    return ys
+    cols = sorted(range(len(prefix[ell - 1])), key=prefix[ell - 1].__getitem__)
+    return [[row[b] for b in cols] for row in z]
 
 
-def _stage_rows(t: FlagBottTower, prefix: PermTuple) -> list[list[int]]:
+def _stage_rows(t: FlagBottTower, prefix: PermTuple, zs: dict) -> list[list[int]]:
     # R_j[k] at list index k - 1: row k of [Y_(j,1) ... Y_(j,j-1) I 0 ... 0],
     # projected to Z^n by keeping the first n_p entries of each block
     j = len(prefix) + 1
-    ys = _y_rows(t, prefix)
+    ys = [_y_rows(t, prefix, p, zs) for p in range(1, j)]
     offset = sum(t.dims[: j - 1])
     rows = []
     for k in range(t.dims[j - 1] + 1):
         row = []
         for p in range(1, j):
-            row.extend(ys[p][k][: t.dims[p - 1]])
+            row.extend(ys[p - 1][k][: t.dims[p - 1]])
         row.extend([0] * (t.n - offset))
         if k < t.dims[j - 1]:
             row[offset + k] = 1
@@ -218,10 +230,10 @@ def _stage_rows(t: FlagBottTower, prefix: PermTuple) -> list[list[int]]:
 def weights_at(t: FlagBottTower, v: PermTuple) -> tuple[tuple[int, ...], ...]:
     """All n isotropy weights at the fixed point indexed by v, in
     stage-major order: weight (j, i) is R_j[v_j(i+1)] - R_j[v_j(i)]."""
-    _check_perm_tuple(t, v)
-    weights = []
+    v = _check_perm_tuple(t, v)
+    weights, zs = [], {}
     for j, vj in enumerate(v, start=1):
-        rows = _stage_rows(t, v[: j - 1])
+        rows = _stage_rows(t, v[: j - 1], zs)
         for vh, vi in zip(vj, vj[1:]):
             weights.append(tuple(b - a for a, b in zip(rows[vh - 1], rows[vi - 1])))
     return tuple(weights)
@@ -265,10 +277,21 @@ def _diagonal_columns(v: tuple[int, ...], blocks: list[tuple[int, ...]]) -> list
     return sorted(tuple(b[vi - 1] - b[vh - 1] for vh, vi in zip(v, v[1:])) for b in blocks)
 
 
-def _prefix_agrees(t: FlagBottTower, prefix: PermTuple, rays: list[tuple[int, ...]]) -> bool:
-    # (c): R_j[k] . u is the same for every k, for each ray u of the prefix
-    rows = _stage_rows(t, prefix)
-    return all(len({sum(map(operator.mul, row, u)) for row in rows}) == 1 for u in rays)
+def _prefix_agrees(t: FlagBottTower, prefix: PermTuple, rays: list[tuple[int, ...]], zs: dict, known: dict) -> bool:
+    # (c) for each ray u of the prefix, decided once per key of the module
+    # docstring and kept in known; w_1[b] = u_1[v_1(b) - 1], u_1 ending in 0
+    n_1, hi = t.dims[0], sum(t.dims[: len(prefix) + 1])
+    w_1 = operator.itemgetter(*(e - 1 for e in prefix[0]))
+    rows = None
+    for u in rays:
+        key = (prefix[1:], w_1(u[:n_1] + (0,)), u[n_1:hi])
+        agrees = known.get(key)
+        if agrees is None:
+            rows = rows or _stage_rows(t, prefix, zs)
+            agrees = known[key] = len({sum(map(operator.mul, row, u)) for row in rows}) == 1
+        if not agrees:
+            return False
+    return True
 
 
 def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
@@ -329,6 +352,7 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
     units = _units(t.n)
     disagreeing = 0
     first: list[int] = []
+    zs, known = {}, {}  # the memos of _y_rows and _prefix_agrees, for this call
 
     def disagree(start: int, count: int) -> None:
         nonlocal disagreeing
@@ -346,7 +370,7 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
             return
         if not alone:
             if ok and s:  # (c) for the stage-(s+1) weights on the prefix's rays
-                ok = _prefix_agrees(t, prefix, rays)
+                ok = _prefix_agrees(t, prefix, rays, zs, known)
             if not ok and clean[s]:  # every cone below disagrees
                 disagree(start, size[s])
                 return
@@ -395,8 +419,8 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
     read off the rows R_j as the module docstring's pairing check shows.
     """
     _require_valid(t)
-    identities = tuple(tuple(range(1, n_p + 2)) for n_p in t.dims)
-    identity_rows = [_stage_rows(t, identities[: j - 1]) for j in range(1, t.m + 1)]
+    identities, zs = tuple(tuple(range(1, n_p + 2)) for n_p in t.dims), {}
+    identity_rows = [_stage_rows(t, identities[: j - 1], zs) for j in range(1, t.m + 1)]
     violations = []
     rays_checked = pairings_checked = 0
     for label in ray_labels(t.dims):
@@ -406,7 +430,7 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
         u = ray_generator(t, ell, s)
         v = _witness(t, ell, s)
         for j, vj in enumerate(v, start=1):
-            rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1])
+            rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1], zs)
             dots = [sum(map(operator.mul, row, u)) for row in rows]
             for i, (vh, vi) in enumerate(zip(vj, vj[1:]), start=1):
                 pairings_checked += 1

@@ -25,8 +25,9 @@ from .tower import DEFAULT_CONE_CAP
 
 
 def check_permutation(v: tuple[int, ...]) -> None:
-    """Raise unless v is a permutation of {1, ..., len(v)} in one-line notation."""
-    if sorted(v) != list(range(1, len(v) + 1)):
+    """Raise unless v is a permutation of {1, ..., len(v)} in one-line
+    notation, its entries ints: not floats or bools that equal them."""
+    if any(type(e) is not int for e in v) or sorted(v) != list(range(1, len(v) + 1)):
         raise ValueError(f"{v} is not a permutation of 1..{len(v)}")
 
 

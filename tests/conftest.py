@@ -213,7 +213,7 @@ def x_matrix(t: FlagBottTower, v, j: int, ell: int) -> IntMatrix:
     """Accumulated twist matrix X_(j,ell) at the fixed point of v, as the
     library computes it: X_(j,ell) = B_j Y_(j,ell), so it is
     orbitfan._y_rows's Y_(j,ell) with its rows reindexed by v_j."""
-    ys = orbitfan._y_rows(t, v[: j - 1])[ell]
+    ys = orbitfan._y_rows(t, tuple(map(tuple, v[: j - 1])), ell, {})
     return IntMatrix.from_rows([ys[vi - 1] for vi in v[j - 1]])
 
 

@@ -152,6 +152,31 @@ def test_flip_walk_forms_no_chain(monkeypatch):
     assert found == want and len(found) == len(fan.maxcones) * fan.n // 2
 
 
+def test_planted_sign_faults_on_joins_equal_the_census(paths):
+    # the flip walk compares whole runs of signs, and walks a run cone by
+    # cone only where it differs from its partner's; with the signs of a
+    # few random cones flipped, then those of a random slice of cones, it
+    # lists the census's same_side walls
+    rng = random.Random(5)
+    towers = [two_stage_tower(), three_stage_tower(), *map(random_tower, POPULATION_SEEDS)]
+    joins = [*map(perm_fan, range(1, 5)), *(fan for fan in map(build_fan, towers) if len(fan.maxcones) <= 576)]
+    defects = 0
+    for fan in joins:
+        dets = list(fan.cone_dets)
+        for ci in rng.sample(range(len(dets)), min(len(dets), rng.randint(1, 8))):
+            dets[ci] = -dets[ci]
+        for _ in range(2):
+            lo = rng.randrange(len(dets))
+            hi = rng.randint(lo, len(dets))
+            dets[lo:hi] = [-d for d in dets[lo:hi]]
+            fan.__dict__["cone_dets"] = tuple(dets)
+            report = is_complete_simplicial(fan)
+            assert report == fancheck._census(fan)
+            defects += len(report.defects)
+    assert paths == ["flip", "census"] * 2 * len(joins)
+    assert defects > 1000
+
+
 def test_is_complete_rejects_nonsimplicial():
     fan = tiny_fan([(1, 0), (0, 1), (1, 1)], [(0, 1, 2)])
     with pytest.raises(ValueError, match=r"^cone 0 has 3 rays in dimension 2$"):

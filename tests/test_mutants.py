@@ -6,18 +6,18 @@ gate copies the package to a temporary directory, applies the one
 replacement there, and runs only the named tests in a subprocess that
 imports the copy.  pytest must exit 1, some test failing: an exit of 0
 means the tests are blind to the fault, and any other exit (a collection
-or usage error) proves nothing.  Each row takes 1.2-1.9 s on a 2-vCPU
+or usage error) proves nothing.  Each row takes 1.0-1.6 s on a 2-vCPU
 VM (pytest --durations=0), most of it spent starting a fresh pytest and
 collecting the named tests' module; eager-fancheck, whose test starts
-eight children of its own, takes about 2.5 s, walk-memo-one-slot, whose
-test walks a (3,3,3) join of drawn rays twice, about 2.9 s, and
-join-radix, whose first test draws 30 hypothesis towers, about 4.8 s.
+eight children of its own, takes about 1.8 s, walk-memo-one-slot, whose
+test walks a (3,3,3) join of drawn rays twice, about 2.7 s, and
+join-radix, whose first test draws 30 hypothesis towers, about 3.7 s.
 Each walk-* row that names a hypothesis test names a fixed test before
 it, which fails first, so that pytest -x stops before hypothesis shrinks
 a failing draw.  A control runs the union of every row's tests on an
 unmutated copy through the same runner, which must exit 0, so that a
 row's exit 1 comes from its fault; it takes about 11 s, and the gate's
-47 tests about 84 s.
+53 tests about 78 s.
 """
 
 from __future__ import annotations
@@ -42,19 +42,35 @@ PERMFAN = "tests/test_permfan.py::"
 PROPERTIES = "tests/test_properties.py::"
 
 MUTANTS = {
-    # the flip path's same-sign rule inverted in the last stage only
+    # the flip path's same-sign rule inverted in the last stage only: its
+    # runs compared unflipped, so that a pair is sound iff its signs agree
     "flip-same-sign": (
         "fancheck",
-        "if positive[ci] == positive[ci + step]:",
-        "if (positive[ci] == positive[ci + step]) != (stride == 1):",
+        "positive[start:stop:s].translate(flip)",
+        "positive[start:stop:s].translate(flip if stride > 1 else None)",
         [FANCHECK + "test_is_complete_goldens"],
+    ),
+    # every run compared unflipped: equal runs of equal signs, every pair
+    # of them same_side, pass unwalked, and every sound run is walked
+    "flip-run-translate": (
+        "fancheck",
+        "positive[start:stop:s].translate(flip)",
+        "positive[start:stop:s]",
+        [FANCHECK + "test_is_complete_goldens", FANCHECK + "test_flip_table_positions_equal_the_set_differences"],
+    ),
+    # each contiguous run one cone short, so that its last pair goes unread
+    "flip-run-short": (
+        "fancheck",
+        "(b, b + stride, 1)",
+        "(b, b + stride - 1, 1)",
+        [FANCHECK + "test_flip_table_positions_equal_the_set_differences", FANCHECK + "test_planted_sign_faults_on_joins_equal_the_census"],
     ),
     # the flip walk stepping through a stage's cones by its stride, not its
     # block, so that it leaves the cones of the permutation index it walks
     "flip-block-stride": (
         "fancheck",
-        "range(i * stride, len(cones), block)",
-        "range(i * stride, len(cones), stride)",
+        "range(i * stride, count, block)",
+        "range(i * stride, count, stride)",
         [FANCHECK + "test_flip_table_positions_equal_the_set_differences"],
     ),
     # the changed subset S_(n-a) looked for at position a, not n - a - 1
@@ -158,6 +174,14 @@ MUTANTS = {
         "divmod(range(len(self))[i], len(self.tails))",
         "divmod(range(len(self))[i], len(self.heads))",
         [PROPERTIES + "test_a_join_behaves_as_the_tuple_of_its_entries", FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
+    ),
+    # the radix of one nested level swapped: entry i of a join with two
+    # levels of joins below it, the third stage's, read by its heads' count
+    "join-nested-radix": (
+        "fans",
+        "divmod(range(len(self))[i], len(self.tails))",
+        "divmod(range(len(self))[i], len(self.heads) if isinstance(self.heads, _Join) and isinstance(self.heads.heads, _Join) else len(self.tails))",
+        [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort", PROPERTIES + "test_a_join_behaves_as_the_tuple_of_its_entries"],
     ),
     # a join's cone index on the walk's last level with a stride one short
     # of the tail count, so that it writes some cones twice and others never
@@ -322,15 +346,39 @@ MUTANTS = {
     # test (c) of the oracle blind to row R_j[1]
     "prefix-agrees-row": (
         "orbitfan",
-        "for row in rows}) == 1 for u in rays)",
-        "for row in rows[1:]}) == 1 for u in rays)",
+        "for row in rows}) == 1",
+        "for row in rows[1:]}) == 1",
         [ORBITFAN + "test_verify_oracle_off_diagonal_failure"],
+    ),
+    # Z_(j,ell) kept under prefix[ell+1:], blind to v_(ell+1), so that the
+    # prefixes that differ there share one Z
+    "oracle-z-key-short": (
+        "orbitfan",
+        "key = (j, ell, prefix[ell:])",
+        "key = (j, ell, prefix[ell + 1 :])",
+        [ORBITFAN + "test_verify_oracle_matches_per_cone_reference", ORBITFAN + "test_the_oracles_memos_hit_and_stay_small"],
+    ),
+    # the key of (c) for one ray blind to its block j, so that rays that
+    # differ only there share one decision
+    "oracle-c-key-short": (
+        "orbitfan",
+        "u[n_1:hi])",
+        "u[n_1 : hi - t.dims[len(prefix)]])",
+        [ORBITFAN + "test_verify_oracle_off_diagonal_failure", ORBITFAN + "test_verify_oracle_matches_per_cone_reference"],
+    ),
+    # Z_(j,ell) kept under the whole prefix: exact, but shared by no two
+    # prefixes, so only the count of its entries shows it
+    "oracle-z-full-prefix": (
+        "orbitfan",
+        "key = (j, ell, prefix[ell:])",
+        "key = (j, ell, prefix)",
+        [ORBITFAN + "test_the_oracles_memos_hit_and_stay_small"],
     ),
     # the pairing check blind to the witness's own prefix: R_j at the
     # identity prefix for every stage
     "pairing-identity-prefix": (
         "orbitfan",
-        "rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1])",
+        "rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1], zs)",
         "rows = identity_rows[j - 1]",
         [ORBITFAN + "test_pairing_identity_on_goldens", ORBITFAN + "test_pairing_identity_equals_the_reference"],
     ),

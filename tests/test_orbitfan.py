@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import re
+import tracemalloc
 from math import factorial, prod
 
 import pytest
@@ -23,6 +25,7 @@ from conftest import (
     ray_index,
     reference_oracle,
     reference_pairing_identity,
+    seeded_doc,
     subset,
     three_stage_tower,
     two_stage_tower,
@@ -49,6 +52,12 @@ from flagbott.tower import EnumerationTooLarge, FlagBottTower
 
 def sub(ground: int, *members: int) -> Subset:
     return subset(ground, members)
+
+
+def seeded_tower(dims: tuple[int, ...]) -> FlagBottTower:
+    """The benchmark's seed-1 tower of the given dims."""
+    twists = seeded_doc(dims, 1)["A"]
+    return FlagBottTower(dims, {tuple(map(int, key.split(","))): IntMatrix.from_rows(rows) for key, rows in twists.items()})
 
 
 TWO_STAGE_RAYS = {
@@ -313,6 +322,14 @@ def test_weights_reject_bad_perm_tuples():
         weights_at(t, ((1, 2, 3),))  # wrong arity
     with pytest.raises(ValueError, match=r"^\(2, 2\) is not a permutation of 1\.\.2$"):
         derive_rays_from_weights(t, ((1, 2, 3), (2, 2)))
+    # entries equal to 1..n but not ints are refused with the same message;
+    # a permutation given as a list is taken as its tuple
+    cube = seeded_tower((3, 3, 3))
+    ids = ((1, 2, 3, 4),) * 3
+    for bad in ((1.0, 2, 3, 4), (True, 2, 3, 4)):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(bad))} is not a permutation of 1\.\.4$"):
+            weights_at(cube, ids[:2] + (bad,))
+    assert weights_at(cube, [[2, 1, 3, 4], [1, 3, 2, 4], [4, 3, 2, 1]]) == weights_at(cube, ((2, 1, 3, 4), (1, 3, 2, 4), (4, 3, 2, 1)))
 
 
 def test_witness_perm_tuple_layout():
@@ -467,6 +484,34 @@ def test_verify_oracle_never_reads_the_ray_formula(monkeypatch):
     monkeypatch.setattr(orbitfan, "ray_generator", refuse)
     monkeypatch.setattr(orbitfan, "all_rays", refuse)
     assert verify_oracle(fan, t) == OracleReport(72, 0, [])
+
+
+def test_the_oracles_memos_hit_and_stay_small(monkeypatch):
+    # seed-1 (3,3,3) and (4,4,3): Z_(j,ell) is kept once per (j, ell,
+    # prefix[ell:]), 1 + 1 + 24 and 1 + 1 + 120 entries, and (c) is decided
+    # once per key of _prefix_agrees, 222 times over 600 prefixes and 1448
+    # over 14520.  Keyed by the whole prefix, Z took 196 entries on
+    # (3,3,3).  verify_oracle's peak read 0.15 and 0.80 MB (tracemalloc),
+    # 0.05 and 0.17 MB without the memos
+    for dims, prefixes, z_count, c_count in (((3, 3, 3), 600, 26, 222), ((4, 4, 3), 14520, 122, 1448)):
+        t = seeded_tower(dims)
+        fan = build_fan(t)
+        tracemalloc.start()
+        try:
+            report = verify_oracle(fan, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report == OracleReport(len(fan.maxcones), 0, [])
+        assert peak < 2 * 2**20
+        calls = []
+        true_prefix_agrees = orbitfan._prefix_agrees
+        monkeypatch.setattr(orbitfan, "_prefix_agrees", lambda *args: calls.append(args[3:]) or true_prefix_agrees(*args))
+        assert verify_oracle(fan, t) == report
+        zs, known = calls[0]
+        assert len(calls) == prefixes and all(memos[0] is zs and memos[1] is known for memos in calls)
+        assert (len(zs), len(known)) == (z_count, c_count)
+        monkeypatch.undo()
 
 
 def test_verify_oracle_rejects_mismatched_dims():
