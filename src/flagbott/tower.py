@@ -13,11 +13,21 @@ each minor is the integer Bareiss determinant.  Integer points lose no
 generality: scaling a row by a nonzero factor scales every minor through
 it by that factor, so a rational point is generic exactly when the integer
 matrix got by clearing each row's denominators is.
+
+is_generic_matrix shares Bareiss elimination (Math. Comp. 22, 1968) among
+the minors, level by level: a node holds its rows I, their flag minor, and
+each later row r reduced against I.  By Sylvester's identity a reduced
+row's entries are the minors on rows I + (r), so its first is the flag
+minor of I + (r), and the child I + (r) reduces each later row by one step
+divided by the minor of I: exact.  Each pivot is a flag minor its level's
+scan found nonzero and the rows stay ascending, so no step swaps rows.
+Extending lexicographic k-sets by larger rows lists the (k+1)-sets
+lexicographically: the scan meets the minors in the order of one
+determinant per row set.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from dataclasses import dataclass
 from typing import Mapping
@@ -117,7 +127,7 @@ def plucker(g: IntMatrix, indices: tuple[int, ...]) -> int:
     k = len(indices)
     if k < 1 or k > size:
         raise ValueError(f"need between 1 and {size} row indices, got {k}")
-    if any(not 1 <= i <= size for i in indices) or any(
+    if any(type(i) is not int or not 1 <= i <= size for i in indices) or any(
         a >= b for a, b in zip(indices, indices[1:])
     ):
         raise ValueError(f"row indices must be strictly increasing in 1..{size}: {indices}")
@@ -128,14 +138,29 @@ def is_generic_matrix(g: IntMatrix) -> tuple[bool, tuple[int, ...] | None]:
     """Whether every flag minor of the square matrix g is nonzero.
 
     Scans k = 1..size and, for each k, the k-element row sets in
-    lexicographic order; returns (False, indices) at the first vanishing
-    minor, else (True, None).
+    lexicographic order, by the level walk of the module docstring;
+    returns (False, indices) at the first vanishing minor, else (True, None).
     """
     size = _flag_size(g)
-    for k in range(1, size + 1):
-        for indices in itertools.combinations(range(1, size + 1), k):
-            if plucker(g, indices) == 0:
-                return False, indices
+    pend = [(r, g.row(r - 1)) for r in range(1, size + 1)]
+    for r, a in pend:
+        if not a[0]:
+            return False, (r,)
+    # nodes (rows, flag minor, [(later row, its reduced entries)])
+    level = [((), 1, pend)]
+    for _ in range(size - 1):
+        # the next level's minors (a[0] b[1] - b[0] a[1]) / p vanish with
+        # their numerators; then the next level is built
+        for rows, p, pend in level:
+            for i, (r, a) in enumerate(pend):
+                for q, b in pend[i + 1 :]:
+                    if a[0] * b[1] == b[0] * a[1]:
+                        return False, rows + (r, q)
+        level = [
+            (rows + (r,), a[0], [(q, [(a[0] * x - b[0] * y) // p for x, y in zip(b[1:], a[1:])]) for q, b in pend[i + 1 :]])
+            for rows, p, pend in level
+            for i, (r, a) in enumerate(pend)
+        ]
     return True, None
 
 
@@ -146,16 +171,14 @@ def sample_generic(n: int, bound: int, seed: int) -> IntMatrix:
     deterministic in seed.  Raises SamplingExhausted after MAX_ATTEMPTS
     rejected candidates.
     """
-    if n < 1:
+    if type(n) is bool or n < 1:
         raise ValueError(f"n must be positive, got {n}")
-    if bound < 2:
+    if type(bound) is bool or bound < 2:
         raise ValueError(f"bound must be at least 2, got {bound}")
     rng = random.Random(seed)
     size = n + 1
     for _ in range(MAX_ATTEMPTS):
-        g = IntMatrix.from_rows(
-            [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
-        )
+        g = IntMatrix(size, size, tuple([rng.randrange(-bound, bound + 1) for _ in range(size * size)]))  # randint's draw
         ok, _ = is_generic_matrix(g)
         if ok:
             return g

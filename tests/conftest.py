@@ -8,7 +8,8 @@ cone by cone, the chain of a permutation and its inverse, chain-tuple
 cone labels, a fan's cones joined from whole stage cones, label lookups
 on a fan, tower truncation, the accumulated twist matrices read off the
 library's rows Y_(j,ell) and their chain-sum form, the pairing check on the
-chain-sum weights, the weight oracle cone by cone with the ray faults it
+chain-sum weights, the flag-minor scan one determinant per row set with the
+sampler it drives, the weight oracle cone by cone with the ray faults it
 is checked on, the completeness test with explicit wall normals with the
 fan faults it is checked on, the flip table read off set differences of
 neighbouring cones, the bundle check on ray labels with the cone faults
@@ -26,7 +27,7 @@ from collections import defaultdict
 
 import pytest
 
-from flagbott import fancheck, orbitfan
+from flagbott import fancheck, orbitfan, tower
 from flagbott.exactlin import IntMatrix, NotUnimodular, _det_rows, adjugate_det, mat_mul
 from flagbott.fancheck import BundleJoinReport, CompletenessReport, JoinDefect, WallDefect, project_fan
 from flagbott.fans import Fan, PermTuple, Ray, RayLabel, Subset
@@ -38,7 +39,7 @@ from flagbott.orbitfan import (
     derive_rays_from_weights,
 )
 from flagbott.permfan import check_permutation, perm_fan, perm_ray_vector
-from flagbott.tower import FlagBottTower
+from flagbott.tower import FlagBottTower, SamplingExhausted, plucker
 
 Chain = tuple[Subset, ...]  # S_1 < S_2 < ... < S_{g-1} of {1, ..., g}, |S_p| = p
 ChainTuple = tuple[Chain, ...]
@@ -268,6 +269,28 @@ def reference_pairing_identity(t: FlagBottTower) -> PairingReport:
                 if actual != expected:
                     violations.append(PairingViolation(ell, s, j, i, expected, actual))
     return PairingReport(rays, rays * t.n, violations)
+
+
+def reference_is_generic_matrix(g: IntMatrix) -> tuple[bool, tuple[int, ...] | None]:
+    """is_generic_matrix one determinant per row set: for k = 1..size, the
+    k-element row sets in lexicographic order, each minor by plucker."""
+    for k in range(1, g.rows + 1):
+        for indices in itertools.combinations(range(1, g.rows + 1), k):
+            if plucker(g, indices) == 0:
+                return False, indices
+    return True, None
+
+
+def reference_sample_generic(n: int, bound: int, seed: int) -> IntMatrix:
+    """sample_generic's candidates drawn entry by entry with randint, row
+    by row, and tested by reference_is_generic_matrix; at most
+    tower.MAX_ATTEMPTS of them, read at call time as sample_generic reads it."""
+    rng = random.Random(seed)
+    for _ in range(tower.MAX_ATTEMPTS):
+        g = IntMatrix.from_rows([[rng.randint(-bound, bound) for _ in range(n + 1)] for _ in range(n + 1)])
+        if reference_is_generic_matrix(g)[0]:
+            return g
+    raise SamplingExhausted(f"no generic matrix found in {tower.MAX_ATTEMPTS} attempts")
 
 
 def reference_oracle(fan: Fan, t: FlagBottTower, derive=derive_rays_from_weights) -> OracleReport:

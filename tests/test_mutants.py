@@ -6,18 +6,18 @@ gate copies the package to a temporary directory, applies the one
 replacement there, and runs only the named tests in a subprocess that
 imports the copy.  pytest must exit 1, some test failing: an exit of 0
 means the tests are blind to the fault, and any other exit (a collection
-or usage error) proves nothing.  Each row takes 1.0-1.6 s on a 2-vCPU
+or usage error) proves nothing.  Each row takes 1.0-1.7 s on a 2-vCPU
 VM (pytest --durations=0), most of it spent starting a fresh pytest and
 collecting the named tests' module; eager-fancheck, whose test starts
-eight children of its own, takes about 1.8 s, walk-memo-one-slot, whose
-test walks a (3,3,3) join of drawn rays twice, about 2.7 s, and
-join-radix, whose first test draws 30 hypothesis towers, about 3.7 s.
-Each walk-* row that names a hypothesis test names a fixed test before
-it, which fails first, so that pytest -x stops before hypothesis shrinks
-a failing draw.  A control runs the union of every row's tests on an
-unmutated copy through the same runner, which must exit 0, so that a
-row's exit 1 comes from its fault; it takes about 11 s, and the gate's
-53 tests about 78 s.
+eight children of its own, takes about 1.9 s, walk-memo-one-slot, whose
+test walks a (3,3,3) join of drawn rays twice, about 2.6 s, and
+join-radix, whose first test draws 30 hypothesis towers, about 4.0 s.
+Each walk-* row and generic-divisor, where it names a hypothesis test,
+names a fixed test before it, which fails first, so that pytest -x stops
+before hypothesis shrinks a failing draw.  A control runs the union of
+every row's tests on an unmutated copy through the same runner, which
+must exit 0, so that a row's exit 1 comes from its fault; it takes about
+13 s, and the gate's 57 tests about 84 s.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ FANCHECK = "tests/test_fancheck.py::"
 ORBITFAN = "tests/test_orbitfan.py::"
 PERMFAN = "tests/test_permfan.py::"
 PROPERTIES = "tests/test_properties.py::"
+TOWER = "tests/test_tower.py::"
 
 MUTANTS = {
     # the flip path's same-sign rule inverted in the last stage only: its
@@ -385,9 +386,42 @@ MUTANTS = {
     # the pairing check taking each weight with the wrong sign
     "pairing-difference": (
         "orbitfan",
-        "actual = dots[vi - 1] - dots[vh - 1]",
-        "actual = dots[vh - 1] - dots[vi - 1]",
+        "dots[vi - 1] - dots[vh - 1] for vh, vi",
+        "dots[vh - 1] - dots[vi - 1] for vh, vi",
         [ORBITFAN + "test_pairing_identity_on_goldens", ORBITFAN + "test_pairing_identity_equals_the_reference"],
+    ),
+    # the key of a run past stage ell blind to the ray's blocks 2..j, so
+    # that a stage-1 ray with a fault there takes its class's run
+    "pairing-key-no-tail": (
+        "orbitfan",
+        "(v[1 : j - 1], w_1, u[n_1 : his[j - 1]])",
+        "(v[1 : j - 1], w_1)",
+        [ORBITFAN + "test_pairing_identity_equals_the_reference_on_a_faulted_generator[tail]"],
+    ),
+    # w_1 read off u_1 unpermuted: exact, since the key keeps u_1 whole,
+    # but every stage-1 ray then takes its own key
+    "pairing-w1-unpermuted": (
+        "orbitfan",
+        "w_1 = tuple(u[e - 1] if e <= n_1 else 0 for e in v[0])",
+        "w_1 = u[:n_1] + (0,)",
+        [ORBITFAN + "test_pairing_builds_r_j_once_per_key"],
+    ),
+    # a step of the flag-minor walk divided by the child's pivot, not the
+    # parent's
+    "generic-divisor": (
+        "tower",
+        "// p for x, y",
+        "// a[0] for x, y",
+        [TOWER + "test_is_generic_matrix_equals_the_reference", PROPERTIES + "test_flag_minor_walk_equals_one_determinant_per_row_set"],
+    ),
+    # a child of the walk reducing every sibling row, not only the later
+    # ones: the same minors, met first in the same order, from a node per
+    # ordered row tuple
+    "generic-pend-all": (
+        "tower",
+        "for q, b in pend[i + 1 :]])",
+        "for q, b in pend[:i] + pend[i + 1 :]])",
+        [TOWER + "test_is_generic_matrix_keeps_one_node_per_row_set"],
     ),
     # each head spelled without the space after its last index, so that it
     # runs into the first index of each tail

@@ -597,6 +597,23 @@ def test_pairing_identity_on_goldens():
 NONZERO_LAST_ROWS = FlagBottTower((3, 1), {(2, 1): IntMatrix.from_rows([[1, 0, -4, 2], [-3, 3, 1, -3]])})
 
 
+def test_pairing_builds_r_j_once_per_key(monkeypatch):
+    # seed-1 (9,9): R_j at the identity prefix for j = 1, 2, then once per
+    # key of a stage-1 ray at j = 2, at most 2 n_1 = 18 of them, where one
+    # build per witness took 1 024; seed-1 (3,3,3): 3, then at most 6 keys
+    # of the stage-1 rays at each of j = 2, 3, then one per stage-2 ray at
+    # j = 3: at most 29, where one per witness took 45
+    for dims, most in (((9, 9), 20), ((3, 3, 3), 29)):
+        t = seeded_tower(dims)
+        calls = []
+        run = orbitfan._stage_rows
+        monkeypatch.setattr(orbitfan, "_stage_rows", lambda *args: calls.append(1) or run(*args))
+        report = verify_pairing_identity(t)
+        assert report.ok and report.pairings_checked == len(all_rays(t)) * t.n
+        assert len(calls) <= most
+        monkeypatch.undo()
+
+
 def test_pairing_identity_with_nonzero_last_rows():
     t = NONZERO_LAST_ROWS
     report = verify_pairing_identity(t)
@@ -620,19 +637,21 @@ def test_pairing_identity_equals_the_reference():
         assert report.ok
 
 
-@pytest.mark.parametrize("kind", ["bump", "negate", "swap_across"])
+@pytest.mark.parametrize("kind", ["bump", "negate", "swap_across", "tail"])
 def test_pairing_identity_equals_the_reference_on_a_faulted_generator(kind, monkeypatch):
     # bump: +-1 on one entry of one ray; negate: one ray; swap_across: the
-    # vectors of two rays of different stages
+    # vectors of two rays of different stages; tail: +-1 on one entry past
+    # block 1 of a stage-1 ray, whose w_1 still matches its class, so that
+    # a key blind to the later blocks shares the class's run
     towers = [two_stage_tower(), three_stage_tower(), NONZERO_LAST_ROWS]
-    towers += [t for t in map(random_tower, POPULATION_SEEDS[:30]) if t.m > 1]
+    towers += [t for t in map(random_tower, POPULATION_SEEDS[:30]) if t.m > 1] + [seeded_tower((5, 3))]
     for seed, t in enumerate(towers):
         rng = random.Random(seed)
         rays = {(ray.label.stage, ray.label.subset): ray.vector for ray in all_rays(t)}
-        a = rng.choice(list(rays))
+        a = rng.choice([x for x in rays if x[0] == 1] if kind == "tail" else list(rays))
         faulty = dict(rays)
-        if kind == "bump":
-            k = rng.randrange(t.n)
+        if kind in ("bump", "tail"):
+            k = rng.randrange(t.dims[0] if kind == "tail" else 0, t.n)
             faulty[a] = tuple(c + rng.choice((-1, 1)) * (i == k) for i, c in enumerate(rays[a]))
         elif kind == "negate":
             faulty[a] = tuple(-c for c in rays[a])

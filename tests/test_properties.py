@@ -1,7 +1,8 @@
 """Property tests: the loader's error contract, the chain/permutation
 bijection, the determinant and adjugate identities, the prefix-shared
 determinants and a join's level walk against Bareiss, the latter also
-where heads share their walk below, the weight
+where heads share their walk below, the flag-minor walk of
+is_generic_matrix against one determinant per row set, the weight
 recurrence against its chain-sum form, the pairing check against its
 chain-sum reference, the paper's theorem on drawn towers, the
 prefix-tree oracle against the per-cone one, the bitmask wall census
@@ -34,6 +35,7 @@ from conftest import (  # noqa: E402
     ray_faulted,
     reference_format_fan,
     reference_is_complete_simplicial,
+    reference_is_generic_matrix,
     reference_maxcones,
     reference_verify_bundle_join,
     reference_oracle,
@@ -54,7 +56,7 @@ from flagbott.orbitfan import (  # noqa: E402
     weights_at,
 )
 from flagbott.permfan import perm_ray_vector  # noqa: E402
-from flagbott.tower import FlagBottTower, validate  # noqa: E402
+from flagbott.tower import FlagBottTower, is_generic_matrix, validate  # noqa: E402
 
 SETTINGS = hypothesis.settings(
     max_examples=60,
@@ -154,6 +156,30 @@ def det_batches(draw):
 def test_prefix_shared_dets_equal_bareiss(batch):
     matrices, rows = batch
     assert _dets(matrices, rows) == [_det_rows([list(rows[i]) for i in m]) for m in matrices]
+
+
+@st.composite
+def flag_matrices(draw):
+    """A square matrix of size 1..7, its entries in [-2, 2], so that many
+    vanish, or huge, then up to two planted dependences: a row whose first
+    k entries combine those of k - 1 other rows, so that a flag minor of k
+    rows vanishes while smaller ones need not."""
+    size = draw(st.integers(1, 7))
+    entry = draw(st.sampled_from((st.integers(-2, 2), st.integers(10**12, 10**15) | st.integers(-(10**15), -(10**12)))))
+    rows = draw(st.lists(st.lists(entry, min_size=size, max_size=size), min_size=size, max_size=size))
+    for _ in range(draw(st.integers(0, 2))):
+        k, target = draw(st.integers(1, size)), draw(st.integers(0, size - 1))
+        others = [r for r in range(size) if r != target]
+        sources = draw(st.lists(st.sampled_from(others), min_size=k - 1, max_size=k - 1, unique=True)) if k > 1 else []
+        coefs = draw(st.lists(st.sampled_from((-2, -1, 1, 3)), min_size=len(sources), max_size=len(sources)))
+        rows[target][:k] = [sum(f * rows[r][c] for f, r in zip(coefs, sources)) for c in range(k)]
+    return IntMatrix.from_rows(rows)
+
+
+@hypothesis.settings(SETTINGS, max_examples=200)
+@hypothesis.given(flag_matrices())
+def test_flag_minor_walk_equals_one_determinant_per_row_set(g):
+    assert is_generic_matrix(g) == reference_is_generic_matrix(g)
 
 
 @st.composite

@@ -4,11 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import tracemalloc
 from math import prod
 
 import pytest
 
-from conftest import random_tower, three_stage_tower, truncated, two_stage_tower
+from conftest import (
+    random_tower,
+    reference_is_generic_matrix,
+    reference_sample_generic,
+    three_stage_tower,
+    truncated,
+    two_stage_tower,
+)
 from flagbott import tower
 from flagbott.exactlin import IntMatrix
 from flagbott.tower import (
@@ -91,6 +99,15 @@ def test_plucker_minors():
         plucker(g, (0,))
 
 
+def test_plucker_refuses_indices_that_are_not_ints():
+    # a bool is an int to isinstance: True would name row 1; a float would
+    # fail inside IntMatrix.row
+    g = IntMatrix.from_rows([[1, 1, 1], [1, 2, 4], [1, 3, 9]])
+    for indices in ((True, 2), (False,), (1.0,), (1, 2.0), (1, True)):
+        with pytest.raises(ValueError, match=r"^row indices must be strictly increasing in 1\.\.3: "):
+            plucker(g, indices)
+
+
 def test_flag_minors_need_a_square_matrix():
     for g in (IntMatrix.from_rows([[1, 2, 3], [4, 5, 6]]), IntMatrix(0, 3, ()), IntMatrix(3, 1, (0, 0, 0))):
         message = rf"^flag minors need a square matrix, got {g.rows}x{g.cols}$"
@@ -162,6 +179,83 @@ def test_sample_generic_outputs_pass():
         assert (g.rows, g.cols) == (4, 4)
         ok, _ = is_generic_matrix(g)
         assert ok
+
+
+def drawn_matrices(seed: int, count: int) -> list[IntMatrix]:
+    """Square matrices of sizes 1..7: entries in [-2, 2], so that minors
+    vanish often, or up to 10**12 with, half the time, a planted
+    dependence: a row whose first k entries combine those of k - 1 others,
+    so that the first vanishing flag minor is most likely of k rows."""
+    rng = random.Random(seed)
+    mats = []
+    for _ in range(count):
+        size = rng.randint(1, 7)
+        bound = rng.choice((2, 10**12))
+        rows = [[rng.randint(-bound, bound) for _ in range(size)] for _ in range(size)]
+        if bound > 2 and rng.random() < 0.5:
+            k = rng.randint(1, size)
+            target, *sources = rng.sample(range(size), k)
+            coefs = [rng.choice((-2, -1, 1, 3)) for _ in sources]
+            rows[target][:k] = [sum(f * rows[r][c] for f, r in zip(coefs, sources)) for c in range(k)]
+        mats.append(IntMatrix.from_rows(rows))
+    return mats
+
+
+def test_is_generic_matrix_equals_the_reference():
+    mats = drawn_matrices(7, 3000)
+    results = [is_generic_matrix(g) for g in mats]
+    assert results == [reference_is_generic_matrix(g) for g in mats]
+    # the draw reaches each level's first vanishing minor, and generic points
+    assert {len(w) for ok, w in results if not ok} == set(range(1, 8))
+    assert sum(ok for ok, _ in results) > 100
+
+
+def test_is_generic_matrix_keeps_one_node_per_row_set():
+    # the 7 x 7 Vandermonde matrix on 1..7 is generic: the walk holds at
+    # most the C(7, 3) = 35 row sets of a level, and peaked at 18 064 bytes
+    # (tracemalloc, Python 3.11); a node per ordered row tuple held
+    # 7!/4! = 210 and up to 5 040, 3.7 MB
+    g = IntMatrix.from_rows([[x**c for c in range(7)] for x in range(1, 8)])
+    tracemalloc.start()
+    try:
+        assert is_generic_matrix(g) == (True, None)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 65_536
+
+
+def test_sample_generic_equals_the_reference_sampler(monkeypatch):
+    # both samplers stop after 500 candidates, which bound 2 exhausts on
+    # 3 seeds of n = 5 and on every seed from n = 6 on; bound 5 needs at
+    # most 481 on these seeds.  Equal outcomes mean that the two reject
+    # the same candidates of one draw until they return the same matrix
+    monkeypatch.setattr(tower, "MAX_ATTEMPTS", 500)
+
+    def outcome(sample, n, bound, seed):
+        try:
+            return sample(n, bound, seed)
+        except SamplingExhausted:
+            return None
+
+    outcomes = [
+        outcome(sample_generic, n, bound, seed)
+        for n in range(1, 10) for bound in (2, 5) for seed in range(5)
+    ]
+    assert outcomes == [
+        outcome(reference_sample_generic, n, bound, seed)
+        for n in range(1, 10) for bound in (2, 5) for seed in range(5)
+    ]
+    assert outcomes.count(None) == 23
+
+
+def test_sample_generic_refuses_bools():
+    with pytest.raises(ValueError, match=r"^n must be positive, got True$"):
+        sample_generic(True, 5, 0)
+    with pytest.raises(ValueError, match=r"^n must be positive, got False$"):
+        sample_generic(False, 5, 0)
+    with pytest.raises(ValueError, match=r"^bound must be at least 2, got True$"):
+        sample_generic(2, True, 0)
 
 
 def test_sample_generic_exhaustion(monkeypatch):
