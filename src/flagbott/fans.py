@@ -54,6 +54,9 @@ class Subset:
     def __len__(self) -> int:
         return self.mask.bit_count()
 
+    def complement(self) -> Subset:
+        return Subset(self.ground, ((1 << self.ground) - 1) ^ self.mask)
+
     def is_proper_nonempty(self) -> bool:
         return 0 < self.mask < (1 << self.ground) - 1
 

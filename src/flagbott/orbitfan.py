@@ -108,13 +108,12 @@ may be anything; the cones must be build_fan's.
 
 The pairing check.  By linearity, weight (j, i) pairs with a ray u as
 R_j[v_j(i+1)] . u - R_j[v_j(i)] . u, so verify_pairing_identity takes one
-dot per row of R_j.  At the witness of (ell, s) every stage but ell is the
-identity, and for j <= ell so is the prefix: R_j is computed once per call,
-and for j < ell stage j's run of pairings reads only u up to block j.  For
-j > ell the run reads only the key (v[1:j-1], w_1, u[n_1 : n_1 + ... +
-n_j]) of (c), and R_j is built once per key.  A stage-1 ray's w_1 and
-later blocks read only |s| and whether n_1 + 1 is in s, so ray_generator's
-stage-1 rays take at most 2 n_1 keys per stage: on two stages R_j is built
+dot per row of R_j.  By (c), R_j . u reads only v[1:j-1], w_1 and blocks
+2..j of u, and stage 1's run of pairings is the differences of w_1: each
+run is computed once per key (v[1:j], w_1, u[n_1 : n_1 + ... + n_j]), on
+any rays.  R_j is computed once per call at the witness's identity prefix,
+j <= ell, and else once per new key.  A stage-1 ray's w_1 and later blocks
+read only |s| and whether n_1 + 1 is in s, so on two stages R_j is built
 at most 2 + 2 n_1 times, not 2^(n_1+1).  The check still reads the ray
 formula and the twist recurrence independently.
 """
@@ -388,8 +387,7 @@ def verify_oracle(fan: Fan, t: FlagBottTower) -> OracleReport:
 
 
 def _witness(t: FlagBottTower, ell: int, s: Subset) -> PermTuple:
-    # a cone holding the ray (ell, s): stage ell lists the complement of s,
-    # then s, each ascending: a stable sort on the bit of s
+    # a cone holding the ray (ell, s): stage ell lists the complement of s, then s
     return tuple(
         tuple(sorted(range(1, n_p + 2), key=lambda e: s.mask >> (e - 1) & 1) if p == ell else range(1, n_p + 2))
         for p, n_p in enumerate(t.dims, start=1)
@@ -426,9 +424,8 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
     """
     _require_valid(t)
     identities, zs = tuple(tuple(range(1, n_p + 2)) for n_p in t.dims), {}
+    identity_rows = [_stage_rows(t, identities[: j - 1], zs) for j in range(1, t.m + 1)]
     his = list(itertools.accumulate(t.dims))  # where block j ends
-    # R_j at the identity prefix, cut after block j, past which it is 0
-    identity_rows = [[row[:hi] for row in _stage_rows(t, identities[: j - 1], zs)] for j, hi in enumerate(his, start=1)]
     n_1, runs = t.dims[0], {}  # each stage's run of pairings by its key, for this call
     violations = []
     rays_checked = pairings_checked = 0
@@ -440,15 +437,12 @@ def verify_pairing_identity(t: FlagBottTower) -> PairingReport:
         v = _witness(t, ell, s)
         w_1 = tuple(u[e - 1] if e <= n_1 else 0 for e in v[0])  # u_1 ends in the projected-away 0
         for j, vj in enumerate(v, start=1):
-            # stage ell's run is the ray's own, kept under no key
-            key = None if j == ell else u[: his[j - 1]] if j < ell else (v[1 : j - 1], w_1, u[n_1 : his[j - 1]])
+            key = (v[1:j], w_1, u[n_1 : his[j - 1]])  # every input of stage j's run
             run = runs.get(key)
             if run is None:
                 rows = identity_rows[j - 1] if j <= ell else _stage_rows(t, v[: j - 1], zs)
                 dots = [sum(map(operator.mul, row, u)) for row in rows]
-                run = tuple(dots[vi - 1] - dots[vh - 1] for vh, vi in zip(vj, vj[1:]))
-                if key is not None:
-                    runs[key] = run
+                run = runs[key] = tuple(dots[vi - 1] - dots[vh - 1] for vh, vi in zip(vj, vj[1:]))
             pairings_checked += len(run)
             expected = (0,) * (d - 1) + (1,) + (0,) * (len(run) - d) if j == ell else (0,) * len(run)
             if run != expected:

@@ -39,8 +39,14 @@ def perm_ray_vector(n: int, s: Subset) -> tuple[int, ...]:
         raise ValueError(f"subset ground {s.ground}, expected {n + 1}")
     if not s.is_proper_nonempty():
         raise ValueError(f"subset {s} must be nonempty and proper")
-    # entry i is [i + 1 in S] - [n + 1 in S]: minus the complement's indicator when n + 1 is in S
-    return tuple((s.mask >> i & 1) - (s.mask >> n) for i in range(n))
+    vec = [0] * n
+    if (n + 1) in s:
+        for e in s.complement().members():
+            vec[e - 1] = -1
+    else:
+        for e in s.members():
+            vec[e - 1] = 1
+    return tuple(vec)
 
 
 def perm_fan(n: int) -> Fan:

@@ -21,9 +21,8 @@ row's entries are the minors on rows I + (r), so its first is the flag
 minor of I + (r), and the child I + (r) reduces each later row by one step
 divided by the minor of I: exact.  Each pivot is a flag minor its level's
 scan found nonzero and the rows stay ascending, so no step swaps rows.
-Extending lexicographic k-sets by larger rows lists the (k+1)-sets
-lexicographically: the scan meets the minors in the order of one
-determinant per row set.
+Extending lexicographic k-sets by larger rows keeps them lexicographic,
+so the scan meets the minors in the order of one determinant per row set.
 """
 
 from __future__ import annotations
@@ -149,8 +148,7 @@ def is_generic_matrix(g: IntMatrix) -> tuple[bool, tuple[int, ...] | None]:
     # nodes (rows, flag minor, [(later row, its reduced entries)])
     level = [((), 1, pend)]
     for _ in range(size - 1):
-        # the next level's minors (a[0] b[1] - b[0] a[1]) / p vanish with
-        # their numerators; then the next level is built
+        # test the next level's minors (a[0] b[1] - b[0] a[1]) / p by numerator
         for rows, p, pend in level:
             for i, (r, a) in enumerate(pend):
                 for q, b in pend[i + 1 :]:

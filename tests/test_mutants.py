@@ -390,16 +390,16 @@ MUTANTS = {
         "dots[vh - 1] - dots[vi - 1] for vh, vi",
         [ORBITFAN + "test_pairing_identity_on_goldens", ORBITFAN + "test_pairing_identity_equals_the_reference"],
     ),
-    # the key of a run past stage ell blind to the ray's blocks 2..j, so
-    # that a stage-1 ray with a fault there takes its class's run
+    # the key of a run blind to the ray's blocks 2..j, so that a stage-1
+    # ray with a fault there takes its class's run
     "pairing-key-no-tail": (
         "orbitfan",
-        "(v[1 : j - 1], w_1, u[n_1 : his[j - 1]])",
-        "(v[1 : j - 1], w_1)",
+        "(v[1:j], w_1, u[n_1 : his[j - 1]])",
+        "(v[1:j], w_1)",
         [ORBITFAN + "test_pairing_identity_equals_the_reference_on_a_faulted_generator[tail]"],
     ),
-    # w_1 read off u_1 unpermuted: exact, since the key keeps u_1 whole,
-    # but every stage-1 ray then takes its own key
+    # w_1 read off u_1 unpermuted: exact on ray_generator's rays, whose u_1
+    # names s and so v_1, but every stage-1 ray then takes its own key
     "pairing-w1-unpermuted": (
         "orbitfan",
         "w_1 = tuple(u[e - 1] if e <= n_1 else 0 for e in v[0])",

@@ -24,6 +24,7 @@ def test_subset_basics():
     assert s.members() == (1, 3)
     assert 1 in s and 2 not in s and 3 in s
     assert len(s) == 2
+    assert s.complement() == subset(4, [2, 4])
     assert s.is_proper_nonempty()
     assert not subset(3, []).is_proper_nonempty()
     assert not subset(3, [1, 2, 3]).is_proper_nonempty()
