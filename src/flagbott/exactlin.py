@@ -5,20 +5,10 @@ membership reduces to integer determinants and integer inverses, so the
 linear algebra must be exact.  Entries are Python ints (arbitrary
 precision); no floating point anywhere.
 
-Two determinant routines, each the faster one on its own workload, and
-both fraction-free: every intermediate entry is a minor of the input, so
-every division is exact.
-
-  _det_rows  Bareiss elimination of one matrix, for det and the flag
-             minors of the genericity test.
-  _dets      a batch of matrices that share rows: the maximal cones of a
-             fan that is not a join, or the bundle check's lifts.  It
-             eliminates one row at a time, so a run of matrices with the
-             same leading rows reduces them once.  On one matrix it is 1.5
-             to 3 times slower.
-
-A join's cones take fans._join_dets, beside the join: _dets's row steps,
-each later stage's ray reduced once per head, not once per cone.
+Determinants take Bareiss elimination (_det_rows), fraction-free: every
+intermediate entry is a minor of the input, so every division is exact.
+It serves det and tower.plucker; a fan's cones share their rows and take
+fans._join_dets, the same row step once per shared prefix.
 
 Inverses and adjugates use the fraction-free Gauss-Jordan variant
 (Montante's method), with the same exact divisions.
@@ -128,57 +118,6 @@ def _det_rows(rows: list[list[int]]) -> int:
             ri[p] = 0
         prev = pivot
     return sign * rows[n - 1][n - 1]
-
-
-def _dets(matrices: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]]) -> list[int]:
-    """Determinant of each square matrix; a matrix is a tuple of indices
-    into rows, and row i has len(matrix) entries.
-
-    A new row is reduced against the reduced rows above it, one at a time,
-    each step the Bareiss update; it then takes its first nonzero entry as
-    pivot, and the pivot's column leaves the matrix.  The entries of a
-    reduced row are minors on the rows so far and the columns pivoted so
-    far plus one, so each // is exact, and the last pivot is the
-    determinant up to the sign of the order in which the columns were
-    pivoted.  The matrices are visited sorted, so one that shares its first
-    k rows with the one before reuses their reduced rows.
-    """
-    out = [0] * len(matrices)
-    # the reduced rows of the current prefix: (pivot position, pivot, the
-    # row without its pivot entry, column-order sign so far)
-    stack: list[tuple[int, int, list[int], int]] = []
-    prev: tuple[int, ...] = ()
-    for mi in sorted(range(len(matrices)), key=matrices.__getitem__):
-        m = matrices[mi]
-        k = 0
-        shared = min(len(stack), len(m))
-        while k < shared and m[k] == prev[k]:
-            k += 1
-        del stack[k:]
-        prev = m
-        sign = stack[-1][3] if stack else 1
-        for r in m[k:]:
-            x = list(rows[r])
-            q = 1
-            for idx, p, rest, _ in stack:
-                f = x.pop(idx)
-                if f:
-                    x = [(p * a - f * b) // q for a, b in zip(x, rest)]
-                elif p != q:
-                    x = [p * a // q for a in x]
-                q = p
-            for idx, p in enumerate(x):
-                if p:
-                    break
-            else:
-                break  # the prefix is singular: det 0
-            if idx & 1:
-                sign = -sign
-            del x[idx]
-            stack.append((idx, p, x, sign))
-        else:
-            out[mi] = sign * stack[-1][1] if m else 1
-    return out
 
 
 def det(m: IntMatrix) -> int:

@@ -15,12 +15,12 @@ arithmetic:
                        every stage split down the tower.
 
 Smoothness and the wall test both read Fan.cone_dets, every cone
-determinant computed once per fan in one pass: on a join, a walk down its
-levels that reduces each later stage's ray once per head; on any other
-fan, one that shares elimination work between cones with the same
-leading rays.  Let U be the matrix
-whose columns are a cone's rays in ascending order and d = det U.  By
-Cramer's rule, row k of adj(U) paired with x is
+determinant computed once per fan in one pass of fans._join_dets: on a
+join, a walk down its levels that reduces each later stage's ray once per
+head; on any other fan, the same walk on its cones as one level, which
+shares elimination work between cones with the same leading rays.  Let U
+be the matrix whose columns are a cone's rays in ascending order and
+d = det U.  By Cramer's rule, row k of adj(U) paired with x is
 det(U with column k replaced by x), so sign(d) * adj(U)[k] is the inner
 normal of the wall omitting ray k.  Let cones C1 and C2 share a wall,
 with opposite rays at positions k1 and k2 and determinants d1 and d2.
@@ -73,9 +73,9 @@ the census's order.  The bundle check reads each lift off the projected
 fan, as the base cone over its prefix.  On a projected join whose cones
 repeat no ray, each lift is its own cone, the rays in label order and the
 cones in prefix order, so its determinant is read off Fan.cone_dets, the
-level walk; any other base takes them in one prefix-shared pass of
-exactlin._dets.  On a fan of build_fan's type the fibers and joins are
-build_fan's by construction, so the lifts are the whole split.
+level walk; any other base walks its ranked lifts as one level.  On a
+fan of build_fan's type the fibers and joins are build_fan's by
+construction, so the lifts are the whole split.
 
 The fallback rule.  is_complete_simplicial takes the flip path only
 when Fan.is_join holds and no cone determinant is 0; every other fan --
@@ -92,8 +92,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import exactlin
-from .fans import Fan, Ray, _levels, permutation_chains
+from .fans import Fan, Ray, _join_dets, _levels, permutation_chains
 from .permfan import perm_ray_vector
 from .tower import FlagBottTower
 
@@ -297,8 +296,8 @@ def _check_lifts(base: Fan, report: BundleJoinReport) -> None:
     # On a join whose cones repeat no ray, each lift is its own cone, the
     # rays in label order and the cones in prefix order, so its determinant
     # is in base.cone_dets.  Otherwise the rows are ranked in label order,
-    # so that renumbering the rays keeps the sign, and the determinants are
-    # taken in one pass
+    # so that renumbering the rays keeps the sign, and the lifts of n rays,
+    # each ascending, are the one level of a walk of _join_dets
     m, n = len(base.dims) + 1, base.n
     if base.is_join and _levels(base.maxcones, len(base.rays), n, True) is not None:
         found = [(base.perm_tuples[ci], n, d) for ci, d in enumerate(base.cone_dets) if d not in (1, -1)]
@@ -306,7 +305,8 @@ def _check_lifts(base: Fan, report: BundleJoinReport) -> None:
         order = sorted(range(len(base.rays)), key=lambda r: base.rays[r].label)
         rank = {r: i for i, r in enumerate(order)}
         lifts = sorted(zip(base.perm_tuples, (tuple(sorted({rank[r] for r in cone})) for cone in base.maxcones)))
-        dets = iter(exactlin._dets([lift for _, lift in lifts if len(lift) == n], [base.rays[r].vector for r in order]))
+        batch = tuple(lift for _, lift in lifts if len(lift) == n)
+        dets = iter(_join_dets(batch, [base.rays[r].vector for r in order], n) if batch else ())
         found = [(prefix, len(lift), next(dets) if len(lift) == n else 0) for prefix, lift in lifts]
     for prefix, size, d in found:
         if size != n:

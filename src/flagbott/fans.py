@@ -10,8 +10,9 @@ sets of labels.  permutation_chains holds the chain rule that turns a
 permutation into the subset masks of its chain; stage_join alone numbers
 those masks as rays, and joins the stages' cones stage by stage, each formed when read;
 ray_labels alone lists the rays those numbers point at, in build_fan's order.
-A fan computes its cone determinants and is_join once each; a join's
-determinants come from _join_dets, a walk down its levels that forms no cone.
+A fan computes its cone determinants and is_join once each; the
+determinants come from _join_dets, a walk down a join's levels that forms
+no cone, and any other fan's cones are the walk's one level.
 The walk keeps one slot per level, the last head it walked in full: a head
 with that head's divisor and reduced later rows copies its block of cones,
 negated when their signs differ.  The key holds every input of the walk
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import prod
 
-from . import exactlin
 from .tower import EnumerationTooLarge
 
 PermTuple = tuple[tuple[int, ...], ...]
@@ -172,8 +172,10 @@ def _plan(tails: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...], 
 
 
 def _reduce(x: list[int], stack: list[tuple[int, int, list[int]]], q: int) -> list[int]:
-    """x after exactlin._dets's Bareiss step against each (pivot position,
-    pivot, row) of stack in turn, from the divisor q: each deletes the pivot's entry."""
+    """x after the Bareiss step against each (pivot position, pivot, row) of
+    stack in turn, from the divisor q: each deletes the pivot's entry.  An
+    entry of the result is a minor on the rows so far and the columns
+    pivoted so far plus one, up to sign, so each // is exact."""
     for idx, p, row in stack:
         f = x[idx]
         if f:
@@ -187,13 +189,14 @@ def _reduce(x: list[int], stack: list[tuple[int, int, list[int]]], q: int) -> li
     return x
 
 
-def _levels(cones: _Join, count: int, n: int, strict: bool = False) -> list[Sequence[tuple[int, ...]]] | None:
+def _levels(cones: Sequence[tuple[int, ...]], count: int, n: int, strict: bool = False) -> list[Sequence[tuple[int, ...]]] | None:
     """The join's levels, root first: the innermost heads, as the tails of
-    one empty head, then each join's tails.  None when a tail is not
-    ascending, in range(count) or of its level's width, a level reaches
-    below the largest index before it, or the widths do not sum to n; when
-    strict, also when a tail repeats an index or a level reaches the
-    largest index before it, so that no cone repeats a ray."""
+    one empty head, then each join's tails; cones that are not a join are
+    the root alone.  None when a tail is not ascending, in range(count) or
+    of its level's width, a level reaches below the largest index before
+    it, or the widths do not sum to n; when strict, also when a tail
+    repeats an index or a level reaches the largest index before it, so
+    that no cone repeats a ray."""
     levels, level = [], cones
     while isinstance(level, _Join):
         levels.insert(0, level.tails)
@@ -208,9 +211,9 @@ def _levels(cones: _Join, count: int, n: int, strict: bool = False) -> list[Sequ
     return levels if width == n else None
 
 
-def _join_dets(cones: _Join, rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
-    """Each cone's determinant by a walk down the join's _levels; None
-    where _levels is None.
+def _join_dets(cones: Sequence[tuple[int, ...]], rows: Sequence[Sequence[int]], n: int) -> list[int] | None:
+    """Each cone's determinant, its rows in cone order, by a walk down the
+    cones' _levels; None where _levels is None.
 
     Each head replays its level's _plan.  A node's row is its ray's row,
     already reduced against the head, reduced on against the nodes above it
@@ -303,13 +306,14 @@ class Fan:
         n rays, or whose ray indices descend anywhere or leave
         range(len(rays)), raises ValueError, as every shape, index or label
         error in the package does; a repeated index is left to its zero
-        determinant.  A join checks each level's tails once and takes
-        _join_dets, forming no cone; a head with the divisor and reduced
-        later rows of its level's last head walked in full copies that
-        head's determinants.  Any other fan, or a join that fails, checks
-        each cone, naming the first bad one, and takes exactlin._dets."""
+        determinant.  The cones go to _join_dets, which checks each level's
+        tails once and forms no cone of a join; a head with the divisor and
+        reduced later rows of its level's last head walked in full copies
+        that head's determinants.  Where it refuses them, each cone is
+        checked, naming the first bad one, and the cones, if any, are walked
+        as one level."""
         n, rows = self.n, [ray.vector for ray in self.rays]
-        dets = _join_dets(self.maxcones, rows, n) if self.is_join else None
+        dets = _join_dets(self.maxcones, rows, n)
         if dets is None:
             for ci, cone in enumerate(self.maxcones):
                 if len(cone) != n:
@@ -318,7 +322,7 @@ class Fan:
                     raise ValueError(f"cone {ci} lists its rays out of order: {cone}")
                 if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):
                     raise ValueError(f"cone {ci} names a ray outside 0..{len(self.rays) - 1}: {cone}")
-            dets = exactlin._dets(self.maxcones, rows)
+            dets = _join_dets(tuple(self.maxcones), rows, n) if self.maxcones else []
         return tuple(dets)
 
     @cached_property

@@ -23,7 +23,7 @@ from conftest import (
     three_stage_tower,
     two_stage_tower,
 )
-from flagbott import exactlin, fancheck, fans, orbitfan, permfan
+from flagbott import fancheck, fans, orbitfan, permfan
 from flagbott.cli import format_fan, load_tower, main
 from flagbott.fans import Ray, RayLabel
 from flagbott.orbitfan import PairingViolation, build_fan, verify_pairing_identity
@@ -188,12 +188,12 @@ def test_verify_all_checks_pass(spec_path, capsys):
 
 
 def test_verify_computes_cone_determinants_once(spec_path, capsys, monkeypatch):
-    # a join's cones take the level walk, any other batch exactlin._dets;
-    # the lifts of a split of a join are its projection's cones
+    # every batch of cones takes the level walk; the lifts of a split of a
+    # join are its projection's cones
     calls = []
-    for module, name in ((fans, "_join_dets"), (exactlin, "_dets")):
-        run = getattr(module, name)
-        monkeypatch.setattr(module, name, lambda matrices, *args, run=run, name=name: calls.append((name, len(matrices))) or run(matrices, *args))
+    run = fans._join_dets
+    for module in (fans, fancheck):
+        monkeypatch.setattr(module, "_join_dets", lambda matrices, *args: calls.append(("_join_dets", len(matrices))) or run(matrices, *args))
     assert main(["verify", spec_path]) == 0
     assert capsys.readouterr().out == (
         "smooth: ok (12 cones)\n"

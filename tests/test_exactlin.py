@@ -10,12 +10,13 @@ from conftest import identity
 from flagbott.exactlin import (
     IntMatrix,
     NotUnimodular,
-    _dets,
+    _det_rows,
     adjugate_det,
     det,
     mat_mul,
     unimodular_inverse,
 )
+from flagbott.fans import _join_dets
 
 
 def cofactor_det(rows: list[list[int]]) -> int:
@@ -90,13 +91,17 @@ def test_det_small_cases():
 
 
 def test_dets_edge_cases():
-    assert _dets([], []) == []
-    assert _dets([()], []) == [1]
+    # the fan's determinant pass, on cones as ascending index tuples: an
+    # empty batch, refused when it should have width n > 0, and 0x0 cones
+    assert _join_dets((), [], 0) == []
+    assert _join_dets((), [(1, 0)], 2) is None
+    assert _join_dets(((),), [], 0) == [1]
     # row 0 leads with a zero, so its matrices pivot off the first column;
-    # (0, 0) repeats a row and (2, 1) holds the zero row
+    # (0, 1) comes twice, (0, 0) repeats a row and (1, 2) holds the zero row
     rows = [(0, 1), (1, 0), (0, 0), (3, 5)]
-    matrices = [(1, 0), (0, 1), (0, 3), (0, 0), (2, 1), (3, 1), (1, 3)]
-    assert _dets(matrices, rows) == [1, -1, -3, 0, 0, -5, 5]
+    matrices = ((0, 1), (0, 1), (0, 3), (0, 0), (1, 2), (1, 3), (1, 3))
+    assert _join_dets(matrices, rows, 2) == [-1, -1, -3, 0, 0, 5, 5]
+    assert _join_dets(matrices, rows, 2) == [_det_rows([list(rows[i]) for i in m]) for m in matrices]
 
 
 def test_det_rejects_nonsquare():

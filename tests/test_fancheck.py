@@ -562,6 +562,20 @@ def test_bundle_join_reports_wrong_size_lift():
     assert JoinDefect(2, "pair_coverage", "cone 0 has 2 rays") in report.defects
 
 
+def test_bundle_join_reports_lifts_that_are_all_too_small():
+    # every cone loses a stage-1 ray, so no lift over a prefix has n rays,
+    # and the determinant pass over the lifts of n rays is handed none
+    t = two_stage_tower()
+    fan = build_fan(t)
+    assert all(fan.rays[cone[0]].label.stage == 1 for cone in fan.maxcones)
+    doctored = doctored_cones(fan, {ci: cone[1:] for ci, cone in enumerate(fan.maxcones)})
+    report = verify_bundle_join(doctored, t)
+    assert report == reference_verify_bundle_join(doctored, t)
+    prefixes = list(dict.fromkeys(pt[:1] for pt in fan.perm_tuples))
+    lifts = [d for d in report.defects if d.kind == "lift_degenerate"]
+    assert lifts == [JoinDefect(2, "lift_degenerate", f"lift over {prefix} has 1 rays") for prefix in prefixes]
+
+
 def test_bundle_join_reports_two_lifts():
     t = two_stage_tower()
     fan = build_fan(t)

@@ -284,8 +284,8 @@ MUTANTS = {
         "if False:",
         [FANCHECK + "test_cone_dets_reject_a_cone_out_of_order"],
     ),
-    # a ray index below 0 read from the end of the rays, one past the
-    # end left to _dets
+    # a ray index below 0 or past the end left to the flat walk, which
+    # refuses it without naming the cone
     "cone-range": (
         "fans",
         "if cone and not (0 <= cone[0] and cone[-1] < len(self.rays)):",

@@ -45,9 +45,9 @@ from conftest import (  # noqa: E402
     x_matrix_chain_sum,
 )
 from flagbott.cli import SpecError, format_fan, load_tower  # noqa: E402
-from flagbott.exactlin import IntMatrix, _det_rows, _dets, adjugate_det, det, mat_mul  # noqa: E402
+from flagbott.exactlin import IntMatrix, _det_rows, adjugate_det, det, mat_mul  # noqa: E402
 from flagbott.fancheck import is_complete_simplicial, is_smooth, verify_bundle_join  # noqa: E402
-from flagbott.fans import Fan, Ray, ray_labels, stage_join  # noqa: E402
+from flagbott.fans import Fan, Ray, _join_dets, ray_labels, stage_join  # noqa: E402
 from flagbott.orbitfan import (  # noqa: E402
     build_fan,
     derive_rays_from_weights,
@@ -129,33 +129,38 @@ def test_adjugate_times_matrix_is_det_identity(pair):
 
 @st.composite
 def det_batches(draw):
-    """Square matrices as index tuples into shared rows.  Each matrix
-    extends one of a few drawn stems, so matrices in drawn, unsorted order
-    share leading rows; indices repeat, a zero row is always there, and
-    zero entries are common, so prefixes go singular and pivots move off
-    the first column; other entries reach twist size."""
+    """Square matrices as ascending index tuples into shared rows, indices
+    repeating, and the width n.  Each matrix extends one of a few drawn
+    ascending stems by indices no smaller than the stem's last, so
+    matrices in drawn, unsorted order share leading rows; a zero row, the
+    last, is always there, and zero entries are common, so prefixes go
+    singular and pivots move off the first column; other entries reach
+    twist size."""
     n = draw(st.integers(0, 5))
     entry = st.sampled_from((0, 0, 1, -1)) | st.integers(-(10**6), 10**6)
     rows = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=6))
     rows.append((0,) * n)
     index = st.integers(0, len(rows) - 1)
-    stems = draw(st.lists(st.lists(index, max_size=n), min_size=1, max_size=3))
+    stems = draw(st.lists(st.lists(index, max_size=n).map(sorted), min_size=1, max_size=3))
     matrix = st.sampled_from(stems).flatmap(
-        lambda stem: st.lists(index, min_size=n - len(stem), max_size=n - len(stem)).map(
-            lambda tail: tuple(stem + tail)
-        )
+        lambda stem: st.lists(
+            st.integers(stem[-1] if stem else 0, len(rows) - 1), min_size=n - len(stem), max_size=n - len(stem)
+        ).map(lambda tail: tuple(stem + sorted(tail)))
     )
-    return draw(st.lists(matrix, max_size=8)), rows
+    return draw(st.lists(matrix, max_size=8)), rows, n
 
 
 @SETTINGS
 @hypothesis.given(det_batches())
-@hypothesis.example(([], []))
-@hypothesis.example(([()], []))
-@hypothesis.example(([(0, 1, 2), (0, 1, 3), (0, 2, 1), (0, 1, 2)], [(0, 1, 2), (0, 3, 1), (4, 0, 0), (0, 0, 0)]))
+@hypothesis.example(([], [], 0))
+@hypothesis.example(([()], [], 0))
+@hypothesis.example(([(0, 1, 2), (0, 1, 3), (0, 1, 2), (0, 2, 3), (0, 1, 2)], [(0, 1, 2), (0, 3, 1), (4, 0, 0), (0, 0, 0)], 3))
 def test_prefix_shared_dets_equal_bareiss(batch):
-    matrices, rows = batch
-    assert _dets(matrices, rows) == [_det_rows([list(rows[i]) for i in m]) for m in matrices]
+    # the fan's determinant pass on a flat batch, its one level; a batch of
+    # no matrices of width n > 0 is refused
+    matrices, rows, n = batch
+    want = [_det_rows([list(rows[i]) for i in m]) for m in matrices]
+    assert _join_dets(tuple(matrices), rows, n) == (want if matrices or not n else None)
 
 
 @st.composite
