@@ -230,7 +230,7 @@ _CHECKS = (
     ("oracle", True, "orbitfan", lambda orbitfan, fan, tower: orbitfan.verify_oracle(fan, tower),
      "weight-derived rays match the formula",
      lambda r: f"{r.cones_checked} cones agree", lambda r: f"{r.disagreeing} of {r.cones_checked} cones disagree"),
-    ("bundle", True, "fancheck", lambda fancheck, fan, tower: fancheck.verify_bundle_join(fan, tower),
+    ("bundle", True, "fancheck", lambda fancheck, fan, tower: fancheck.verify_bundle_join(fan),
      "iterated bundle structure holds",
      lambda r: f"splits {','.join(map(str, r.splits_checked)) or 'none'}", lambda r: f"{len(r.defects)} defects"),
 )

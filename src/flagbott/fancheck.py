@@ -70,12 +70,13 @@ index j, each cone of index i is compared with the cone
 least the block count, else one per offset in the stride.  Only a run
 that differs is walked cone by cone, and the pairs found are sorted into
 the census's order.  The bundle check reads each lift off the projected
-fan, as the base cone over its prefix.  On a projected join whose cones
-repeat no ray, each lift is its own cone, the rays in label order and the
-cones in prefix order, so its determinant is read off Fan.cone_dets, the
-level walk; any other base walks its ranked lifts as one level.  On a
-fan of build_fan's type the fibers and joins are build_fan's by
-construction, so the lifts are the whole split.
+fan, as the base cone over its prefix, and reads the fan alone.  On a
+projected join that the level walk takes, each lift is its own cone, the
+rays in label order and the cones in prefix order, so one walk gives every
+lift's determinant, and a lift that repeats a ray, of determinant 0, is
+counted by its distinct rays; any other base walks its ranked lifts as
+one level.  On a fan of build_fan's type the fibers and joins are
+build_fan's by construction, so the lifts are the whole split.
 
 The fallback rule.  is_complete_simplicial takes the flip path only
 when Fan.is_join holds and no cone determinant is 0; every other fan --
@@ -92,9 +93,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .fans import Fan, Ray, _join_dets, _levels, permutation_chains
+from .fans import Fan, Ray, _join_dets, permutation_chains
 from .permfan import perm_ray_vector
-from .tower import FlagBottTower
 
 
 @dataclass(frozen=True)
@@ -293,14 +293,16 @@ class BundleJoinReport:
 def _check_lifts(base: Fan, report: BundleJoinReport) -> None:
     # (b) for each prefix, in order: its lift, the base cone over it, has
     # base.n distinct rays, which project to the base with determinant +-1.
-    # On a join whose cones repeat no ray, each lift is its own cone, the
-    # rays in label order and the cones in prefix order, so its determinant
-    # is in base.cone_dets.  Otherwise the rows are ranked in label order,
-    # so that renumbering the rays keeps the sign, and the lifts of n rays,
-    # each ascending, are the one level of a walk of _join_dets
+    # On a join that the level walk takes, each lift is its own cone, the
+    # rays in label order and the cones in prefix order; a cone that repeats
+    # a ray has determinant 0, so only the cones of determinant other than
+    # +-1 have their distinct rays counted.  Otherwise the rows are ranked in label order, so that
+    # renumbering the rays keeps the sign, and the lifts of n rays, each
+    # ascending, are the one level of a walk of _join_dets
     m, n = len(base.dims) + 1, base.n
-    if base.is_join and _levels(base.maxcones, len(base.rays), n, True) is not None:
-        found = [(base.perm_tuples[ci], n, d) for ci, d in enumerate(base.cone_dets) if d not in (1, -1)]
+    dets = _join_dets(base.maxcones, [ray.vector for ray in base.rays], n) if base.is_join else None
+    if dets is not None:
+        found = [(base.perm_tuples[ci], len({*base.maxcones[ci]}), d) for ci, d in enumerate(dets) if d not in (1, -1)]
     else:
         order = sorted(range(len(base.rays)), key=lambda r: base.rays[r].label)
         rank = {r: i for i, r in enumerate(order)}
@@ -367,7 +369,7 @@ def _split_by_sets(fan: Fan, base: Fan, report: BundleJoinReport) -> None:
         )
 
 
-def verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
+def verify_bundle_join(fan: Fan) -> BundleJoinReport:
     """Check the iterated bundle structure of the fan at every stage split.
 
     At each split the top stage is pulled off: its rays must form the
@@ -377,8 +379,6 @@ def verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
     then splits the projected fan, down to one stage, so a single-stage
     fan passes vacuously.
     """
-    if fan.dims != t.dims:
-        raise ValueError(f"fan dims {fan.dims} do not match tower dims {t.dims}")
     report = BundleJoinReport()
     while len(fan.dims) > 1:
         m, n_m = len(fan.dims), fan.dims[-1]

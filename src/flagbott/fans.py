@@ -158,11 +158,12 @@ def ray_labels(dims: tuple[int, ...]) -> list[RayLabel]:
 
 
 def _plan(tails: Sequence[tuple[int, ...]]) -> list[tuple[int, tuple[int, ...], int]]:
-    """(k, tails[ti][k:], ti) for each tail index ti, the tails sorted, k the
-    length of the prefix shared with the tail before: each suffix entry is a
-    new node of the tails' prefix trie."""
+    """(k, tails[ti][k:], ti) for each tail index ti, the tails sorted as
+    tuples, so that lists and tuples may mix, k the length of the prefix
+    shared with the tail before: each suffix entry is a new node of the
+    tails' prefix trie."""
     plan, prev = [], ()
-    for ti in sorted(range(len(tails)), key=tails.__getitem__):
+    for ti in sorted(range(len(tails)), key=lambda ti: tuple(tails[ti])):
         t, k = tails[ti], 0
         while k < len(prev) and t[k] == prev[k]:
             k += 1
@@ -189,14 +190,14 @@ def _reduce(x: list[int], stack: list[tuple[int, int, list[int]]], q: int) -> li
     return x
 
 
-def _levels(cones: Sequence[tuple[int, ...]], count: int, n: int, strict: bool = False) -> list[Sequence[tuple[int, ...]]] | None:
+def _levels(cones: Sequence[tuple[int, ...]], count: int, n: int) -> list[Sequence[tuple[int, ...]]] | None:
     """The join's levels, root first: the innermost heads, as the tails of
     one empty head, then each join's tails; cones that are not a join are
     the root alone.  None when a tail is not ascending, in range(count) or
     of its level's width, a level reaches below the largest index before
-    it, or the widths do not sum to n; when strict, also when a tail
-    repeats an index or a level reaches the largest index before it, so
-    that no cone repeats a ray."""
+    it, or the widths do not sum to n.  A cone may still repeat a ray,
+    within a tail or where a level starts at the largest index before it;
+    the walk gives such a cone determinant 0."""
     levels, level = [], cones
     while isinstance(level, _Join):
         levels.insert(0, level.tails)
@@ -205,9 +206,9 @@ def _levels(cones: Sequence[tuple[int, ...]], count: int, n: int, strict: bool =
     hi, width = 0, 0
     for tails in levels:
         w = len(tails[0]) if tails else 0
-        if any(len(t) != w or sorted({*t} if strict else t) != list(t) or t and (t[0] < hi or t[-1] >= count) for t in tails):
+        if any(len(t) != w or sorted(t) != list(t) or t and (t[0] < hi or t[-1] >= count) for t in tails):
             return None
-        hi, width = max((t[-1] + strict for t in tails if t), default=hi), width + w
+        hi, width = max((t[-1] for t in tails if t), default=hi), width + w
     return levels if width == n else None
 
 

@@ -153,27 +153,23 @@ def ray_generator(t: FlagBottTower, ell: int, s: Subset) -> tuple[int, ...]:
     if not 1 <= ell <= t.m:
         raise ValueError(f"stage must be in 1..{t.m}, got {ell}")
     n_ell = t.dims[ell - 1]
-    base = perm_ray_vector(n_ell, s)  # validates s for this stage
-    blocks = [[0] * (n_p + 1) for n_p in t.dims]
-    blocks[ell - 1][:n_ell] = base
+    vec = [0] * sum(t.dims[: ell - 1])
+    vec += perm_ray_vector(n_ell, s)  # validates s for this stage
     d = n_ell + 1 - len(s)
     last_in = (n_ell + 1) in s
+    # each higher block re-represented modulo the trivially acting directions
+    # as it is formed: zeroing the last coordinate c_q of an earlier block q
+    # adds c_q times the row sums of block p's twist matrix against stage q
+    lasts: list[tuple[int, int]] = []  # (q, c_q) for each earlier block with c_q != 0
     for p in range(ell + 1, t.m + 1):
         a = t.twist(p, ell)
-        blocks[p - 1] = [sum(row[:d]) if last_in else -sum(row[d:]) for row in map(a.row, range(a.rows))]
-    # re-represent modulo the trivially acting directions: zeroing the last
-    # coordinate of block p counter-adjusts every higher block by the row
-    # sums of its twist matrix against stage p
-    for p in range(1, t.m + 1):
-        c = blocks[p - 1][-1]
+        block = [sum(row[:d]) if last_in else -sum(row[d:]) for row in map(a.row, range(a.rows))]
+        for q, c in lasts:
+            block = [x + c * sum(row) for x, row in zip(block, map(t.twist(p, q).row, range(a.rows)))]
+        c = block[-1]
         if c:
-            blocks[p - 1] = [x - c for x in blocks[p - 1]]
-            for q in range(p + 1, t.m + 1):
-                a = t.twist(q, p)
-                blocks[q - 1] = [x + c * sum(a.row(k)) for k, x in enumerate(blocks[q - 1])]
-    vec: list[int] = []
-    for b in blocks:
-        vec.extend(b[:-1])
+            lasts.append((p, c))
+        vec += (x - c for x in block[:-1])
     return tuple(vec)
 
 

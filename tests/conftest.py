@@ -617,12 +617,10 @@ def _reference_check_top_split(fan: Fan, report: BundleJoinReport) -> None:
         )
 
 
-def reference_verify_bundle_join(fan: Fan, t: FlagBottTower) -> BundleJoinReport:
+def reference_verify_bundle_join(fan: Fan) -> BundleJoinReport:
     """The bundle check on ray labels: the library's own form before it
     moved to ray indices and subset masks, with the label lookups in
     conftest."""
-    if fan.dims != t.dims:
-        raise ValueError(f"fan dims {fan.dims} do not match tower dims {t.dims}")
     report = BundleJoinReport()
     cur = fan
     while len(cur.dims) > 1:

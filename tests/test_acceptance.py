@@ -269,7 +269,7 @@ def test_criterion_07_bundle_join(capsys):
         splits = 0
         for t in towers:
             fan = build_fan(t)
-            report = verify_bundle_join(fan, t)
+            report = verify_bundle_join(fan)
             assert report.ok, f"join defects on dims {t.dims}: {report.defects[:3]}"
             assert report.splits_checked == list(range(t.m, 1, -1))
             splits += len(report.splits_checked)
@@ -300,7 +300,7 @@ def test_criterion_08_reductions(capsys):
                 lo = offsets[ell - 1]
                 assert tuple(vec[lo : lo + n_ell]) == perm_ray_vector(n_ell, s)
                 assert not any(vec[:lo]) and not any(vec[lo + n_ell :])
-        assert verify_bundle_join(fan, zero).ok
+        assert verify_bundle_join(fan).ok
         c.note = "m=1 equals the one-factor fan; zero twists give the product"
 
 

@@ -6,18 +6,20 @@ gate copies the package to a temporary directory, applies the one
 replacement there, and runs only the named tests in a subprocess that
 imports the copy.  pytest must exit 1, some test failing: an exit of 0
 means the tests are blind to the fault, and any other exit (a collection
-or usage error) proves nothing.  Each row takes 1.0-1.7 s on a 2-vCPU
-VM (pytest --durations=0), most of it spent starting a fresh pytest and
-collecting the named tests' module; eager-fancheck, whose test starts
-eight children of its own, takes about 1.9 s, walk-memo-one-slot, whose
-test walks a (3,3,3) join of drawn rays twice, about 2.6 s, and
-join-radix, whose first test draws 30 hypothesis towers, about 4.0 s.
+or usage error) proves nothing.  A module fixture starts every selected
+row at once on os.cpu_count() worker threads, each in its own copy and
+subprocess, and each row's test waits for its own verdict.  Run one at a
+time, a row takes 1.2-2.7 s on a 2-vCPU VM, most of it spent starting a
+fresh pytest and collecting the named tests' module; walk-memo-one-slot,
+whose test walks a (3,3,3) join of drawn rays twice, about 2.8 s, and
+join-radix, whose first test draws 30 hypothesis towers, about 7.9 s:
+101 s for the 56 rows.
 Each walk-* row and generic-divisor, where it names a hypothesis test,
 names a fixed test before it, which fails first, so that pytest -x stops
 before hypothesis shrinks a failing draw.  A control runs the union of
 every row's tests on an unmutated copy through the same runner, which
 must exit 0, so that a row's exit 1 comes from its fault; it takes about
-13 s, and the gate's 57 tests about 84 s.
+13 s, and the gate's 58 tests 61-64 s.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ import os
 import shutil
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -196,7 +199,7 @@ MUTANTS = {
     # the walk forms some nodes of their prefix trie more than once
     "nested-sorted-heads": (
         "fans",
-        "for ti in sorted(range(len(tails)), key=tails.__getitem__):",
+        "for ti in sorted(range(len(tails)), key=lambda ti: tuple(tails[ti])):",
         "for ti in range(len(tails)):",
         [FANCHECK + "test_a_joins_cones_are_visited_in_sorted_order_without_a_sort"],
     ),
@@ -262,12 +265,12 @@ MUTANTS = {
         "slots.append((q, pend, base, sign))",
         [FANCHECK + "test_the_walks_memory_stays_bounded_where_no_head_repeats"],
     ),
-    # a join base whose cones repeat a ray taking the walk for its lifts,
-    # so that a lift with too few rays reads as determinant 0
+    # a lift of a join base that repeats a ray counted as n rays, so that
+    # a lift with too few rays reads as determinant 0
     "lift-walk-fallback": (
         "fancheck",
-        "_levels(base.maxcones, len(base.rays), n, True)",
-        "_levels(base.maxcones, len(base.rays), n, False)",
+        "len({*base.maxcones[ci]})",
+        "n",
         [FANCHECK + "test_a_join_base_that_repeats_a_ray_lifts_as_before"],
     ),
     # a join checked and eliminated cone by cone after its walk as well
@@ -306,6 +309,14 @@ MUTANTS = {
         "while len(level.dims) > stages:",
         "while len(level.dims) > stages + 1:",
         [FANCHECK + "test_project_fan_equals_truncated_build"],
+    ),
+    # each higher block's last coordinate c_p taken as 0, so that a twist
+    # matrix with a nonzero last row leaves the rays unnormalised
+    "ray-kernel-zero": (
+        "orbitfan",
+        "c = block[-1]",
+        "c = 0",
+        [ORBITFAN + "test_ray_generator_normalizes_kernel_directions"],
     ),
     # M B_ell gathering columns by v_ell where it must scatter them
     "gather-for-scatter": (
@@ -489,13 +500,29 @@ def test_every_rows_tests_pass_on_the_unmutated_copy(tmp_path):
     assert proc.returncode == 0, f"pytest exited {proc.returncode}\n{proc.stdout[-2000:]}"
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_mutant_is_caught(name, tmp_path):
+def run_mutant(name: str, tmp_path: Path) -> subprocess.CompletedProcess:
+    """The row's tests, run on a copy of the package in tmp_path that has
+    the row's one replacement."""
     module, old, new, nodes = MUTANTS[name]
     shutil.copytree(SRC, tmp_path / "flagbott", ignore=shutil.ignore_patterns("__pycache__"))
     path = tmp_path / "flagbott" / f"{module}.py"
     text = path.read_text()
     assert text.count(old) == 1, f"{name}: the text to replace must occur once in {module}.py"
     path.write_text(text.replace(old, new))
-    proc = pytest_exit(tmp_path, nodes)
+    return pytest_exit(tmp_path, nodes)
+
+
+@pytest.fixture(scope="module")
+def mutant_runs(request, tmp_path_factory):
+    """Every selected row's run_mutant, started at once on os.cpu_count()
+    worker threads, each in its own copy: row name -> future."""
+    names = [item.callspec.params["name"] for item in request.session.items if getattr(item, "originalname", None) == "test_mutant_is_caught"]
+    pool = ThreadPoolExecutor(os.cpu_count())
+    yield {name: pool.submit(run_mutant, name, tmp_path_factory.mktemp(name)) for name in names}
+    pool.shutdown(cancel_futures=True)
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_mutant_is_caught(name, mutant_runs):
+    proc = mutant_runs[name].result()
     assert proc.returncode == 1, f"{name}: pytest exited {proc.returncode}\n{proc.stdout[-2000:]}"

@@ -289,7 +289,7 @@ def test_fan_of_a_drawn_tower_is_smooth_complete_and_a_join(t):
     assert is_complete_simplicial(fan).ok
     for cone, v in zip(fan.maxcones, fan.perm_tuples):
         assert derive_rays_from_weights(t, v) == {fan.rays[r].vector for r in cone}
-    assert verify_bundle_join(fan, t).ok
+    assert verify_bundle_join(fan).ok
 
 
 @hypothesis.settings(SETTINGS, max_examples=15)
@@ -326,7 +326,7 @@ def test_flip_and_slice_paths_equal_the_references_on_a_faulted_fan(paths, t, ki
     assert is_complete_simplicial(fan) == reference_is_complete_simplicial(fan)
     assert paths == ["flip" if kept and 0 not in fan.cone_dets else "census"]
     paths.clear()
-    assert verify_bundle_join(fan, t) == reference_verify_bundle_join(fan, t)
+    assert verify_bundle_join(fan) == reference_verify_bundle_join(fan)
     assert paths == bundle_paths(fan)
 
 
